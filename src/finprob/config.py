@@ -30,6 +30,23 @@ EXPERIMENTS = (
     "homeo-audit",
 )
 
+# Largest accepted values. Each cap bounds what one run allocates before it
+# starts: 2**levels atoms with levels + 1 random variables over them, count
+# instances one after another, horizon kernels per generated sequence.
+_CAPS = {"levels": 16, "size": 1024, "count": 10_000, "horizon": 1024}
+
+# Tighter size caps, where memory or work grows faster than linearly in size:
+# size**3 floats (banach truncation maps, levi-hilbert bases), up to size
+# kernels of size**2 entries (levi-kernel), horizon kernels of size**2
+# entries (homeo-audit), Bell(size) idempotents compared pairwise (galois).
+_SIZE_CAPS = {
+    "galois-audit": 8,
+    "homeo-audit": 64,
+    "levi-kernel": 192,
+    "levi-hilbert": 256,
+    "banach-counterexample": 256,
+}
+
 _EXPERIMENT_KEYS = {"name", "seed", "mode", "tolerance", "horizon", "n", "output", "input"}
 _SIZE_KEYS = {"levels", "size", "dim", "length", "count"}
 
@@ -66,6 +83,8 @@ def validate_config(cfg) -> list[str]:
         problems.append(f"seed must be a nonnegative integer, got {cfg.seed!r}")
     if cfg.horizon < 1:
         problems.append(f"horizon must be positive, got {cfg.horizon}")
+    elif cfg.horizon > _CAPS["horizon"]:
+        problems.append(f"horizon must be at most {_CAPS['horizon']}, got {cfg.horizon}")
     n = cfg.norm_index
     valid_n = n == math.inf or (float(n).is_integer() and n >= 1)
     if not valid_n:
@@ -74,8 +93,10 @@ def validate_config(cfg) -> list[str]:
         v = getattr(cfg, name)
         if not isinstance(v, int) or v < 1:
             problems.append(f"{name} must be a positive integer, got {v!r}")
-    if cfg.experiment == "galois-audit" and isinstance(cfg.size, int) and cfg.size > 8:
-        problems.append("galois-audit is exhaustive; size must be at most 8")
+            continue
+        cap = _SIZE_CAPS.get(cfg.experiment, _CAPS[name]) if name == "size" else _CAPS.get(name)
+        if cap is not None and v > cap:
+            problems.append(f"{name} must be at most {cap} for {cfg.experiment}, got {v}")
     if cfg.experiment == "noncauchy-l1" and isinstance(cfg.levels, int) and cfg.levels < 2:
         problems.append("noncauchy-l1 needs at least 2 levels")
     if cfg.experiment == "banach-counterexample" and isinstance(cfg.size, int) and cfg.size < 2:

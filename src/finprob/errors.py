@@ -9,6 +9,10 @@ class NegativeWeightError(FinprobError, ValueError):
     """A probability weight is negative."""
 
 
+class NonFiniteError(FinprobError, ValueError):
+    """A value is NaN or infinite where a finite number is required."""
+
+
 class SumNotOneError(FinprobError, ValueError):
     """Probability weights do not sum to one; the message reports the deviation."""
 

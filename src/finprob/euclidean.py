@@ -212,10 +212,10 @@ def _require_subspace_chain(chain: Sequence[Subspace], increasing: bool) -> None
 
 
 def chain_sup(chain: Sequence[Subspace]) -> Subspace:
-    """Span of the union of an increasing chain."""
+    """Span of the union of an increasing chain: once the chain is checked
+    to be increasing, that is the span of its last element."""
     _require_subspace_chain(chain, increasing=True)
-    vectors = [s.basis[:, j] for s in chain for j in range(s.dim)]
-    return Subspace.from_spanning(vectors, chain[0].ambient_dim)
+    return chain[-1]
 
 
 def chain_inf(chain: Sequence[Subspace]) -> Subspace:

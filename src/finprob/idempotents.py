@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     FinprobError,
     NotAChainError,
@@ -205,49 +207,61 @@ def split(e: IdempotentKernel) -> Splitting:
 
 # -- the idempotent partial order ------------------------------------------
 
-def _int_form(kernel: Kernel) -> tuple[list[list[int]], int]:
-    """Supported rows as integer numerators over one common denominator."""
-    n = kernel.domain.size
-    denom = 1
-    for x in kernel.domain.support:
-        for v in kernel.rows[x]:
-            denom = lcm(denom, v.denominator)
-    nums = [
-        [int(v.numerator * (denom // v.denominator)) for v in kernel.rows[x]]
-        for x in range(n)
-    ]
-    return nums, denom
+def _int_form(kernels: Sequence[Kernel]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact endo-kernels of one space as integer numerators, stacked.
 
-
-def _leq_pair_exact(
-    a: list[list[int]],
-    la: int,
-    b: list[list[int]],
-    lb: int,
-    support: Sequence[int],
-    n: int,
-) -> tuple[bool, bool]:
-    """(a <= b, b <= a) for exact idempotents in integer-numerator form.
-
-    Both composites a.b and b.a are compared row-by-row against a (scaled by
-    lb) and b (scaled by la), bailing out as soon as neither candidate
-    survives; this is what makes exhaustive audits affordable.
+    Returns an (m, n, n) numerator array and the (m,) vector of each
+    kernel's common denominator over its supported rows. Null rows are
+    zero: a measure-preserving kernel moves no mass from a supported outcome
+    to a null one, so they never reach a supported row of a composite. No
+    numerator exceeds its denominator, so a composite entry is at most
+    n * max(denominators)**2; the arrays are int64 when that fits, and
+    Python ints otherwise.
     """
-    cols = range(n)
-    cand_ab = cand_ba = True
-    for rows_first, rows_second in ((a, b), (b, a)):
-        for x in support:
-            rf = rows_first[x]
-            prow = [
-                sum(rf[y] * rows_second[y][j] for y in cols if rf[y]) for j in cols
-            ]
-            if cand_ab and any(prow[j] != a[x][j] * lb for j in cols):
-                cand_ab = False
-            if cand_ba and any(prow[j] != b[x][j] * la for j in cols):
-                cand_ba = False
-            if not (cand_ab or cand_ba):
-                return False, False
-    return cand_ab, cand_ba
+    n = kernels[0].domain.size
+    support = list(kernels[0].domain.support)
+    nums = np.zeros((len(kernels), n, n), dtype=object)
+    dens = []
+    for i, k in enumerate(kernels):
+        live = k.rows[support]
+        den = lcm(*(v.denominator for v in live.flat))
+        nums[i, support] = [[v.numerator * (den // v.denominator) for v in row] for row in live]
+        dens.append(den)
+    dtype = np.int64 if n * max(dens) ** 2 <= np.iinfo(np.int64).max else object
+    return nums.astype(dtype), np.array(dens, dtype=dtype)
+
+
+def _order_forms(kernels: Sequence[Kernel]):
+    """Idempotents of one space, prepared once for `_leq_against`: the
+    integer stack of `_int_form` in exact mode, the kernels in float mode."""
+    return _int_form(kernels) if kernels[0].mode.exact else tuple(kernels)
+
+
+def _leq_against(forms, i: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e_i <= e_j, e_j <= e_i) for every j in lo..hi-1 of prepared forms.
+
+    e <= f when both composites e.f and f.e are a.s. equal to e. In integer
+    form the composites of forms a and b carry the denominator la * lb, so
+    they are compared with a scaled by lb and with b scaled by la.
+    """
+    if isinstance(forms[0], Kernel):
+        pairs = [_leq_pair_generic(forms[i], k) for k in forms[lo:hi]]
+        return np.array([p[0] for p in pairs], bool), np.array([p[1] for p in pairs], bool)
+    nums, dens = forms
+    a, la = nums[i], dens[i]
+    b, lb = nums[lo:hi], dens[lo:hi]
+    ab, ba = np.matmul(a, b), np.matmul(b, a)
+    a_scaled, b_scaled = a * lb[:, None, None], b * la
+    le = ((ab == a_scaled) & (ba == a_scaled)).all(axis=(1, 2))
+    ge = ((ab == b_scaled) & (ba == b_scaled)).all(axis=(1, 2))
+    return le, ge
+
+
+def _leq_pair_exact(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
+    """(e1 <= e2, e2 <= e1) for exact idempotents: the batched test against
+    a stack of one."""
+    le, ge = _leq_against(_int_form([e1, e2]), 0, 1, 2)
+    return bool(le[0]), bool(ge[0])
 
 
 def _leq_pair_generic(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
@@ -262,37 +276,8 @@ def idem_leq(e1: IdempotentKernel, e2: IdempotentKernel) -> bool:
     """Idempotent order: true when both composites of e1 and e2 a.s. equal e1."""
     if not e1.space.same_as(e2.space):
         raise SpaceMismatchError("idempotents on different spaces")
-    if e1.space.mode.exact:
-        a, la = _int_form(e1.kernel)
-        b, lb = _int_form(e2.kernel)
-        leq12, _ = _leq_pair_exact(a, la, b, lb, e1.space.support, e1.space.size)
-        return leq12
-    leq12, _ = _leq_pair_generic(e1.kernel, e2.kernel)
-    return leq12
-
-
-def leq_comparator(space: ProbSpace):
-    """(prepare, leq) pair for many-comparison loops: prepare converts an
-    IdempotentKernel once, leq compares two prepared forms by composites."""
-    if space.mode.exact:
-        support, n = space.support, space.size
-
-        def prepare(e: IdempotentKernel):
-            return _int_form(e.kernel)
-
-        def leq(fa, fb) -> bool:
-            (a, la), (b, lb) = fa, fb
-            return _leq_pair_exact(a, la, b, lb, support, n)[0]
-
-    else:
-
-        def prepare(e: IdempotentKernel):
-            return e.kernel
-
-        def leq(fa, fb) -> bool:
-            return _leq_pair_generic(fa, fb)[0]
-
-    return prepare, leq
+    pair = _leq_pair_exact if e1.space.mode.exact else _leq_pair_generic
+    return pair(e1.kernel, e2.kernel)[0]
 
 
 def order_witnesses(
@@ -376,6 +361,12 @@ def inf_idempotents(chain: Sequence[IdempotentKernel]) -> IdempotentKernel:
 
 # -- exhaustive Galois audit -------------------------------------------------
 
+def _same_block(parts: Sequence[Partition]) -> np.ndarray:
+    """(m, n, n) table: [k, x, y] is true when x and y share a block of parts[k]."""
+    labels = np.array([p.labels for p in parts])
+    return labels[:, :, None] == labels[:, None, :]
+
+
 @dataclass(frozen=True)
 class GaloisReport:
     """Outcome of the exhaustive partitions-vs-idempotents audit on one space."""
@@ -428,41 +419,27 @@ def galois_roundtrips(space: ProbSpace, max_size: int = 8) -> GaloisReport:
 
     # Order of the idempotents, by composites (the honest route).
     m = len(parts)
-    leq = [[False] * m for _ in range(m)]
-    if space.mode.exact:
-        forms = [_int_form(e.kernel) for e in idems]
-        for i in range(m):
-            ai, li = forms[i]
-            leq[i][i] = True
-            for j in range(i + 1, m):
-                aj, lj = forms[j]
-                leq_ij, leq_ji = _leq_pair_exact(ai, li, aj, lj, space.support, n)
-                leq[i][j] = leq_ij
-                leq[j][i] = leq_ji
-    else:
-        for i in range(m):
-            leq[i][i] = True
-            for j in range(i + 1, m):
-                leq_ij, leq_ji = _leq_pair_generic(idems[i].kernel, idems[j].kernel)
-                leq[i][j] = leq_ij
-                leq[j][i] = leq_ji
+    forms = _order_forms([e.kernel for e in idems])
+    leq = np.eye(m, dtype=bool)
+    for i in range(m):
+        leq[i, i + 1:], leq[i + 1:, i] = _leq_against(forms, i, i + 1, m)
 
+    # Refinement by "same block" tables: p refines q when p never puts two
+    # outcomes together that q separates.
+    same_part, same_inv = _same_block(parts), _same_block(invariants)
     adjunction_failures = []
-    for b in range(m):
-        for e in range(m):
-            contained = invariants[e].refines(parts[b])
-            if contained != leq[b][e]:
-                adjunction_failures.append((b, e, contained, leq[b][e]))
-
     monotonicity_failures = []
     for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if parts[j].refines(parts[i]) and not leq[i][j]:
-                monotonicity_failures.append(("partition-to-kernel", i, j))
-            if leq[i][j] and not invariants[j].refines(invariants[i]):
-                monotonicity_failures.append(("kernel-to-partition", i, j))
+        contained = ~(same_inv & ~same_part[i]).any(axis=(1, 2))
+        for e in np.flatnonzero(contained != leq[i]):
+            adjunction_failures.append((i, int(e), bool(contained[e]), bool(leq[i, e])))
+        up = ~(same_part & ~same_part[i]).any(axis=(1, 2)) & ~leq[i]
+        down = leq[i] & (same_inv & ~same_inv[i]).any(axis=(1, 2))
+        for j in np.flatnonzero(up | down):
+            if up[j]:
+                monotonicity_failures.append(("partition-to-kernel", i, int(j)))
+            if down[j]:
+                monotonicity_failures.append(("kernel-to-partition", i, int(j)))
 
     return GaloisReport(
         size=n,

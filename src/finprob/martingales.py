@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     InvalidFiltrationError,
     NotAMartingaleError,
@@ -24,10 +26,11 @@ from .errors import (
 )
 from .idempotents import (
     IdempotentKernel,
+    _leq_against,
+    _order_forms,
     cond_exp_kernel,
     idem_leq,
     inf_idempotents,
-    leq_comparator,
     sup_idempotents,
 )
 from .kernels import as_equal_kernels
@@ -276,24 +279,22 @@ def preserves_optima_check(f: Filtration, n=2, max_size: int = 8) -> bool:
     space = f.space
     if space.size > max_size:
         raise TooLargeError(f"exhaustive optimality check over {space.size} outcomes refused")
-    prepare, below = leq_comparator(space)
-    levels = [prepare(cond_exp_kernel(space, p, validate=False)) for p in f.partitions]
-    e_limit = prepare(cond_exp_kernel(space, filtration_limit(f), validate=False))
+    parts = [filtration_limit(f), *f.partitions, *all_partitions(space.size)]
+    forms = _order_forms([cond_exp_kernel(space, p, validate=False).kernel for p in parts])
+    first, end = len(f.partitions) + 1, len(parts)  # candidates are first..end-1
     increasing = f.direction == INCREASING
 
-    for e in levels:
-        ok = below(e, e_limit) if increasing else below(e_limit, e)
-        if not ok:
-            return False
-    for q in all_partitions(space.size):
-        cand = prepare(cond_exp_kernel(space, q, validate=False))
-        if increasing:
-            if all(below(e, cand) for e in levels) and not below(e_limit, cand):
-                return False
-        else:
-            if all(below(cand, e) for e in levels) and not below(cand, e_limit):
-                return False
-    return True
+    # Bound: each level lies below (increasing) or above (decreasing) the limit.
+    limit_le, limit_ge = _leq_against(forms, 0, 1, first)
+    if not (limit_ge if increasing else limit_le).all():
+        return False
+    # Optimality: every candidate bound of all levels is bounded by the limit.
+    bounds = np.ones(end - first, dtype=bool)
+    for level in range(1, first):
+        le, ge = _leq_against(forms, level, first, end)
+        bounds &= le if increasing else ge
+    limit_le, limit_ge = _leq_against(forms, 0, first, end)
+    return not (bounds & ~(limit_le if increasing else limit_ge)).any()
 
 
 def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:

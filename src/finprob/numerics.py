@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import FinprobError
+from .errors import FinprobError, TooLargeError
 
 Number = Union[float, Fraction]
 
@@ -150,11 +150,36 @@ def _int_nth_root(k: int, n: int):
         return None
     if k in (0, 1) or n == 1:
         return k
-    r = round(k ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == k:
-            return cand
-    return None
+    if n == 2:
+        r = math.isqrt(k)
+    else:  # integer Newton steps down from a power of two above the root
+        r = 1 << -(-k.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + k // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == k else None
+
+
+def _float_root(frac: Fraction, n: int) -> float:
+    """n-th root of a positive rational as a float, also when the rational
+    itself lies outside the float range."""
+    try:
+        value = float(frac)
+    except OverflowError:
+        value = 0.0
+    if value > 0.0:
+        return value ** (1.0 / n)
+    # Split off a power of 2**n so that the rest converts, then scale back.
+    shift = (frac.numerator.bit_length() - frac.denominator.bit_length()) // n
+    rest = float(frac / Fraction(2) ** (shift * n))
+    try:
+        return math.ldexp(rest ** (1.0 / n), shift)
+    except OverflowError:
+        raise TooLargeError(
+            f"root of index {n} of a value near 2**{shift * n} exceeds the float range"
+        ) from None
 
 
 def nth_root(value: Number, n: int, mode: NumericMode) -> Number:
@@ -177,7 +202,7 @@ def nth_root(value: Number, n: int, mode: NumericMode) -> Number:
         den = _int_nth_root(frac.denominator, n)
         if num is not None and den is not None:
             return Fraction(num, den)
-        return float(frac) ** (1.0 / n)
+        return _float_root(frac, n)
     v = float(value)
     if v < 0:
         raise FinprobError("nth_root of a negative value")

@@ -71,6 +71,11 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
+    @property
+    def labels(self) -> tuple[int, ...]:
+        """Block index (in canonical order) of every outcome."""
+        return self._labels
+
     def label_of(self, x: int) -> int:
         """Index (in canonical order) of the block containing outcome x."""
         return self._labels[x]

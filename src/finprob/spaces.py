@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimMismatchError,
     NegativeWeightError,
+    NonFiniteError,
     SizeMismatchError,
     SpaceMismatchError,
     SumNotOneError,
@@ -129,6 +130,9 @@ class RandomVar:
             raise SizeMismatchError(
                 f"random variable has {v.size} values for a {space.size}-outcome space"
             )
+        if not space.mode.exact and not np.isfinite(v).all():
+            bad = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise NonFiniteError(f"random variable value at outcome {bad} is {v[bad]}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "space", space)
 

@@ -4,7 +4,7 @@ import pytest
 
 import finprob as fp
 from finprob.cli import main
-from finprob.config import demo_config, load_config, resolve_output, validate_config
+from finprob.config import ExperimentConfig, demo_config, load_config, resolve_output, validate_config
 from finprob.experiments import run, run_experiment
 
 
@@ -85,6 +85,46 @@ class TestConfigParsing:
         text = "[experiment]\nname = galois-audit\n[sizes]\nsize = 9\n"
         with pytest.raises(fp.ConfigError):
             load_config(write(tmp_path, text))
+
+
+class TestCostCaps:
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [
+            ("levy-up", "levels = 40"),
+            ("levy-down", "size = 5000"),
+            ("levi-kernel", "size = 1000"),
+            ("banach-counterexample", "size = 2000"),
+            ("galois-audit", "count = 100000"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, name, sizes):
+        path = write(tmp_path, f"[experiment]\nname = {name}\noutput = out.csv\n[sizes]\n{sizes}\n")
+        with pytest.raises(fp.ConfigError) as err:
+            load_config(path)
+        assert sizes.split()[0] in str(err.value)
+        assert main(["run", str(path), "--outdir", str(tmp_path)]) == 2
+        assert main(["validate", str(path)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_horizon_cap(self):
+        with pytest.raises(fp.ConfigError):
+            ExperimentConfig(experiment="homeo-audit", horizon=100_000)
+
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [
+            ("levy-up", dict(levels=12)),
+            ("levy-down", dict(size=256, length=64)),
+            ("levi-kernel", dict(size=160, length=12)),
+            ("banach-counterexample", dict(size=160)),
+            ("levi-hilbert", dict(size=40, length=40)),
+            ("galois-audit", dict(size=8, count=4)),
+            ("homeo-audit", dict(size=4, count=200, horizon=40)),
+        ],
+    )
+    def test_largest_benchmark_sizes_accepted(self, name, sizes):
+        assert validate_config(ExperimentConfig(experiment=name, **sizes)) == []
 
 
 class TestOutputResolution:

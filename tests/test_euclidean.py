@@ -165,6 +165,21 @@ class TestChains:
         with pytest.raises(fp.NotAChainError):
             fp.chain_sup([axes(0), axes(1)])
 
+    def test_sup_matches_gram_schmidt_of_union(self):
+        rng = np.random.default_rng(61)
+        dim = 9
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        for dims in ([1, 3, 3, 6], [2, 5, 9], [4]):
+            # each element gets its own rotated basis of the nested span
+            chain = []
+            for d in dims:
+                turn = np.linalg.qr(rng.normal(size=(d, d)))[0]
+                chain.append(fp.Subspace(basis[:, :d] @ turn, dim))
+            union = [s.basis[:, j] for s in chain for j in range(s.dim)]
+            expected = fp.orthogonal_projector(fp.Subspace.from_spanning(union, dim)).matrix
+            got = fp.orthogonal_projector(fp.chain_sup(chain)).matrix
+            assert np.allclose(got, expected, atol=1e-9)
+
     def test_optima_in_projector_order_coordinate_lattice(self):
         # exhaustive over coordinate subspaces of R^4: sup/inf are the
         # least upper / greatest lower bounds in the projector order

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import finprob as fp
+from finprob.idempotents import _leq_against, _order_forms
 from finprob.sampling import random_partition, random_space, rng_for
 
 from .oracles import invariant_sets_direct, kernel_mass
@@ -178,6 +180,45 @@ class TestIdempotentOrder:
             left = fp.idem_leq(fp.cond_exp_kernel(exact, p), fp.cond_exp_kernel(exact, q))
             right = fp.idem_leq(fp.cond_exp_kernel(approx, p), fp.cond_exp_kernel(approx, q))
             assert left == right
+
+
+class TestBatchedOrder:
+    """The batched integer order test against the definition of the order:
+    e1 <= e2 when both composites are a.s. equal to e1."""
+
+    @staticmethod
+    def definition_table(kernels):
+        m = len(kernels)
+        table = np.eye(m, dtype=bool)
+        for i in range(m):
+            for j in range(i + 1, m):
+                ij = fp.compose(kernels[i], kernels[j])
+                ji = fp.compose(kernels[j], kernels[i])
+                table[i, j] = fp.as_equal_kernels(ij, kernels[i]) and fp.as_equal_kernels(ji, kernels[i])
+                table[j, i] = fp.as_equal_kernels(ij, kernels[j]) and fp.as_equal_kernels(ji, kernels[j])
+        return table
+
+    def check_space(self, space):
+        kernels = [fp.cond_exp_kernel(space, p).kernel for p in fp.all_partitions(space.size)]
+        expected = self.definition_table(kernels)
+        forms = _order_forms(kernels)
+        for i in range(len(kernels)):
+            le, ge = _leq_against(forms, i, 0, len(kernels))
+            assert (le == expected[i]).all() and (ge == expected[:, i]).all()
+        return forms
+
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    @pytest.mark.parametrize("nulls", [0, 1])
+    def test_table_matches_definition(self, size, nulls):
+        space = random_space(rng_for(48 + size), size, R, null_outcomes=nulls)
+        nums, _ = self.check_space(space)
+        assert nums.dtype == np.int64
+
+    def test_huge_denominators_take_the_python_int_path(self):
+        p, q = 10**10 + 19, 10**10 + 33  # primes: block masses keep ~20-digit denominators
+        space = fp.make_space([F(1, p), F(1, q), 1 - F(1, p) - F(1, q), F(0)], R)
+        nums, dens = self.check_space(space)
+        assert nums.dtype == object and max(dens) > 2**63
 
 
 class TestWitnesses:

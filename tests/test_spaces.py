@@ -91,6 +91,36 @@ class TestLnNorm:
             fp.ln_norm(f, 0)
 
 
+class TestNthRoot:
+    def test_huge_exact_square(self):
+        assert fp.nth_root(F(10**400), 2, R) == F(10**200)
+
+    def test_huge_exact_cube(self):
+        assert fp.nth_root(F(3**900, 7**600), 3, R) == F(3**300, 7**200)
+
+    def test_huge_non_square_falls_back_to_float(self):
+        root = fp.nth_root(F(10**400 + 1), 2, R)
+        assert isinstance(root, float) and math.isclose(root, 1e200, rel_tol=1e-12)
+        tiny = fp.nth_root(F(3, 10**400), 2, R)
+        assert math.isclose(tiny, math.sqrt(3) * 1e-200, rel_tol=1e-12)
+
+    def test_root_beyond_float_range(self):
+        with pytest.raises(fp.TooLargeError):
+            fp.nth_root(F(10**700 + 1), 2, R)
+
+    def test_ordinary_roots_unchanged(self):
+        assert fp.nth_root(F(2), 2, R) == 2**0.5
+        assert fp.nth_root(F(27, 8), 3, R) == F(3, 2)
+        assert fp.nth_root(F(7, 3), 3, R) == (7 / 3) ** (1.0 / 3)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_random_var_rejects(self, bad):
+        with pytest.raises(fp.NonFiniteError):
+            fp.RandomVar([bad, 1.0], fp.uniform_space(2))
+
+
 @st.composite
 def float_rvs(draw, size=4):
     vals = draw(
