@@ -1,0 +1,79 @@
+"""Golden rational outputs: the exact bytes of rational-mode CSVs.
+
+Rerun determinism (criterion 13) cannot tell a changed number from an
+unchanged one; these files pin the bytes themselves. They were written by
+the Fraction-per-element implementation that preceded the integer-numerator
+representation, so any change of arithmetic that moves a single rational
+shows up here. The serialized inputs are rebuilt from closed formulas.
+"""
+
+import math
+from dataclasses import replace
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import finprob as fp
+from finprob import serialize
+from finprob.config import ExperimentConfig, demo_config
+from finprob.experiments import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _mixed_levy_up_rv() -> fp.RandomVar:
+    """64 uniform atoms; values over denominators 1..13 and 2**k."""
+    n = 64
+    dens = [1 + i % 13 if i % 5 else 1 << (i % 7) for i in range(n)]
+    values = [F((i * 37) % 41 - 20, d) for i, d in enumerate(dens)]
+    return fp.RandomVar(values, fp.dyadic_space(6))
+
+
+def _weighted_levy_down_rv() -> fp.RandomVar:
+    """12 outcomes of unequal weight, outcome 5 null, mixed denominators."""
+    raw = [3, 1, 4, 1, 5, 0, 2, 6, 5, 3, 5, 8]
+    total = sum(raw)
+    space = fp.make_space([F(w, total) for w in raw], fp.rational_mode())
+    values = [F((i * 11) % 17 - 8, 1 + (i * 5) % 7) for i in range(len(raw))]
+    return fp.RandomVar(values, space)
+
+
+def _input_config(experiment, rv, tmp_path, **fields) -> ExperimentConfig:
+    path = tmp_path / f"{experiment}.rv.txt"
+    serialize.dump(rv, path)
+    return ExperimentConfig(experiment=experiment, input=str(path), **fields)
+
+
+CASES = {
+    "levy-up-demo": lambda tmp: demo_config("levy-up"),
+    "levy-down-demo": lambda tmp: demo_config("levy-down"),
+    "noncauchy-l1-demo": lambda tmp: demo_config("noncauchy-l1"),
+    "galois-audit-demo": lambda tmp: demo_config("galois-audit"),
+    "levy-up-mixed-n1": lambda tmp: _input_config(
+        "levy-up", _mixed_levy_up_rv(), tmp, levels=6, norm_index=1
+    ),
+    "levy-up-mixed-n2": lambda tmp: _input_config(
+        "levy-up", _mixed_levy_up_rv(), tmp, levels=6, norm_index=2
+    ),
+    "levy-up-mixed-inf": lambda tmp: _input_config(
+        "levy-up", _mixed_levy_up_rv(), tmp, levels=6, norm_index=math.inf
+    ),
+    "levy-down-null-n1": lambda tmp: _input_config(
+        "levy-down", _weighted_levy_down_rv(), tmp, size=12, length=6, seed=7, norm_index=1
+    ),
+    "levy-down-null-n3": lambda tmp: _input_config(
+        "levy-down", _weighted_levy_down_rv(), tmp, size=12, length=6, seed=7, norm_index=3
+    ),
+}
+
+
+def produce(name: str, tmp_path: Path) -> bytes:
+    cfg = replace(CASES[name](tmp_path), output=f"{name}.csv")
+    _, path, _ = run(cfg, outdir=str(tmp_path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rational_csv_matches_golden(name, tmp_path):
+    assert produce(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
