@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     FinprobError,
     NegativeWeightError,
+    NonFiniteError,
     NotMeasurePreservingError,
     SizeMismatchError,
     SpaceMismatchError,
@@ -51,6 +52,9 @@ class Kernel:
             raise SizeMismatchError(
                 f"kernel shape {m.shape} for spaces {domain.size} -> {codomain.size}"
             )
+        if not mode.exact and not np.isfinite(m).all():
+            x, y = (int(i) for i in np.argwhere(~np.isfinite(m))[0])
+            raise NonFiniteError(f"kernel entry at row {x}, column {y} is {m[x, y]}")
         one = mode.one()
         for x in range(domain.size):
             row = m[x]

@@ -12,7 +12,6 @@ tolerances only absorb float drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,7 @@ from .idempotents import (
 )
 from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, one_sided_distance
-from .numerics import NumericMode, check_norm_index, rational_mode
+from .numerics import NumericMode, Rationals, check_norm_index, rational_mode
 from .operators import VNorm, bochner_norm, cond_expectation, vector_cond_expectation
 from .partitions import (
     Partition,
@@ -249,16 +248,19 @@ def nonintegrable_example(levels: int, mode: NumericMode = rational_mode()):
     RV generates it; it is nevertheless a genuine martingale.
     """
     if levels < 2:
-        raise TooLargeError("need at least 2 levels")
+        raise InvalidFiltrationError(
+            f"the non-integrable example needs at least 2 levels, got {levels}"
+        )
     filtration = dyadic_filtration(levels, mode)
     space = filtration.space
     n = space.size
-    one = mode.one()
+    ones = np.ones(n, dtype=np.int64)
     rvs = []
     for k in range(levels + 1):
-        head = 1 << (levels - k)
-        value = (Fraction(1 << k) if mode.exact else float(1 << k))
-        rvs.append(RandomVar([value if i < head else 0 * one for i in range(n)], space))
+        level = np.zeros(n, dtype=np.int64)
+        level[: 1 << (levels - k)] = 1 << k
+        values = Rationals(level, ones) if mode.exact else level.astype(np.float64)
+        rvs.append(RandomVar(values, space))
     m = Martingale(filtration, rvs)
     l1 = tuple(ln_norm(rv, 1) for rv in rvs)
     increments = tuple(ln_norm(rvs[k + 1] - rvs[k], 1) for k in range(levels))

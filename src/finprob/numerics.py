@@ -1,9 +1,19 @@
 """Numeric modes: double precision with a tolerance, or exact rationals.
 
 Float mode stores values in float64 numpy arrays and compares within a
-configurable tolerance. Rational mode stores `fractions.Fraction` values in
-object arrays and compares exactly; it exists so that theorem-shaped tests
-can demand bit-exact equality instead of closeness.
+configurable tolerance. Rational mode compares exactly; it exists so that
+theorem-shaped tests can demand bit-exact equality instead of closeness.
+
+In rational mode, random variables and space weights are held as
+`Rationals`: an integer numerator array over positive integer
+denominators. A vector whose entries share a denominator keeps one common
+value (weights always do); conditional expectations carry one denominator
+per block. Each operation first bounds its results from the data; the
+arrays are int64 when that bound fits and Python-int object arrays
+otherwise, so no result ever wraps around. `fractions.Fraction` objects
+appear only at the boundary: scalar results, `.values`/`.weights` (built
+on first access and cached) and the text formats. Kernel rows are still
+`Fraction` object arrays.
 """
 
 from __future__ import annotations
@@ -137,6 +147,159 @@ def as_matrix(rows: Sequence[Iterable], mode: NumericMode) -> np.ndarray:
             arr = arr.reshape(len(data), 0)
     arr.setflags(write=False)
     return arr
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+def magnitude(a: np.ndarray) -> int:
+    """Largest absolute value in an integer array, as a Python int (0 when empty)."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def widen(bound: int, *arrays: np.ndarray) -> tuple:
+    """The arrays as they are when `bound` fits int64, else as Python ints."""
+    if bound <= INT64_MAX:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def int_array(values, bound: int) -> np.ndarray:
+    """Integers as int64 when `bound` (on every magnitude) fits, else as objects."""
+    return np.array(values, dtype=np.int64 if bound <= INT64_MAX else object)
+
+
+class Rationals:
+    """Exact vector num[i] / den[i] of integer arrays with den[i] > 0.
+
+    Fractions need not be in lowest terms. Every operation bounds its
+    results before computing them and switches to Python ints when int64
+    could overflow (see the module docstring).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: np.ndarray):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_ints(cls, nums: Sequence[int], dens: Sequence[int]) -> "Rationals":
+        """From numerators and positive denominators: over their common
+        denominator when that fits int64, else one denominator each."""
+        common = math.lcm(*set(dens))
+        top = max(map(abs, nums), default=0)
+        if max(top, 1) * common <= INT64_MAX:
+            num = np.array(nums, dtype=np.int64)
+            num *= common // np.array(dens, dtype=np.int64)
+            return cls(num, np.full(len(nums), common, dtype=np.int64))
+        bound = max(top, max(dens))
+        return cls(int_array(nums, bound), int_array(dens, bound))
+
+    @classmethod
+    def of(cls, values: Iterable) -> "Rationals":
+        """From Fractions and ints."""
+        values = list(values)
+        return cls.from_ints([v.numerator for v in values], [v.denominator for v in values])
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def take(self, idx) -> "Rationals":
+        return Rationals(self.num[idx], self.den[idx])
+
+    def common_den(self) -> Union[int, None]:
+        """The denominator every entry shares, or None."""
+        d = self.den
+        if not d.size:
+            return 1
+        return int(d[0]) if (d == d[0]).all() else None
+
+    def over_common(self) -> tuple[np.ndarray, int]:
+        """(numerators, L): value[i] = numerators[i] / L, L the lcm of the denominators."""
+        common = self.common_den()
+        if common is not None:
+            return self.num, common
+        common = math.lcm(*set(self.den.tolist()))
+        num, den = widen(max(magnitude(self.num), 1) * common, self.num, self.den)
+        return num * (common // den), common
+
+    def over_block_lcm(self, labels: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """(numerators, block denominators): value[i] = numerators[i] /
+        block_den[labels[i]], each block over the lcm of its members' denominators."""
+        block_den = np.ones(n_blocks, dtype=object)
+        den = self.den.astype(object)
+        np.lcm.at(block_den, labels, den)
+        num = self.num.astype(object) * (block_den[labels] // den)
+        if max(magnitude(num), max(block_den.tolist())) <= INT64_MAX:
+            return num.astype(np.int64), block_den.astype(np.int64)
+        return num, block_den
+
+    def same_den(self, other: "Rationals") -> bool:
+        return self.den is other.den or np.array_equal(self.den, other.den)
+
+    def add(self, other: "Rationals", sign: int = 1) -> "Rationals":
+        """Elementwise self + sign * other, over the pairwise lcm of denominators."""
+        an, ad, bn, bd = self.num, self.den, other.num, other.den
+        if self.same_den(other):
+            an, bn = widen(magnitude(an) + magnitude(bn), an, bn)
+            return Rationals(an + bn if sign > 0 else an - bn, ad)
+        tad, tbd = magnitude(ad), magnitude(bd)
+        bound = max(magnitude(an) * tbd + magnitude(bn) * tad, tad * tbd)
+        an, ad, bn, bd = widen(bound, an, ad, bn, bd)
+        g = np.gcd(ad, bd)
+        ca, cb = bd // g, ad // g
+        num = an * ca + bn * cb if sign > 0 else an * ca - bn * cb
+        return Rationals(num, ad * ca)
+
+    def equal(self, other: "Rationals") -> np.ndarray:
+        """Elementwise exact equality, by cross-multiplication."""
+        an, ad, bn, bd = self.num, self.den, other.num, other.den
+        if self.same_den(other):
+            return an == bn
+        bound = max(magnitude(an) * magnitude(bd), magnitude(bn) * magnitude(ad))
+        an, ad, bn, bd = widen(bound, an, ad, bn, bd)
+        return an * bd == bn * ad
+
+    def mul(self, other: "Rationals") -> "Rationals":
+        """Elementwise product."""
+        an, ad, bn, bd = self.num, self.den, other.num, other.den
+        bound = max(magnitude(an) * magnitude(bn), magnitude(ad) * magnitude(bd))
+        an, ad, bn, bd = widen(bound, an, ad, bn, bd)
+        return Rationals(an * bn, ad * bd)
+
+    def abs(self) -> "Rationals":
+        return Rationals(np.abs(self.num), self.den)
+
+    def power(self, n: int) -> "Rationals":
+        num, den = widen(max(magnitude(self.num), magnitude(self.den)) ** n, self.num, self.den)
+        return Rationals(num**n, den**n)
+
+    def scaled(self, c: Fraction) -> "Rationals":
+        bound = max(magnitude(self.num) * abs(c.numerator), magnitude(self.den) * c.denominator)
+        num, den = widen(bound, self.num, self.den)
+        return Rationals(num * c.numerator, den * c.denominator)
+
+    def fractions(self) -> np.ndarray:
+        """Read-only object array of the values as Fractions."""
+        out = np.empty(len(self.num), dtype=object)
+        out[:] = [Fraction(a, b) for a, b in zip(self.num.tolist(), self.den.tolist())]
+        out.setflags(write=False)
+        return out
+
+
+def int_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of a[i] * b[i] over integer arrays, as a Python int."""
+    a, b = widen(len(a) * magnitude(a) * magnitude(b), a, b)
+    return int(np.dot(a, b)) if a.dtype != object and b.dtype != object else int((a * b).sum())
+
+
+def block_sums(x: np.ndarray, labels: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Per-block sums of x over a label array; exact in int64 and object
+    dtypes (the caller bounds the sums before choosing the dtype)."""
+    out = np.zeros(n_blocks, dtype=x.dtype)
+    np.add.at(out, labels, x)
+    return out
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

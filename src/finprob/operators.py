@@ -15,16 +15,21 @@ import numpy as np
 
 from .errors import DimMismatchError, SizeMismatchError, SpaceMismatchError
 from .kernels import Kernel, bayes_inverse
-from .numerics import check_norm_index, exact_sqrt, is_infinite, mat_mul, nth_root
+from .numerics import (
+    Rationals,
+    block_sums,
+    check_norm_index,
+    exact_sqrt,
+    is_infinite,
+    mat_mul,
+    magnitude,
+    nth_root,
+    widen,
+)
 from .partitions import Partition
 from .spaces import RandomVar, VecRandomVar, expectation, ln_norm
 
 VNorm = Union[str, Callable[[np.ndarray], float]]
-
-
-def pullback_matrix(k: Kernel) -> np.ndarray:
-    """Matrix of k* acting on codomain value vectors: identical to k.rows."""
-    return k.rows
 
 
 def apply_pullback(k: Kernel, g: RandomVar) -> RandomVar:
@@ -46,37 +51,12 @@ def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
         raise SizeMismatchError(
             f"partition of size {p.parent_size} against a {space.size}-outcome RV"
         )
-    exact = space.mode.exact
-    fully_supported = len(space.support) == space.size
+    fully_supported = space.fully_supported
     if fully_supported and p.n_blocks == space.size:
-        return RandomVar(f.values, space)  # discrete partition: identity
+        return f  # discrete partition: identity
+    if space.mode.exact:
+        return RandomVar(_block_averages(f, p), space)
     mean = None
-    if exact:
-        # equal weights inside a block cancel, keeping exact denominators
-        # small; on a fully supported uniform space that holds everywhere
-        all_uniform = (
-            space._uniform_weight is not None and len(space.support) == space.size
-        )
-        out = np.empty(space.size, dtype=object)
-        for block in p.blocks:
-            idx = list(block)
-            if all_uniform:
-                avg = f.values[idx].sum() / len(idx)
-            else:
-                weights = space.weights[idx]
-                w0 = weights[0]
-                if w0 > 0 and bool(np.equal(weights[1:], w0).all()):
-                    avg = f.values[idx].sum() / len(idx)
-                else:
-                    mass = weights.sum()
-                    if mass > 0:
-                        avg = (weights * f.values[idx]).sum() / mass
-                    else:
-                        if mean is None:
-                            mean = expectation(f)
-                        avg = mean
-            out[idx] = avg
-        return RandomVar(out, space)
     if fully_supported:
         # no null outcomes, so completion never rewrites these blocks and
         # any deterministic summation order is safe to vectorize
@@ -107,6 +87,39 @@ def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
     return RandomVar(out, space)
 
 
+def _block_averages(f: RandomVar, p: Partition) -> Rationals:
+    """Exact block averages: integer block sums over one denominator per block.
+
+    A block b gets (sum of w_x f_x) / (mass of b), both sums taken over
+    the weights' integer numerators. Members of a block with different
+    denominators are first brought to the lcm of those denominators.
+    Blocks of zero mass get the global mean.
+    """
+    space = f.space
+    wnum, wden = space.int_weights()
+    labels = p.labels
+    nb = p.n_blocks
+    common = f._exact.common_den()
+    if common is None:
+        num, block_den = f._exact.over_block_lcm(labels, nb)
+        top_den = magnitude(block_den)
+    else:
+        num, block_den = f._exact.num, common
+        top_den = common
+    wnum, num = widen(wden * max(magnitude(num), 1), wnum, num)
+    sums = block_sums(wnum * num, labels, nb)
+    masses = block_sums(wnum, labels, nb)
+    (masses,) = widen(wden * top_den, masses)
+    dens = masses * block_den
+    empty = masses == 0
+    if empty.any():
+        mean = expectation(f)
+        sums, dens = widen(max(abs(mean.numerator), mean.denominator), sums, dens)
+        sums[empty] = mean.numerator
+        dens[empty] = mean.denominator
+    return Rationals(sums[labels], dens[labels])
+
+
 def vector_cond_expectation(g: VecRandomVar, p: Partition) -> VecRandomVar:
     """Componentwise conditional expectation of a vector-valued RV."""
     cols = [cond_expectation(g.component(j), p).values for j in range(g.dim)]
@@ -118,6 +131,8 @@ def inner_product(f: RandomVar, g: RandomVar):
     if not f.space.same_as(g.space):
         raise SpaceMismatchError("inner product needs a common space")
     s = f.space
+    if s.mode.exact:
+        return expectation(RandomVar(f._exact.mul(g._exact), s))
     live = list(s.support)
     products = f.values[live] * g.values[live]
     w = s._uniform_weight

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import SizeMismatchError
 from .spaces import ProbSpace, RandomVar
 
@@ -47,7 +49,9 @@ class Partition:
             raise SizeMismatchError(f"outcomes not covered: {missing}")
         object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "parent_size", parent_size)
-        object.__setattr__(self, "_labels", tuple(labels))
+        labels = np.array(labels, dtype=np.intp)
+        labels.setflags(write=False)
+        object.__setattr__(self, "_labels", labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -72,13 +76,13 @@ class Partition:
         return len(self.blocks)
 
     @property
-    def labels(self) -> tuple[int, ...]:
-        """Block index (in canonical order) of every outcome."""
+    def labels(self) -> np.ndarray:
+        """Block index (in canonical order) of every outcome, as a read-only array."""
         return self._labels
 
     def label_of(self, x: int) -> int:
         """Index (in canonical order) of the block containing outcome x."""
-        return self._labels[x]
+        return int(self._labels[x])
 
     def block_of(self, x: int) -> tuple[int, ...]:
         return self.blocks[self._labels[x]]
@@ -87,9 +91,9 @@ class Partition:
         """True when every block of self sits inside a block of other."""
         if self.parent_size != other.parent_size:
             raise SizeMismatchError("partitions of different parent size")
-        return all(
-            len({other._labels[x] for x in block}) == 1 for block in self.blocks
-        )
+        first = np.fromiter((b[0] for b in self.blocks), dtype=np.intp, count=self.n_blocks)
+        theirs = other._labels
+        return bool((theirs == theirs[first][self._labels]).all())
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -118,8 +122,8 @@ def join_partitions(p: Partition, q: Partition) -> Partition:
     """
     _require_same_parent(p, q)
     groups: dict[tuple[int, int], list[int]] = {}
-    for x in range(p.parent_size):
-        groups.setdefault((p.label_of(x), q.label_of(x)), []).append(x)
+    for x, key in enumerate(zip(p.labels.tolist(), q.labels.tolist())):
+        groups.setdefault(key, []).append(x)
     return Partition(groups.values(), p.parent_size)
 
 
@@ -155,17 +159,27 @@ def meet_partitions(p: Partition, q: Partition) -> Partition:
 
 
 def complete_partition(p: Partition, space: ProbSpace) -> Partition:
-    """Null-set completion: every zero-weight outcome becomes a singleton block."""
+    """Null-set completion: every zero-weight outcome becomes a singleton block.
+
+    When every null outcome already is one (in particular on a fully
+    supported space), this is p itself.
+    """
     if p.parent_size != space.size:
         raise SizeMismatchError(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
-    blocks: list[list[int]] = []
+    null = set(range(space.size)).difference(space.support)
+    if all(len(p.block_of(x)) == 1 for x in null):
+        return p
+    blocks: list = []
     for block in p.blocks:
-        kept = [x for x in block if not space.is_null(x)]
+        if null.isdisjoint(block):
+            blocks.append(block)
+            continue
+        kept = [x for x in block if x not in null]
         if kept:
             blocks.append(kept)
-        blocks.extend([x] for x in block if space.is_null(x))
+        blocks.extend([x] for x in block if x in null)
     return Partition(blocks, p.parent_size)
 
 
@@ -185,19 +199,24 @@ def measurable_wrt(f: RandomVar, p: Partition) -> bool:
 
 
 def as_measurable_wrt(f: RandomVar, p: Partition) -> bool:
-    """Almost-sure measurability: constant on the supported part of every block."""
-    if p.parent_size != f.space.size:
+    """Almost-sure measurability: constant on the supported part of every block.
+
+    Every supported outcome is compared with the first supported outcome
+    of its block.
+    """
+    space = f.space
+    if p.parent_size != space.size:
         raise SizeMismatchError(
-            f"partition of size {p.parent_size} against a {f.space.size}-outcome RV"
+            f"partition of size {p.parent_size} against a {space.size}-outcome RV"
         )
-    mode = f.space.mode
-    null = set(range(f.space.size)) - set(f.space.support)
-    for block in p.blocks:
-        live = [x for x in block if x not in null]
-        for x in live[1:]:
-            if not mode.close(f.values[x], f.values[live[0]]):
-                return False
-    return True
+    live = space.live_index()
+    labels = p.labels[live]
+    first = np.full(p.n_blocks, space.size, dtype=np.intp)
+    np.minimum.at(first, labels, live)
+    ref = first[labels]
+    if space.mode.exact:
+        return bool(f._exact.take(live).equal(f._exact.take(ref)).all())
+    return bool((np.abs(f.values[live] - f.values[ref]) <= space.mode.tolerance).all())
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ConfigParseError
 from .kernels import Kernel
-from .numerics import NumericMode, float_mode, rational_mode
+from .numerics import NumericMode, Rationals, float_mode, rational_mode
 from .spaces import ProbSpace, RandomVar, VecRandomVar
 
 
@@ -40,6 +40,31 @@ def parse_number(token: str, mode: NumericMode):
         return float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigParseError(f"bad number {token!r}: {exc}") from None
+
+
+def _parse_vector(tokens: list[str], mode: NumericMode):
+    """Numbers of one line: `Rationals` in rational mode, floats otherwise.
+
+    Integer and num/den tokens are read as integers; any other rational
+    spelling goes through `Fraction`.
+    """
+    if not mode.exact:
+        return [parse_number(t, mode) for t in tokens]
+    nums, dens = [], []
+    for token in tokens:
+        top, slash, bottom = token.partition("/")
+        try:
+            if slash and not bottom[:1].isdigit():
+                raise ValueError  # no sign on a denominator, as in Fraction
+            num, den = int(top), int(bottom) if slash else 1
+            if den == 0:
+                raise ValueError
+        except ValueError:
+            value = parse_number(token, mode)
+            num, den = value.numerator, value.denominator
+        nums.append(num)
+        dens.append(den)
+    return Rationals.from_ints(nums, dens)
 
 
 def _fmt_mode(mode: NumericMode) -> str:
@@ -84,8 +109,7 @@ def loads_space(text: str) -> ProbSpace:
     lines = _lines(text)
     _take(lines, "space")
     mode = _parse_mode(_take(lines, "mode"))
-    weights = [parse_number(t, mode) for t in _take(lines, "weights")]
-    return ProbSpace(weights, mode)
+    return ProbSpace(_parse_vector(_take(lines, "weights"), mode), mode)
 
 
 def dumps_rv(rv: RandomVar) -> str:
@@ -99,9 +123,8 @@ def loads_rv(text: str) -> RandomVar:
     lines = _lines(text)
     _take(lines, "rv")
     mode = _parse_mode(_take(lines, "mode"))
-    weights = [parse_number(t, mode) for t in _take(lines, "weights")]
-    values = [parse_number(t, mode) for t in _take(lines, "values")]
-    return RandomVar(values, ProbSpace(weights, mode))
+    space = ProbSpace(_parse_vector(_take(lines, "weights"), mode), mode)
+    return RandomVar(_parse_vector(_take(lines, "values"), mode), space)
 
 
 def dumps_vec_rv(rv: VecRandomVar) -> str:
@@ -183,14 +206,3 @@ def loads(text: str):
 def load(path):
     with open(path, "r", encoding="ascii") as fh:
         return loads(fh.read())
-
-
-def write_convergence_csv(report, path, metric: str = "one-sided") -> None:
-    """Convergence report as CSV: columns (step, distance, metric, tol, converged)."""
-    import csv
-
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "distance", "metric", "tol", "converged"])
-        for step, d in enumerate(report.step_distances):
-            writer.writerow([step, d, metric, report.tolerance, report.converged])

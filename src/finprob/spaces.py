@@ -7,6 +7,7 @@ are almost surely equal when they agree on every outcome of positive weight.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,10 +24,12 @@ from .errors import (
 from .numerics import (
     FLOAT_DEFAULT,
     NumericMode,
+    Rationals,
     as_matrix,
     as_number,
     as_vector,
     check_norm_index,
+    int_dot,
     is_infinite,
     nth_root,
 )
@@ -37,12 +40,20 @@ class ProbSpace:
 
     Weights are validated (nonnegative, summing to one within the mode's
     tolerance, nonempty support) and never renormalized: a wrong total is a
-    modeling error and is reported, not repaired.
+    modeling error and is reported, not repaired. In rational mode they are
+    kept as integer numerators over one denominator in lowest terms, which
+    is also the key of equality and hashing.
     """
 
-    __slots__ = ("weights", "mode", "support", "_uniform_weight")
+    __slots__ = (
+        "mode", "size", "support", "_uniform_weight", "_weights",
+        "_wkey", "_wden", "_wnum", "_live",
+    )
 
     def __init__(self, weights: Iterable, mode: NumericMode = FLOAT_DEFAULT):
+        if mode.exact:
+            self._init_exact(weights, mode)
+            return
         w = as_vector(weights, mode)
         if w.size == 0:
             raise SizeMismatchError("a probability space needs at least one outcome")
@@ -57,33 +68,83 @@ class ProbSpace:
             raise SumNotOneError("weights have empty support")
         first = w[support[0]]
         uniform = first if all(w[i] == first for i in support[1:]) else None
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_uniform_weight", uniform)
+        self._set(mode, int(w.size), support, uniform, w)
+
+    def _init_exact(self, weights, mode: NumericMode) -> None:
+        frac = None
+        if not isinstance(weights, Rationals):
+            frac = as_vector(weights, mode)
+            weights = Rationals.of(frac)
+        scaled, den = weights.over_common()
+        g = math.gcd(den, *scaled.tolist())
+        wnum, den = scaled // g, den // g
+        nums = wnum.tolist()
+        if not nums:
+            raise SizeMismatchError("a probability space needs at least one outcome")
+        for i, a in enumerate(nums):
+            if a < 0:
+                raise NegativeWeightError(f"weight {i} is negative: {Fraction(a, den)}")
+        total = sum(nums)
+        if total != den:
+            total = Fraction(total, den)
+            raise SumNotOneError(f"weights sum to {total}, deviation {total - 1}")
+        support = tuple(i for i, a in enumerate(nums) if a > 0)
+        first = nums[support[0]]
+        uniform = Fraction(first, den) if all(nums[i] == first for i in support[1:]) else None
+        self._set(mode, len(nums), support, uniform, frac, tuple(nums), den, wnum)
+
+    def _set(self, mode, size, support, uniform, weights, wkey=None, wden=None, wnum=None):
+        for name, value in (
+            ("mode", mode), ("size", size), ("support", support),
+            ("_uniform_weight", uniform), ("_weights", weights),
+            ("_wkey", wkey), ("_wden", wden), ("_wnum", wnum), ("_live", None),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProbSpace is immutable")
 
     @property
-    def size(self) -> int:
-        return int(self.weights.size)
+    def weights(self) -> np.ndarray:
+        """Read-only weight vector in the mode's number type."""
+        if self._weights is None:
+            wnum, den = self.int_weights()
+            weights = Rationals(wnum, np.full_like(wnum, den)).fractions()
+            object.__setattr__(self, "_weights", weights)
+        return self._weights
+
+    def int_weights(self) -> tuple[np.ndarray, int]:
+        """Rational mode: (numerators, denominator) of the weights, in lowest terms."""
+        return self._wnum, self._wden
+
+    def live_index(self) -> np.ndarray:
+        """Indices of the outcomes of positive weight, as an array."""
+        if self._live is None:
+            object.__setattr__(self, "_live", np.array(self.support, dtype=np.intp))
+        return self._live
+
+    @property
+    def fully_supported(self) -> bool:
+        return len(self.support) == self.size
 
     def weight(self, i: int):
         return self.weights[i]
 
     def is_null(self, i: int) -> bool:
+        if self._wkey is not None:
+            return self._wkey[i] == 0
         return self.weights[i] == 0
 
     def same_as(self, other: "ProbSpace") -> bool:
         """Structural identity: equal modes and identical weight vectors."""
         if self is other:
             return True
-        return (
-            isinstance(other, ProbSpace)
-            and self.mode == other.mode
-            and self.weights.shape == other.weights.shape
-            and bool(np.equal(self.weights, other.weights).all())
+        if not isinstance(other, ProbSpace) or self.mode != other.mode:
+            return False
+        if self.mode.exact:
+            return self._wden == other._wden and self._wkey == other._wkey
+        return self._weights.shape == other._weights.shape and bool(
+            np.equal(self._weights, other._weights).all()
         )
 
     def __eq__(self, other):
@@ -92,7 +153,9 @@ class ProbSpace:
         return self.same_as(other)
 
     def __hash__(self):
-        return hash((self.mode, tuple(self.weights)))
+        if self.mode.exact:
+            return hash((self.mode, self._wden, self._wkey))
+        return hash((self.mode, tuple(self._weights)))
 
     def __repr__(self):
         return f"ProbSpace({list(self.weights)!r}, mode={self.mode.kind})"
@@ -105,7 +168,8 @@ def make_space(weights: Iterable, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpac
 
 def uniform_space(n: int, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:
     if mode.exact:
-        return ProbSpace([Fraction(1, n)] * n, mode)
+        ones = np.ones(n, dtype=np.int64)
+        return ProbSpace(Rationals(ones, ones * n), mode)
     return ProbSpace([1.0 / n] * n, mode)
 
 
@@ -120,40 +184,65 @@ def _require_same_space(a, b):
 
 
 class RandomVar:
-    """Real-valued function on the outcomes of a space."""
+    """Real-valued function on the outcomes of a space.
 
-    __slots__ = ("values", "space")
+    In rational mode the values are held as `Rationals`; `.values` is the
+    read-only `Fraction` array, built on first access.
+    """
+
+    __slots__ = ("space", "_values", "_exact")
 
     def __init__(self, values: Iterable, space: ProbSpace):
-        v = as_vector(values, space.mode)
-        if v.size != space.size:
+        mode = space.mode
+        v = exact = None
+        if isinstance(values, Rationals) and mode.exact:
+            exact = values
+        else:
+            v = as_vector(values, mode)
+            if mode.exact:
+                exact = Rationals.of(v)
+            elif not np.isfinite(v).all():
+                bad = int(np.flatnonzero(~np.isfinite(v))[0])
+                raise NonFiniteError(f"random variable value at outcome {bad} is {v[bad]}")
+        size = len(exact) if exact is not None else v.size
+        if size != space.size:
             raise SizeMismatchError(
-                f"random variable has {v.size} values for a {space.size}-outcome space"
+                f"random variable has {size} values for a {space.size}-outcome space"
             )
-        if not space.mode.exact and not np.isfinite(v).all():
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise NonFiniteError(f"random variable value at outcome {bad} is {v[bad]}")
-        object.__setattr__(self, "values", v)
         object.__setattr__(self, "space", space)
+        object.__setattr__(self, "_values", v)
+        object.__setattr__(self, "_exact", exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("RandomVar is immutable")
 
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only value vector in the mode's number type."""
+        if self._values is None:
+            object.__setattr__(self, "_values", self._exact.fractions())
+        return self._values
+
+    def _combine(self, other, sign: int):
+        if not isinstance(other, RandomVar):
+            return NotImplemented
+        _require_same_space(self, other)
+        if self._exact is not None:
+            return RandomVar(self._exact.add(other._exact, sign), self.space)
+        a, b = self._values, other._values
+        return RandomVar(a + b if sign > 0 else a - b, self.space)
+
     def __add__(self, other):
-        if isinstance(other, RandomVar):
-            _require_same_space(self, other)
-            return RandomVar(self.values + other.values, self.space)
-        return NotImplemented
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, RandomVar):
-            _require_same_space(self, other)
-            return RandomVar(self.values - other.values, self.space)
-        return NotImplemented
+        return self._combine(other, -1)
 
     def scaled(self, c) -> "RandomVar":
         c = as_number(c, self.space.mode)
-        return RandomVar([c * v for v in self.values], self.space)
+        if self._exact is not None:
+            return RandomVar(self._exact.scaled(c), self.space)
+        return RandomVar([c * v for v in self._values], self.space)
 
     def __repr__(self):
         return f"RandomVar({list(self.values)!r})"
@@ -174,6 +263,9 @@ class VecRandomVar:
             dim = m.shape[1]
         if m.shape[1] != dim or dim < 1:
             raise DimMismatchError(f"expected vectors of length {dim}, got {m.shape[1]}")
+        if not space.mode.exact and not np.isfinite(m).all():
+            x, j = (int(i) for i in np.argwhere(~np.isfinite(m))[0])
+            raise NonFiniteError(f"vector value at outcome {x}, component {j} is {m[x, j]}")
         object.__setattr__(self, "values", m)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "space", space)
@@ -202,11 +294,12 @@ class VecRandomVar:
 def as_equal_rv(f: RandomVar, g: RandomVar) -> bool:
     """Almost-sure equality: agreement (within mode tolerance) on the support."""
     _require_same_space(f, g)
-    mode = f.space.mode
-    live = list(f.space.support)
-    if mode.exact:
-        return bool(np.equal(f.values[live], g.values[live]).all())
-    return bool((np.abs(f.values[live] - g.values[live]) <= mode.tolerance).all())
+    space = f.space
+    if space.mode.exact:
+        equal = f._exact.equal(g._exact)
+    else:
+        equal = np.abs(f.values - g.values) <= space.mode.tolerance
+    return bool((equal if space.fully_supported else equal[space.live_index()]).all())
 
 
 def as_equal_vec_rv(f: VecRandomVar, g: VecRandomVar) -> bool:
@@ -221,9 +314,25 @@ def as_equal_vec_rv(f: VecRandomVar, g: VecRandomVar) -> bool:
     )
 
 
+def _on_support(f: RandomVar) -> Rationals:
+    space = f.space
+    return f._exact if space.fully_supported else f._exact.take(space.live_index())
+
+
+def _weighted_total(space: ProbSpace, r: Rationals) -> Fraction:
+    """Exact sum over the support of weight times value, one Fraction."""
+    wnum, wden = space.int_weights()
+    if not space.fully_supported:
+        wnum = wnum[space.live_index()]
+    scaled, den = r.over_common()
+    return Fraction(int_dot(wnum, scaled), wden * den)
+
+
 def expectation(f: RandomVar):
     """E[f] under the space's weights."""
     space = f.space
+    if space.mode.exact:
+        return _weighted_total(space, _on_support(f))
     w = space._uniform_weight
     if w is not None:
         return w * sum(f.values[i] for i in space.support)
@@ -235,10 +344,19 @@ def ln_norm(f: RandomVar, n=1):
 
     The essential supremum only sees the support. In rational mode the
     result is exact whenever the root is rational (always for n = 1, inf,
-    and zero norms).
+    and zero norms): the sum is one exact Fraction, and `nth_root` takes
+    its root.
     """
     check_norm_index(n)
     space = f.space
+    if space.mode.exact:
+        mags = _on_support(f).abs()
+        if is_infinite(n):
+            scaled, den = mags.over_common()
+            return Fraction(int(scaled.max()), den)
+        n = int(n)
+        total = _weighted_total(space, mags if n == 1 else mags.power(n))
+        return total if n == 1 else nth_root(total, n, space.mode)
     if is_infinite(n):
         sup = space.mode.zero()
         for i in space.support:

@@ -156,3 +156,61 @@ def closest_point_sampled(basis, x, rng, samples=400, radius=4.0):
         cand = float(np.linalg.norm(x - basis @ coeffs))
         best = min(best, cand)
     return best
+
+
+# --- exact random variables, by definition over Fractions -----------------
+# Each takes plain lists (weights, values) and partition blocks, so none of
+# the library's integer-numerator arithmetic is involved.
+
+
+def weighted_total(weights, values):
+    """sum_x w(x) v(x), one Fraction addition per outcome."""
+    total = 0
+    for w, v in zip(weights, values):
+        total += w * v
+    return total
+
+
+def cond_expectation_by_definition(weights, values, blocks):
+    """Weighted block averages; blocks of zero mass get the global mean."""
+    out = [None] * len(values)
+    for block in blocks:
+        mass = sum(weights[x] for x in block)
+        if mass > 0:
+            avg = weighted_total([weights[x] for x in block], [values[x] for x in block]) / mass
+        else:
+            avg = weighted_total(weights, values)
+        for x in block:
+            out[x] = avg
+    return out
+
+
+def ln_total_by_definition(weights, values, n):
+    """sum over the support of w |v|^n, or the ess-sup of |v| for n = inf."""
+    live = [abs(v) for w, v in zip(weights, values) if w > 0]
+    if n == float("inf"):
+        return max(live)
+    return weighted_total([w for w in weights if w > 0], [m**n for m in live])
+
+
+def as_equal_by_definition(weights, a, b):
+    return all(x == y for w, x, y in zip(weights, a, b) if w > 0)
+
+
+def as_measurable_by_definition(weights, values, blocks):
+    for block in blocks:
+        live = [values[x] for x in block if weights[x] > 0]
+        if any(v != live[0] for v in live[1:]):
+            return False
+    return True
+
+
+def completion_by_definition(weights, blocks):
+    """Blocks of the null-set completion, as a set of frozensets."""
+    out = set()
+    for block in blocks:
+        kept = frozenset(x for x in block if weights[x] > 0)
+        if kept:
+            out.add(kept)
+        out.update(frozenset([x]) for x in block if weights[x] == 0)
+    return out

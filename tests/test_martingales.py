@@ -185,7 +185,8 @@ class TestNoncauchy:
         assert diag.increment_l1_norms == (F(1),) * 6
 
     def test_minimum_levels(self):
-        with pytest.raises(fp.TooLargeError):
+        # too few levels is an invalid filtration, not an oversized one
+        with pytest.raises(fp.InvalidFiltrationError, match="got 1"):
             fp.nonintegrable_example(1)
 
 

@@ -120,6 +120,19 @@ class TestNonFinite:
         with pytest.raises(fp.NonFiniteError):
             fp.RandomVar([bad, 1.0], fp.uniform_space(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_vector_random_var_rejects(self, bad):
+        # a NaN used to flow into bochner_norm and come back as nan
+        with pytest.raises(fp.NonFiniteError, match="outcome 1, component 0"):
+            fp.VecRandomVar([[0.0, 1.0], [bad, 1.0]], fp.uniform_space(2), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_kernel_rejects(self, bad):
+        # a NaN entry used to surface as "row 0 sums to nan"
+        space = fp.uniform_space(2)
+        with pytest.raises(fp.NonFiniteError, match="row 0, column 1"):
+            fp.Kernel([[1.0, bad], [0.0, 1.0]], space, space)
+
 
 @st.composite
 def float_rvs(draw, size=4):
