@@ -149,7 +149,7 @@ def as_matrix(rows: Sequence[Iterable], mode: NumericMode) -> np.ndarray:
     return arr
 
 
-INT64_MAX = (1 << 63) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 def magnitude(a: np.ndarray) -> int:
@@ -159,14 +159,14 @@ def magnitude(a: np.ndarray) -> int:
 
 def widen(bound: int, *arrays: np.ndarray) -> tuple:
     """The arrays as they are when `bound` fits int64, else as Python ints."""
-    if bound <= INT64_MAX:
+    if bound <= _INT64_MAX:
         return arrays
     return tuple(a.astype(object) for a in arrays)
 
 
 def int_array(values, bound: int) -> np.ndarray:
     """Integers as int64 when `bound` (on every magnitude) fits, else as objects."""
-    return np.array(values, dtype=np.int64 if bound <= INT64_MAX else object)
+    return np.array(values, dtype=np.int64 if bound <= _INT64_MAX else object)
 
 
 class Rationals:
@@ -189,7 +189,7 @@ class Rationals:
         denominator when that fits int64, else one denominator each."""
         common = math.lcm(*set(dens))
         top = max(map(abs, nums), default=0)
-        if max(top, 1) * common <= INT64_MAX:
+        if max(top, 1) * common <= _INT64_MAX:
             num = np.array(nums, dtype=np.int64)
             num *= common // np.array(dens, dtype=np.int64)
             return cls(num, np.full(len(nums), common, dtype=np.int64))
@@ -231,7 +231,7 @@ class Rationals:
         den = self.den.astype(object)
         np.lcm.at(block_den, labels, den)
         num = self.num.astype(object) * (block_den[labels] // den)
-        if max(magnitude(num), max(block_den.tolist())) <= INT64_MAX:
+        if max(magnitude(num), max(block_den.tolist())) <= _INT64_MAX:
             return num.astype(np.int64), block_den.astype(np.int64)
         return num, block_den
 
@@ -274,11 +274,6 @@ class Rationals:
     def power(self, n: int) -> "Rationals":
         num, den = widen(max(magnitude(self.num), magnitude(self.den)) ** n, self.num, self.den)
         return Rationals(num**n, den**n)
-
-    def scaled(self, c: Fraction) -> "Rationals":
-        bound = max(magnitude(self.num) * abs(c.numerator), magnitude(self.den) * c.denominator)
-        num, den = widen(bound, self.num, self.den)
-        return Rationals(num * c.numerator, den * c.denominator)
 
     def fractions(self) -> np.ndarray:
         """Read-only object array of the values as Fractions."""

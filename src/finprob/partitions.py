@@ -183,40 +183,31 @@ def complete_partition(p: Partition, space: ProbSpace) -> Partition:
     return Partition(blocks, p.parent_size)
 
 
-def measurable_wrt(f: RandomVar, p: Partition) -> bool:
-    """True when f is constant (within mode tolerance) on every block of p."""
-    if p.parent_size != f.space.size:
-        raise SizeMismatchError(
-            f"partition of size {p.parent_size} against a {f.space.size}-outcome RV"
-        )
-    mode = f.space.mode
-    for block in p.blocks:
-        first = f.values[block[0]]
-        for x in block[1:]:
-            if not mode.close(f.values[x], first):
-                return False
-    return True
-
-
-def as_measurable_wrt(f: RandomVar, p: Partition) -> bool:
-    """Almost-sure measurability: constant on the supported part of every block.
-
-    Every supported outcome is compared with the first supported outcome
-    of its block.
-    """
+def _constant_on_blocks(f: RandomVar, p: Partition, outcomes: np.ndarray) -> bool:
+    """True when, within each block of p, f agrees (within mode tolerance)
+    on the given outcomes: each is compared with the first of them."""
     space = f.space
     if p.parent_size != space.size:
         raise SizeMismatchError(
             f"partition of size {p.parent_size} against a {space.size}-outcome RV"
         )
-    live = space.live_index()
-    labels = p.labels[live]
+    labels = p.labels[outcomes]
     first = np.full(p.n_blocks, space.size, dtype=np.intp)
-    np.minimum.at(first, labels, live)
+    np.minimum.at(first, labels, outcomes)
     ref = first[labels]
     if space.mode.exact:
-        return bool(f._exact.take(live).equal(f._exact.take(ref)).all())
-    return bool((np.abs(f.values[live] - f.values[ref]) <= space.mode.tolerance).all())
+        return bool(f._exact.take(outcomes).equal(f._exact.take(ref)).all())
+    return bool((np.abs(f.values[outcomes] - f.values[ref]) <= space.mode.tolerance).all())
+
+
+def measurable_wrt(f: RandomVar, p: Partition) -> bool:
+    """True when f is constant (within mode tolerance) on every block of p."""
+    return _constant_on_blocks(f, p, np.arange(f.space.size))
+
+
+def as_measurable_wrt(f: RandomVar, p: Partition) -> bool:
+    """Almost-sure measurability: constant on the supported part of every block."""
+    return _constant_on_blocks(f, p, f.space.live_index())
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

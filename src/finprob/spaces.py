@@ -240,9 +240,7 @@ class RandomVar:
 
     def scaled(self, c) -> "RandomVar":
         c = as_number(c, self.space.mode)
-        if self._exact is not None:
-            return RandomVar(self._exact.scaled(c), self.space)
-        return RandomVar([c * v for v in self._values], self.space)
+        return RandomVar([c * v for v in self.values], self.space)
 
     def __repr__(self):
         return f"RandomVar({list(self.values)!r})"

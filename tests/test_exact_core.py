@@ -64,6 +64,8 @@ def check_against_definition(weights, values, p, q):
             expected = total if n in (1, math.inf) else fp.nth_root(total, n, R)
             assert fp.ln_norm(h, n) == expected
         assert fp.as_measurable_wrt(h, p) == as_measurable_by_definition(weights, hv, p.blocks)
+        ones = [1] * len(weights)
+        assert fp.measurable_wrt(h, p) == as_measurable_by_definition(ones, hv, p.blocks)
         assert fp.as_equal_rv(h, cond) == as_equal_by_definition(weights, hv, list(cond.values))
         assert list((h - f).values) == [a - b for a, b in zip(hv, values)]
         assert list((h + f).values) == [a + b for a, b in zip(hv, values)]
