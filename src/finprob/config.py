@@ -19,16 +19,20 @@ from typing import Optional
 from .errors import ConfigError, ConfigParseError
 from .numerics import NumericMode, float_mode, rational_mode
 
-EXPERIMENTS = (
-    "levy-up",
-    "levy-down",
-    "levi-kernel",
-    "levi-hilbert",
-    "noncauchy-l1",
-    "banach-counterexample",
-    "galois-audit",
-    "homeo-audit",
-)
+# Canonical config of `finprob demo <name>` for every experiment; its keys
+# are the experiment registry.
+_DEMO_OVERRIDES = {
+    "levy-up": dict(levels=10, seed=1),
+    "levy-down": dict(size=16, length=8, seed=2),
+    "levi-kernel": dict(size=16, length=8, seed=3),
+    "levi-hilbert": dict(size=8, length=6, seed=4, mode=float_mode()),
+    "noncauchy-l1": dict(levels=8),
+    "banach-counterexample": dict(size=16, mode=float_mode()),
+    "galois-audit": dict(size=5, seed=5),
+    "homeo-audit": dict(count=50, size=4, horizon=16, seed=6, mode=float_mode()),
+}
+
+EXPERIMENTS = tuple(_DEMO_OVERRIDES)
 
 # Largest accepted values. Each cap bounds what one run allocates before it
 # starts: 2**levels atoms with levels + 1 random variables over them, count
@@ -183,18 +187,6 @@ def load_config(path) -> ExperimentConfig:
         if key in sizes:
             kwargs[key] = _parse_int(sizes[key], key)
     return ExperimentConfig(**kwargs)
-
-
-_DEMO_OVERRIDES = {
-    "levy-up": dict(levels=10, seed=1),
-    "levy-down": dict(size=16, length=8, seed=2),
-    "levi-kernel": dict(size=16, length=8, seed=3),
-    "levi-hilbert": dict(size=8, length=6, seed=4, mode=float_mode()),
-    "noncauchy-l1": dict(levels=8),
-    "banach-counterexample": dict(size=16, mode=float_mode()),
-    "galois-audit": dict(size=5, seed=5),
-    "homeo-audit": dict(count=50, size=4, horizon=16, seed=6, mode=float_mode()),
-}
 
 
 def demo_config(name: str, output: Optional[str] = None) -> ExperimentConfig:

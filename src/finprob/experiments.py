@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig, resolve_output
-from .errors import ConfigError
+from .errors import ConfigError, FinprobError
 from .numerics import rational_mode
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
@@ -85,8 +85,15 @@ def _norm_token(n) -> str:
 
 
 def _load_terminal_rv(cfg: ExperimentConfig, expected_size: int):
-    """Terminal RV from a serialized file; its own space becomes the base."""
-    rv = serialize.load(cfg.input)
+    """Terminal RV from a serialized file; its own space becomes the base.
+
+    A file that cannot be read or holds invalid data is a configuration
+    error, not a violation.
+    """
+    try:
+        rv = serialize.load(cfg.input)
+    except (FinprobError, OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"input {cfg.input!r}: {exc}") from exc
     if not isinstance(rv, RandomVar):
         raise ConfigError(f"input {cfg.input!r} does not hold a random variable")
     if rv.space.size != expected_size:

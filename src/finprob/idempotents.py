@@ -12,6 +12,7 @@ partitions. All of that is finite here, so it is checked, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from .kernels import (
     identity_kernel,
     is_measure_preserving,
 )
+from .numerics import block_sums
 from .partitions import (
     Partition,
     all_partitions,
@@ -103,20 +105,19 @@ def cond_exp_kernel(space: ProbSpace, p: Partition, validate: bool = True) -> Id
         raise SpaceMismatchError(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
+    exact = space.mode.exact
     zero = space.mode.zero()
-    n = space.size
-    rows: list[list] = [None] * n  # type: ignore[list-item]
-    for block in p.blocks:
-        mass = sum(space.weights[x] for x in block)
-        if mass > 0:
-            row = [zero] * n
-            for y in block:
-                row[y] = space.weights[y] / mass
-            for x in block:
-                rows[x] = row if space.weights[x] > 0 else list(space.weights)
-        else:
-            for x in block:
-                rows[x] = list(space.weights)
+    labels = p.labels
+    # rational mode works on the weight numerators: their denominator cancels
+    w = space.int_weights()[0] if exact else space.weights
+    mass = block_sums(w, labels, p.n_blocks)[labels]
+    if exact:
+        cond = np.array([Fraction(a, m) if a else zero for a, m in zip(w.tolist(), mass.tolist())])
+    else:
+        cond = np.divide(w, mass, out=np.zeros(space.size), where=mass > 0)
+    rows = np.where(labels[:, None] == labels, cond, zero)
+    if not space.fully_supported:
+        rows[w == 0] = space.weights
     return IdempotentKernel(Kernel(rows, space, space), validate=validate)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     SpaceMismatchError,
     SumNotOneError,
 )
-from .numerics import NumericMode, as_matrix, mat_mul
+from .numerics import NumericMode, as_matrix, block_sums, mat_mul
 from .partitions import Partition
 from .spaces import ProbSpace
 
@@ -189,9 +189,8 @@ def coarsening_kernel(
         raise SizeMismatchError(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
-    block_mass = [sum(space.weights[x] for x in block) for block in p.blocks]
-    quotient = ProbSpace(block_mass, space.mode)
-    pi = deterministic_from_function([p.label_of(x) for x in range(space.size)], space, quotient)
+    quotient = ProbSpace(block_sums(space.weights, p.labels, p.n_blocks), space.mode)
+    pi = deterministic_from_function(p.labels.tolist(), space, quotient)
     pi_dag = bayes_inverse(pi)
     return quotient, pi, pi_dag
 

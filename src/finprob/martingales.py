@@ -33,7 +33,7 @@ from .idempotents import (
     sup_idempotents,
 )
 from .kernels import as_equal_kernels
-from .metrics import ConvergenceReport, one_sided_distance
+from .metrics import ConvergenceReport, one_sided_distance, report_from_flags
 from .numerics import NumericMode, Rationals, check_norm_index, rational_mode
 from .operators import VNorm, bochner_norm, cond_expectation, vector_cond_expectation
 from .partitions import (
@@ -193,16 +193,7 @@ def levy_report(m: Martingale, n=1) -> ConvergenceReport:
 
 def _stabilization_report(distances, equal_flags, mode: NumericMode) -> ConvergenceReport:
     """Report whose stabilization is decided by a.s. equality, not distance."""
-    idx = len(equal_flags)
-    for i in range(len(equal_flags) - 1, -1, -1):
-        if equal_flags[i]:
-            idx = i
-        else:
-            break
-    tol = 0 if mode.exact else mode.tolerance
-    if idx == len(equal_flags):
-        return ConvergenceReport(tuple(distances), False, None, tol, len(distances))
-    return ConvergenceReport(tuple(distances), True, idx, tol, len(distances))
+    return report_from_flags(distances, equal_flags, 0 if mode.exact else mode.tolerance)
 
 
 @dataclass(frozen=True)

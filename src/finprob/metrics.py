@@ -70,25 +70,28 @@ class ConvergenceReport:
                 raise ValueError("report marked converged but the tail exceeds tolerance")
 
 
-def report_from_distances(
-    distances: Sequence, tolerance, horizon: Optional[int] = None
+def report_from_flags(
+    distances: Sequence, flags: Sequence, tolerance, horizon: Optional[int] = None
 ) -> ConvergenceReport:
-    """Verdict from raw distances: stabilization is the first index whose
-    whole tail stays within tolerance; no such index means not converged."""
+    """Verdict from per-step flags: stabilization is the first index from
+    which every flag holds; no such index means not converged."""
     distances = tuple(distances)
     if horizon is None:
         horizon = len(distances)
-    if not distances:
-        return ConvergenceReport((), False, None, tolerance, horizon)
-    idx = len(distances)
-    for i in range(len(distances) - 1, -1, -1):
-        if distances[i] <= tolerance:
-            idx = i
-        else:
-            break
-    if idx == len(distances):
+    idx = len(flags)
+    while idx > 0 and flags[idx - 1]:
+        idx -= 1
+    if idx == len(flags):
         return ConvergenceReport(distances, False, None, tolerance, horizon)
     return ConvergenceReport(distances, True, idx, tolerance, horizon)
+
+
+def report_from_distances(
+    distances: Sequence, tolerance, horizon: Optional[int] = None
+) -> ConvergenceReport:
+    """Verdict from raw distances: the flag of a step is distance <= tolerance."""
+    distances = tuple(distances)
+    return report_from_flags(distances, [d <= tolerance for d in distances], tolerance, horizon)
 
 
 def check_convergence(
@@ -153,9 +156,10 @@ def operator_pointwise_distances(
 def _operator_distances_float(seq: Sequence[Kernel], limit: Kernel, n) -> list:
     """Vectorized float path: pull all indicators at once per step."""
     m = limit.codomain.size
-    masks = np.array(
-        [[mask >> y & 1 for mask in range(1, 1 << m)] for y in range(m)], dtype=np.float64
-    ) if m <= 10 else np.eye(m)
+    subsets = list(_subsets(m))
+    masks = np.zeros((m, len(subsets)))
+    for j, subset in enumerate(subsets):
+        masks[subset, j] = 1.0
     p = limit.domain.weights
     out = []
     for k in seq:

@@ -290,8 +290,9 @@ def int_dot(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def block_sums(x: np.ndarray, labels: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Per-block sums of x over a label array; exact in int64 and object
-    dtypes (the caller bounds the sums before choosing the dtype)."""
+    """Per-block sums of x over a label array, each added up in index order
+    starting from zero; exact in int64 and object dtypes (the caller bounds
+    the sums before choosing the dtype)."""
     out = np.zeros(n_blocks, dtype=x.dtype)
     np.add.at(out, labels, x)
     return out

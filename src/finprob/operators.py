@@ -5,6 +5,12 @@ rows: (k*g)(x) = sum_y rows[x][y] g(y). At finite scale the kernel matrix is
 the operator, so no separate operator algebra exists here. Conditioning on a
 partition is the pullback of the partition's idempotent kernel, spelled out
 directly as block averaging.
+
+Every block sum (block averages here, the rows of `cond_exp_kernel`, the
+quotient weights of `coarsening_kernel`) goes through `numerics.block_sums`
+and follows one rule: in float mode it adds in outcome order starting from
+0.0; in rational mode it is exact, over integer numerators for the block
+averages and the kernel rows.
 """
 
 from __future__ import annotations
@@ -51,54 +57,31 @@ def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
         raise SizeMismatchError(
             f"partition of size {p.parent_size} against a {space.size}-outcome RV"
         )
-    fully_supported = space.fully_supported
-    if fully_supported and p.n_blocks == space.size:
+    if space.fully_supported and p.n_blocks == space.size:
         return f  # discrete partition: identity
-    if space.mode.exact:
-        return RandomVar(_block_averages(f, p), space)
-    mean = None
-    if fully_supported:
-        # no null outcomes, so completion never rewrites these blocks and
-        # any deterministic summation order is safe to vectorize
-        out = np.empty(space.size, dtype=np.float64)
-        for block in p.blocks:
-            idx = list(block)
-            if len(idx) >= 8:
-                weights = space.weights[idx]
-                avg = float(weights @ f.values[idx]) / float(weights.sum())
-            else:
-                mass = sum(space.weights[x] for x in idx)
-                avg = sum(space.weights[x] * f.values[x] for x in idx) / mass
-            out[idx] = avg
-        return RandomVar(out, space)
-    # null-bearing float path: sequential sums on purpose, so that removing
-    # zero-weight members (null-set completion) cannot move a single bit
-    out = [0.0] * space.size
-    for block in p.blocks:
-        mass = sum(space.weights[x] for x in block)
-        if mass > 0:
-            avg = sum(space.weights[x] * f.values[x] for x in block) / mass
-        else:
-            if mean is None:
-                mean = expectation(f)
-            avg = mean
-        for x in block:
-            out[x] = avg
-    return RandomVar(out, space)
+    return RandomVar(_block_averages(f, p), space)
 
 
-def _block_averages(f: RandomVar, p: Partition) -> Rationals:
-    """Exact block averages: integer block sums over one denominator per block.
+def _block_averages(f: RandomVar, p: Partition):
+    """Block averages (sum of w_x f_x) / (mass of b) for every block b.
 
-    A block b gets (sum of w_x f_x) / (mass of b), both sums taken over
-    the weights' integer numerators. Members of a block with different
-    denominators are first brought to the lcm of those denominators.
-    Blocks of zero mass get the global mean.
+    Float mode sums both in outcome order starting from 0.0, so zero-weight
+    members add exact zeros and null-set completion cannot move a bit.
+    Rational mode takes integer sums over the weights' numerators: members
+    of a block with different denominators are first brought to the lcm of
+    those denominators. Blocks of zero mass get the global mean.
     """
     space = f.space
-    wnum, wden = space.int_weights()
     labels = p.labels
     nb = p.n_blocks
+    if not space.mode.exact:
+        w = space.weights
+        sums, dens = block_sums(w * f.values, labels, nb), block_sums(w, labels, nb)
+        empty = dens == 0
+        if empty.any():
+            sums[empty], dens[empty] = expectation(f), 1.0
+        return (sums / dens)[labels]
+    wnum, wden = space.int_weights()
     common = f._exact.common_den()
     if common is None:
         num, block_den = f._exact.over_block_lcm(labels, nb)

@@ -124,6 +124,22 @@ def verify_cond_exp_defining(f, g, partition):
     return True
 
 
+def cond_exp_kernel_by_definition(weights, blocks):
+    """Rows of the conditioning kernel: row x is w(y) / (mass of x's block)
+    on that block and 0 elsewhere when w(x) > 0, and the weights when
+    w(x) = 0. Each mass is summed in sequence, in block order."""
+    zero = 0 * weights[0]
+    rows = [list(weights) for _ in weights]
+    for block in blocks:
+        mass = zero
+        for y in block:
+            mass += weights[y]
+        for x in block:
+            if weights[x] > 0:
+                rows[x] = [weights[y] / mass if y in block else zero for y in range(len(weights))]
+    return rows
+
+
 def invariant_sets_direct(e):
     """All subset masks that are a.s. invariant under the kernel."""
     space = e.space

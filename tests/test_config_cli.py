@@ -144,6 +144,12 @@ class TestOutputResolution:
 
 
 class TestExperiments:
+    def test_every_experiment_has_a_runner(self):
+        from finprob.config import EXPERIMENTS
+        from finprob.experiments import _RUNNERS
+
+        assert tuple(_RUNNERS) == EXPERIMENTS
+
     @pytest.mark.parametrize(
         "name,expected",
         [
@@ -230,6 +236,32 @@ class TestTerminalRvInput:
         )
         with pytest.raises(fp.ConfigError):
             run(load_config(cfg_path), outdir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "name, mode, text, message",
+        [
+            ("weights.txt", "rational", "rv\nmode rational\nweights 1/2 1/3\nvalues 1 2\n",
+             "weights sum to 5/6"),
+            ("nan.txt", "float", "rv\nmode float 1e-09\nweights 0.5 0.5\nvalues nan 1.0\n", "nan"),
+            ("absent.txt", "rational", None, "No such file"),
+            ("accent.txt", "rational", "rv\nmode rational\n# caf\u00e9\nweights 1/2 1/2\nvalues 1 2\n",
+             "ascii"),
+        ],
+        ids=["bad-weights", "nan-value", "missing-file", "non-ascii"],
+    )
+    def test_bad_input_file_is_a_config_error(self, tmp_path, capsys, name, mode, text, message):
+        rv_path = tmp_path / name
+        if text is not None:
+            rv_path.write_text(text, encoding="utf-8")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            f"[experiment]\nname = levy-up\nmode = {mode}\noutput = out.csv\n"
+            f"input = {rv_path}\n[sizes]\nlevels = 1\n"
+        )
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err and message in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_input_only_for_levy(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"

@@ -7,7 +7,7 @@ import finprob as fp
 from finprob.idempotents import _leq_against, _order_forms
 from finprob.sampling import random_partition, random_space, rng_for
 
-from .oracles import invariant_sets_direct, kernel_mass
+from .oracles import cond_exp_kernel_by_definition, invariant_sets_direct, kernel_mass
 
 R = fp.rational_mode()
 
@@ -57,6 +57,23 @@ class TestCondExpKernel:
         e = fp.cond_exp_kernel(U4, fp.Partition.trivial(4))
         for x in range(4):
             assert list(e.kernel.rows[x]) == [F(1, 4)] * 4
+
+    def test_rows_match_definition(self):
+        """Float rows equal the sequential-sum oracle bit for bit, exact rows
+        equal it exactly; sizes 1-39, with and without null outcomes."""
+        rng = rng_for(35)
+        for trial in range(120):
+            size = int(rng.integers(1, 40))
+            mode = R if trial % 2 else fp.FLOAT_DEFAULT
+            space = random_space(rng, size, mode, null_outcomes=int(rng.integers(0, size)))
+            n_labels = int(rng.integers(1, size + 1))
+            p = fp.Partition.from_labels(rng.integers(0, n_labels, size=size).tolist())
+            rows = fp.cond_exp_kernel(space, p, validate=trial < 10).kernel.rows
+            expected = cond_exp_kernel_by_definition(list(space.weights), p.blocks)
+            if mode.exact:
+                assert rows.tolist() == expected
+            else:
+                assert rows.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_validation_catches_non_idempotent(self):
         swap = fp.Kernel([[0, 1], [1, 0]], fp.uniform_space(2, R), fp.uniform_space(2, R))

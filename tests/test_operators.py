@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import finprob as fp
@@ -13,7 +14,7 @@ from finprob.sampling import (
     rng_for,
 )
 
-from .oracles import verify_cond_exp_defining
+from .oracles import cond_expectation_by_definition, verify_cond_exp_defining
 
 R = fp.rational_mode()
 
@@ -83,13 +84,40 @@ class TestCondExpectation:
             assert fp.measurable_wrt(g, p)
 
     def test_matches_idempotent_pullback_on_support(self):
+        """Both modes, weighted spaces with and without null outcomes, and
+        partitions whose blocks hold 8 or more outcomes."""
         rng = rng_for(61)
-        for _ in range(20):
-            space = random_space(rng, 6, R, null_outcomes=1)
-            p = random_partition(rng, 6)
+        for trial in range(40):
+            mode = R if trial % 2 else fp.FLOAT_DEFAULT
+            size = 6 if trial < 20 else int(rng.integers(16, 33))
+            space = random_space(rng, size, mode, null_outcomes=int(rng.integers(0, 3)))
+            if size == 6:
+                p = random_partition(rng, size)
+            else:  # two blocks, each of 8 or more outcomes in all but rare draws
+                p = fp.Partition.from_labels(rng.integers(0, 2, size=size).tolist())
             f = random_rv(rng, space)
             via_kernel = fp.apply_pullback(fp.cond_exp_kernel(space, p).kernel, f)
             assert fp.as_equal_rv(via_kernel, fp.cond_expectation(f, p))
+
+    def test_float_support_bits_match_definition_and_completion(self):
+        """Float mode, on the support: the result equals the sequential-sum
+        definition bit for bit, and conditioning on the null-set completion
+        changes no bit of it, whatever the block sizes."""
+        rng = rng_for(64)
+        for trial in range(40):
+            size = int(rng.integers(4, 40))
+            # fully supported only with at most 3 blocks, so never discrete
+            nulls = 0 if trial % 4 == 1 else int(rng.integers(1, size))
+            space = random_space(rng, size, fp.FLOAT_DEFAULT, null_outcomes=nulls)
+            n_labels = int(rng.integers(1, 4)) if trial % 2 else size
+            p = fp.Partition.from_labels(rng.integers(0, n_labels, size=size).tolist())
+            f = random_rv(rng, space)
+            live = space.live_index()
+            plain = fp.cond_expectation(f, p).values[live]
+            completed = fp.cond_expectation(f, fp.complete_partition(p, space)).values[live]
+            expected = cond_expectation_by_definition(list(space.weights), list(f.values), p.blocks)
+            assert plain.tobytes() == np.array(expected)[live].tobytes()
+            assert plain.tobytes() == completed.tobytes()
 
     def test_tower_property(self):
         rng = rng_for(62)
