@@ -5,8 +5,8 @@
     finprob demo <experiment-name> [--outdir DIR] [--output FILE]
 
 Exit code 0 on success, 1 when an experiment reports a VIOLATION, 2 for
-configuration problems. The FINPROB_OUTDIR environment variable overrides
-the output directory when --outdir is absent.
+configuration and I/O errors. The FINPROB_OUTDIR environment variable
+overrides the output directory when --outdir is absent.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def _load_terminal_rv(cfg: ExperimentConfig, expected_size: int):
     """
     try:
         rv = serialize.load(cfg.input)
-    except (FinprobError, OSError, UnicodeDecodeError) as exc:
+    except (FinprobError, OSError) as exc:
         raise ConfigError(f"input {cfg.input!r}: {exc}") from exc
     if not isinstance(rv, RandomVar):
         raise ConfigError(f"input {cfg.input!r} does not hold a random variable")
@@ -293,21 +293,17 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def _slide(k: Kernel, a) -> Kernel:
+    """Convex mix (1 - a) k + a i of k with the independent kernel i, whose
+    every row is the codomain weights."""
+    return Kernel((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
+
+
 def _interpolation_sequence(k: Kernel, horizon: int) -> list[Kernel]:
     """Geometric convex slide towards k from the independent kernel with the
     same marginals; distances halve each step."""
-    q = list(k.codomain.weights)
-    independent = Kernel([q] * k.domain.size, k.domain, k.codomain)
-    out = []
-    mode = k.mode
-    for i in range(horizon):
-        a = mode.one() / (2**i) if mode.exact else 0.5**i
-        rows = [
-            [(1 - a) * k.rows[x][y] + a * independent.rows[x][y] for y in range(k.codomain.size)]
-            for x in range(k.domain.size)
-        ]
-        out.append(Kernel(rows, k.domain, k.codomain))
-    return out
+    one = k.mode.one()
+    return [_slide(k, one / 2**i if k.mode.exact else 0.5**i) for i in range(horizon)]
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
@@ -319,8 +315,7 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
         k = random_mp_kernel(rng, cfg.size, cfg.size, cfg.mode)
         oscillate = idx % 5 == 4
         if oscillate:
-            q = list(k.codomain.weights)
-            other = Kernel([q] * k.domain.size, k.domain, k.codomain)
+            other = _slide(k, cfg.mode.one())
             seq = [other if i % 2 else k for i in range(cfg.horizon)]
             seq[-1] = other  # end off the limit so the verdict is clean
         else:

@@ -125,36 +125,26 @@ def invariant_partition(e: IdempotentKernel) -> Partition:
     """Partition of almost-surely invariant sets.
 
     Supported outcomes are grouped into connected components of the positive
-    transition relation e(y|x) > 0; every null outcome is a singleton. For a
-    finite idempotent this is exactly the atomic decomposition of the
-    invariant sigma-algebra (the subset-enumeration oracle agrees).
+    transition relation e(y|x) > 0, read off its symmetric transitive
+    closure; every null outcome is a singleton. For a finite idempotent this
+    is exactly the atomic decomposition of the invariant sigma-algebra (the
+    subset-enumeration oracle agrees).
     """
-    k = e.kernel
     space = e.space
     mode = space.mode
     threshold = mode.zero() if mode.exact else mode.tolerance
-    n = space.size
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    support = space.support
-    for x in support:
-        for y in support:
-            if k.rows[x][y] > threshold:
-                ra, rb = find(x), find(y)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    null = set(range(n)) - set(support)
-    for x in support:
-        groups.setdefault(find(x), []).append(x)
-    blocks = list(groups.values()) + [[y] for y in null]
-    return Partition(blocks, n)
+    live = space.live_index()
+    step = e.kernel.rows[live][:, live] > threshold
+    reach = step | step.T | np.eye(live.size, dtype=bool)
+    while True:  # square the reachability relation until it is transitive
+        square = reach.astype(np.float64)
+        closed = square @ square > 0
+        if (closed == reach).all():
+            break
+        reach = closed
+    labels = np.arange(space.size)  # null outcomes keep a label of their own
+    labels[live] = live[reach.argmax(axis=1)]
+    return Partition.from_labels(labels.tolist())
 
 
 def invariant_partition_bruteforce(e: IdempotentKernel, max_size: int = 16) -> Partition:

@@ -29,13 +29,17 @@ from .spaces import ProbSpace
 def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
     """Read-only matrix in the mode's dtype, whatever the caller handed over."""
     if isinstance(rows, np.ndarray):
-        expected_object = mode.exact
-        if (rows.dtype == object) == expected_object and rows.ndim == 2:
+        if rows.ndim == 2 and rows.dtype == (object if mode.exact else np.float64):
             m = rows.copy()
             m.setflags(write=False)
             return m
         rows = rows.tolist()
     return as_matrix(rows, mode)
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first true entry of a boolean array, in row-major order."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
 class Kernel:
@@ -53,17 +57,19 @@ class Kernel:
                 f"kernel shape {m.shape} for spaces {domain.size} -> {codomain.size}"
             )
         if not mode.exact and not np.isfinite(m).all():
-            x, y = (int(i) for i in np.argwhere(~np.isfinite(m))[0])
+            x, y = _first(~np.isfinite(m))
             raise NonFiniteError(f"kernel entry at row {x}, column {y} is {m[x, y]}")
-        one = mode.one()
-        for x in range(domain.size):
-            row = m[x]
-            for v in row:
-                if v < 0:
-                    raise NegativeWeightError(f"kernel entry at row {x} is negative: {v}")
-            total = row.sum()
-            if not mode.close(total, one):
-                raise SumNotOneError(f"row {x} sums to {total}")
+        negative = m < 0
+        if negative.any():
+            x, y = _first(negative)
+            raise NegativeWeightError(
+                f"kernel entry at row {x}, column {y} is negative: {m[x, y]}"
+            )
+        totals = m.sum(axis=1)
+        bad = ~mode.close_mask(totals, mode.one())
+        if bad.any():
+            (x,) = _first(bad)
+            raise SumNotOneError(f"row {x} sums to {totals[x]}")
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
@@ -83,11 +89,8 @@ class Kernel:
 
 
 def identity_kernel(space: ProbSpace) -> Kernel:
-    one, zero = space.mode.one(), space.mode.zero()
-    rows = [
-        [one if i == j else zero for j in range(space.size)] for i in range(space.size)
-    ]
-    return Kernel(rows, space, space)
+    mode = space.mode
+    return Kernel(np.where(np.eye(space.size, dtype=bool), mode.one(), mode.zero()), space, space)
 
 
 def compose(k: Kernel, l: Kernel) -> Kernel:
@@ -116,20 +119,28 @@ def _require_parallel(k: Kernel, h: Kernel) -> None:
 def as_equal_kernels(k: Kernel, h: Kernel) -> bool:
     """Almost-sure equality: rows agree at every supported domain outcome."""
     _require_parallel(k, h)
-    mode = k.mode
-    return all(mode.all_close(k.rows[x], h.rows[x]) for x in k.domain.support)
+    live = k.domain.live_index()
+    return k.mode.all_close(k.rows[live], h.rows[live])
 
 
 def canonicalize(k: Kernel) -> Kernel:
     """Canonical representative of k's a.s. class: null rows become q."""
     _require_mp(k)
-    if len(k.domain.support) == k.domain.size:
+    if k.domain.fully_supported:
         return k
-    rows = [
-        list(k.codomain.weights) if k.domain.is_null(x) else list(k.rows[x])
-        for x in range(k.domain.size)
-    ]
+    rows = k.rows.copy()
+    rows[k.domain.weights == 0] = k.codomain.weights
     return Kernel(rows, k.domain, k.codomain)
+
+
+def _conditioned(table: np.ndarray, given: ProbSpace, other: ProbSpace) -> Kernel:
+    """Kernel from `given` to `other` conditioning a joint table on its rows:
+    row x is table[x] / given(x), and the weights of `other` where given(x) = 0."""
+    live = given.live_index()
+    rows = np.empty_like(table)
+    rows[:] = other.weights
+    rows[live] = table[live] / given.weights[live, None]
+    return Kernel(rows, given, other)
 
 
 def bayes_inverse(k: Kernel) -> Kernel:
@@ -140,14 +151,7 @@ def bayes_inverse(k: Kernel) -> Kernel:
     subset pairs, which pins it down up to a.s. equality.
     """
     _require_mp(k)
-    p, q = k.domain.weights, k.codomain.weights
-    rows = []
-    for y in range(k.codomain.size):
-        if k.codomain.is_null(y):
-            rows.append(list(p))
-        else:
-            rows.append([k.rows[x][y] * p[x] / q[y] for x in range(k.domain.size)])
-    return Kernel(rows, k.codomain, k.domain)
+    return _conditioned((k.rows * k.domain.weights[:, None]).T, k.codomain, k.domain)
 
 
 def deterministic_from_function(
@@ -156,24 +160,23 @@ def deterministic_from_function(
     codomain: ProbSpace,
 ) -> Kernel:
     """0/1 kernel of an outcome map; the map must push p forward to q."""
-    if callable(f):
-        f = [f(x) for x in range(domain.size)]
-    if len(f) != domain.size:
+    labels = np.array([f(x) for x in range(domain.size)] if callable(f) else f)
+    if labels.shape != (domain.size,):
         raise SizeMismatchError("outcome map length differs from domain size")
+    outside = (labels < 0) | (labels >= codomain.size)
+    if outside.any():
+        (x,) = _first(outside)
+        raise SizeMismatchError(f"f({x}) = {labels[x]} outside the codomain")
     mode = domain.mode
-    pushed = [mode.zero()] * codomain.size
-    for x, y in enumerate(f):
-        if not 0 <= y < codomain.size:
-            raise SizeMismatchError(f"f({x}) = {y} outside the codomain")
-        pushed[y] = pushed[y] + domain.weights[x]
-    for y in range(codomain.size):
-        if not mode.close(pushed[y], codomain.weights[y]):
-            raise NotMeasurePreservingError(
-                f"map pushes weight {pushed[y]} onto outcome {y}, expected {codomain.weights[y]}"
-            )
-    one, zero = mode.one(), mode.zero()
-    rows = [[one if f[x] == y else zero for y in range(codomain.size)] for x in range(domain.size)]
-    return Kernel(rows, domain, codomain)
+    pushed = block_sums(domain.weights, labels, codomain.size)
+    wrong = ~mode.close_mask(pushed, codomain.weights)
+    if wrong.any():
+        (y,) = _first(wrong)
+        raise NotMeasurePreservingError(
+            f"map pushes weight {pushed[y]} onto outcome {y}, expected {codomain.weights[y]}"
+        )
+    hits = labels[:, None] == np.arange(codomain.size)
+    return Kernel(np.where(hits, mode.one(), mode.zero()), domain, codomain)
 
 
 def coarsening_kernel(
@@ -190,7 +193,7 @@ def coarsening_kernel(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
     quotient = ProbSpace(block_sums(space.weights, p.labels, p.n_blocks), space.mode)
-    pi = deterministic_from_function(p.labels.tolist(), space, quotient)
+    pi = deterministic_from_function(p.labels, space, quotient)
     pi_dag = bayes_inverse(pi)
     return quotient, pi, pi_dag
 
@@ -205,11 +208,8 @@ def is_as_deterministic(k: Kernel) -> bool:
     roundtrip = compose(kinv, k)  # endo-kernel on the codomain
     dagger_epi = as_equal_kernels(roundtrip, identity_kernel(k.codomain))
     mode = k.mode
-    zero_one = all(
-        mode.close(v, mode.zero()) or mode.close(v, mode.one())
-        for x in k.domain.support
-        for v in k.rows[x]
-    )
+    live = k.rows[k.domain.live_index()]
+    zero_one = bool((mode.close_mask(live, mode.zero()) | mode.close_mask(live, mode.one())).all())
     if dagger_epi != zero_one:
         raise FinprobError(
             "dagger-epi test and 0/1-row criterion disagree on this kernel"
@@ -229,10 +229,12 @@ class Coupling:
         t = _freeze_matrix(table, mode)
         if t.shape != (domain.size, codomain.size):
             raise SizeMismatchError(f"coupling shape {t.shape}")
-        for row in t:
-            for v in row:
-                if v < 0:
-                    raise NegativeWeightError("coupling entries must be nonnegative")
+        negative = t < 0
+        if negative.any():
+            x, y = _first(negative)
+            raise NegativeWeightError(
+                f"coupling entry at row {x}, column {y} is negative: {t[x, y]}"
+            )
         if not mode.all_close(t.sum(axis=1), domain.weights):
             raise NotMeasurePreservingError("row marginals differ from p")
         if not mode.all_close(t.sum(axis=0), codomain.weights):
@@ -248,25 +250,16 @@ class Coupling:
 def coupling_from_kernel(k: Kernel) -> Coupling:
     """Joint table c(x,y) = p(x) rows[x][y]."""
     _require_mp(k)
-    p = k.domain.weights
-    table = [[p[x] * v for v in k.rows[x]] for x in range(k.domain.size)]
-    return Coupling(table, k.domain, k.codomain)
+    return Coupling(k.domain.weights[:, None] * k.rows, k.domain, k.codomain)
 
 
 def kernel_from_coupling(c: Coupling) -> Kernel:
     """Conditioning on the first marginal; null rows canonicalized to q."""
-    rows = []
-    for x in range(c.domain.size):
-        mass = c.domain.weights[x]
-        if mass == 0:
-            rows.append(list(c.codomain.weights))
-        else:
-            rows.append([v / mass for v in c.table[x]])
-    return Kernel(rows, c.domain, c.codomain)
+    return _conditioned(c.table, c.domain, c.codomain)
 
 
 def kernel_from_measure(space: ProbSpace) -> Kernel:
     """The unique measure-preserving kernel from the one-point space to `space`."""
     from .spaces import point_space
 
-    return Kernel([list(space.weights)], point_space(space.mode), space)
+    return Kernel(space.weights[None, :], point_space(space.mode), space)

@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
-from .kernels import Kernel, as_equal_kernels, bayes_inverse, compose, is_measure_preserving
-from .numerics import check_norm_index, is_infinite
-from .spaces import RandomVar, indicator, ln_norm
+from .kernels import Kernel, bayes_inverse, compose, is_measure_preserving
+from .numerics import check_norm_index, is_infinite, nth_root
 
 
 def one_sided_distance(k: Kernel, h: Kernel):
@@ -25,13 +24,8 @@ def one_sided_distance(k: Kernel, h: Kernel):
     exactly on a.s.-equal pairs."""
     if not (k.domain.same_as(h.domain) and k.codomain.same_as(h.codomain)):
         raise SpaceMismatchError("kernels have different domain or codomain")
-    p = k.domain.weights
-    total = k.mode.zero()
-    for x in k.domain.support:
-        row = k.rows[x]
-        other = h.rows[x]
-        total = total + p[x] * sum(abs(row[y] - other[y]) for y in range(k.codomain.size))
-    return total
+    live = k.domain.live_index()
+    return k.domain.weights[live] @ abs(k.rows[live] - h.rows[live]).sum(axis=1)
 
 
 def two_sided_distance(k: Kernel, h: Kernel):
@@ -117,59 +111,35 @@ def check_convergence(
     return report_from_distances(distances, tol, horizon or len(distances))
 
 
-def _subsets(size: int, cap: int = 10):
-    """Nonempty proper subsets when small enough, singletons otherwise."""
+def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
+    """0/1 columns of every nonempty subset when small enough, of the
+    singletons otherwise; column j of the subsets is the bit pattern j + 1."""
     if size <= cap:
-        for mask in range(1, (1 << size) - 1):
-            yield [y for y in range(size) if mask >> y & 1]
-        yield list(range(size))
-    else:
-        for y in range(size):
-            yield [y]
+        return (np.arange(1, 1 << size) >> np.arange(size)[:, None]) & 1 == 1
+    return np.eye(size, dtype=bool)
 
 
 def operator_pointwise_distances(
     seq: Sequence[Kernel], limit: Kernel, n=1
 ) -> list:
-    """Per-step worst-case L^n distance of the pullbacks over indicator RVs."""
+    """Per-step worst-case L^n distance of the pullbacks over indicator RVs.
+
+    All indicators are pulled back at once, as the columns of a 0/1 matrix
+    in the mode's number type. The n-th root is monotone, so the worst
+    distance is the root of the largest weighted total.
+    """
     check_norm_index(n)
-    space = limit.codomain
-    if not limit.mode.exact:
-        return _operator_distances_float(seq, limit, n)
-    inds = [indicator(space, s) for s in _subsets(space.size)]
-    out = []
-    for k in seq:
-        worst = limit.mode.zero()
-        for g in inds:
-            lhs = RandomVar(
-                [sum((k.rows[x][y] - limit.rows[x][y]) * g.values[y] for y in range(space.size))
-                 for x in range(k.domain.size)],
-                k.domain,
-            )
-            d = ln_norm(lhs, n)
-            if d > worst:
-                worst = d
-        out.append(worst)
-    return out
-
-
-def _operator_distances_float(seq: Sequence[Kernel], limit: Kernel, n) -> list:
-    """Vectorized float path: pull all indicators at once per step."""
-    m = limit.codomain.size
-    subsets = list(_subsets(m))
-    masks = np.zeros((m, len(subsets)))
-    for j, subset in enumerate(subsets):
-        masks[subset, j] = 1.0
+    mode = limit.mode
+    masks = np.where(_indicator_columns(limit.codomain.size), mode.one(), mode.zero())
+    live = limit.domain.live_index()
     p = limit.domain.weights
     out = []
     for k in seq:
-        pulled = np.abs((k.rows - limit.rows) @ masks)
+        pulled = abs((k.rows - limit.rows) @ masks)
         if is_infinite(n):
-            live = pulled[list(limit.domain.support), :]
-            worst = float(live.max()) if live.size else 0.0
-        else:
-            worst = float((p @ pulled**n).max() ** (1.0 / n))
-        out.append(worst)
+            out.append(pulled[live].max())
+        else:  # null rows carry weight zero
+            out.append(nth_root((p @ pulled ** int(n)).max(), int(n), mode))
     return out
 
 
@@ -204,9 +174,3 @@ def composition_continuity_probe(
         limit_h = seq_h[-1]
     target = compose(limit_k, limit_h)
     return one_sided_distance(compose(seq_k[-1], seq_h[-1]), target)
-
-
-def limit_is_idempotent(seq: Sequence[Kernel], limit: Kernel) -> bool:
-    """For a sequence of a.s. idempotent kernels converging to `limit`, the
-    limit is a.s. idempotent as well; this checks that concrete instance."""
-    return as_equal_kernels(compose(limit, limit), limit)

@@ -13,7 +13,8 @@ arrays are int64 when that bound fits and Python-int object arrays
 otherwise, so no result ever wraps around. `fractions.Fraction` objects
 appear only at the boundary: scalar results, `.values`/`.weights` (built
 on first access and cached) and the text formats. Kernel rows are still
-`Fraction` object arrays.
+`Fraction` object arrays; kernel operations are whole-array expressions
+that run unchanged on float64 and on `Fraction` object arrays.
 """
 
 from __future__ import annotations
@@ -58,15 +59,19 @@ class NumericMode:
             return a == b
         return abs(a - b) <= self.tolerance
 
+    def close_mask(self, a, b) -> np.ndarray:
+        """Elementwise equality of broadcastable arrays under this mode, as a boolean array."""
+        if self.exact:
+            return np.equal(a, b)
+        return np.abs(np.subtract(a, b)) <= self.tolerance
+
     def all_close(self, a, b) -> bool:
-        """Elementwise equality of arrays under this mode."""
+        """Equality of same-shape arrays at every entry under this mode."""
         a = np.asarray(a)
         b = np.asarray(b)
         if a.shape != b.shape:
             return False
-        if self.exact:
-            return bool(np.equal(a, b).all())
-        return bool((np.abs(a - b) <= self.tolerance).all())
+        return bool(self.close_mask(a, b).all())
 
     def zero(self) -> Number:
         return Fraction(0) if self.exact else 0.0

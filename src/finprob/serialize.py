@@ -204,5 +204,12 @@ def loads(text: str):
 
 
 def load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(
+            f"{path}: not ascii text: byte {raw[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    return loads(text)

@@ -304,12 +304,8 @@ def as_equal_vec_rv(f: VecRandomVar, g: VecRandomVar) -> bool:
     _require_same_space(f, g)
     if f.dim != g.dim:
         raise DimMismatchError("vector RVs of different dimension")
-    mode = f.space.mode
-    return all(
-        mode.close(f.values[i, j], g.values[i, j])
-        for i in f.space.support
-        for j in range(f.dim)
-    )
+    live = f.space.live_index()
+    return f.space.mode.all_close(f.values[live], g.values[live])
 
 
 def _on_support(f: RandomVar) -> Rationals:

@@ -230,3 +230,95 @@ def completion_by_definition(weights, blocks):
             out.add(kept)
         out.update(frozenset([x]) for x in block if weights[x] == 0)
     return out
+
+
+# --- kernel operations, entry by entry -------------------------------------
+# Each works on the rows of library kernels with one scalar operation per
+# entry, in the order a hand computation would take.
+
+
+def bayes_inverse_by_definition(k):
+    """Rows of the Bayesian inverse: rows[x][y] p(x) / q(y), and p at every
+    q-null outcome y."""
+    p, q = k.domain.weights, k.codomain.weights
+    return [
+        list(p) if q[y] == 0 else [k.rows[x][y] * p[x] / q[y] for x in range(len(p))]
+        for y in range(len(q))
+    ]
+
+
+def canonicalize_by_definition(k):
+    """Rows of k with every null domain row replaced by the codomain weights."""
+    p, q = k.domain.weights, k.codomain.weights
+    return [list(q) if p[x] == 0 else list(k.rows[x]) for x in range(len(p))]
+
+
+def coupling_roundtrip_by_definition(k):
+    """Rows of k after the joint table p(x) rows[x][y] is conditioned on its
+    first marginal again (null rows become q)."""
+    p, q = k.domain.weights, k.codomain.weights
+    table = [[p[x] * v for v in k.rows[x]] for x in range(len(p))]
+    return [list(q) if p[x] == 0 else [v / p[x] for v in table[x]] for x in range(len(p))]
+
+
+def one_sided_distance_by_definition(k, h):
+    """sum over supported x of p(x) sum_y |k(y|x) - h(y|x)|."""
+    total = 0
+    for x, w in enumerate(k.domain.weights):
+        if w > 0:
+            total += w * sum(abs(a - b) for a, b in zip(k.rows[x], h.rows[x]))
+    return total
+
+
+def operator_distances_by_definition(seq, limit, n, root):
+    """Per step, the largest L^n norm of (k - limit) pulled back against one
+    indicator at a time: every nonempty subset for codomains of at most 10
+    outcomes, the singletons beyond. `root(total, n)` takes the n-th root."""
+    size = limit.codomain.size
+    if size <= 10:
+        sets = [[y for y in range(size) if mask >> y & 1] for mask in range(1, 1 << size)]
+    else:
+        sets = [[y] for y in range(size)]
+    p = limit.domain.weights
+    live = [x for x in range(len(p)) if p[x] > 0]
+    out = []
+    for k in seq:
+        worst = 0
+        for chosen in sets:
+            pulled = [abs(sum(k.rows[x][y] - limit.rows[x][y] for y in chosen)) for x in live]
+            if n == float("inf"):
+                d = max(pulled)
+            else:
+                total = 0
+                for x, v in zip(live, pulled):
+                    total += p[x] * v**n
+                d = root(total, n)
+            if d > worst:
+                worst = d
+        out.append(worst)
+    return out
+
+
+def invariant_blocks_union_find(e):
+    """Blocks of the connected components of e(y|x) > threshold over the
+    supported outcomes (union-find), plus every null outcome alone."""
+    space = e.space
+    mode = space.mode
+    threshold = 0 if mode.exact else mode.tolerance
+    parent = list(range(space.size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in space.support:
+        for y in space.support:
+            if e.kernel.rows[x][y] > threshold:
+                parent[find(y)] = find(x)
+    groups = {}
+    for x in space.support:
+        groups.setdefault(find(x), []).append(x)
+    null = [[x] for x in range(space.size) if x not in space.support]
+    return list(groups.values()) + null

@@ -305,3 +305,9 @@ class TestCliEntryPoint:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.ini")]) == 2
+
+    def test_unwritable_outdir_is_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["demo", "noncauchy-l1", "--outdir", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith("io error: ")

@@ -1,0 +1,232 @@
+"""Whole-array kernel operations against entry-by-entry definitions.
+
+Random exact kernels of sizes 1-12, with and without null domain rows and
+null codomain columns, are checked in rational mode (exact equality) and
+through their float image (bit equality where the arithmetic is the same
+per entry, 1e-15 where a sum's order may differ). Both images must also
+reach the same verdicts.
+"""
+
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+import finprob as fp
+from finprob.sampling import random_partition, rng_for
+
+from .oracles import (
+    bayes_inverse_by_definition,
+    canonicalize_by_definition,
+    coupling_roundtrip_by_definition,
+    invariant_blocks_union_find,
+    one_sided_distance_by_definition,
+    operator_distances_by_definition,
+)
+
+R = fp.rational_mode()
+FL = fp.FLOAT_DEFAULT
+SIZES = range(1, 13)
+DISTANCE_TOL = 1e-15
+
+
+def _stochastic(rng, n):
+    raw = rng.integers(1, 5, size=n)
+    return [F(int(v), int(raw.sum())) for v in raw]
+
+
+def exact_instance(rng, nrows, ncols, nulls):
+    """Measure-preserving exact kernel from a random integer joint table.
+
+    With `nulls`, about a quarter of the rows and columns of the table are
+    zeroed, so both spaces can have null outcomes; null rows of the kernel
+    get arbitrary stochastic rows.
+    """
+    table = rng.integers(0, 6, size=(nrows, ncols))
+    if nulls:
+        table[rng.random(nrows) < 0.25] = 0
+        table[:, rng.random(ncols) < 0.25] = 0
+    if table.sum() == 0:
+        table[rng.integers(nrows), rng.integers(ncols)] = 1
+    total = int(table.sum())
+    p = [F(int(s), total) for s in table.sum(axis=1)]
+    q = [F(int(s), total) for s in table.sum(axis=0)]
+    rows = [
+        [F(int(v), int(row.sum())) for v in row] if row.sum() else _stochastic(rng, ncols)
+        for row in table
+    ]
+    return fp.Kernel(rows, fp.make_space(p, R), fp.make_space(q, R))
+
+
+def float_image(k):
+    """The same kernel with every number converted to the nearest double."""
+    dom = fp.make_space([float(w) for w in k.domain.weights], FL)
+    cod = fp.make_space([float(w) for w in k.codomain.weights], FL)
+    return fp.Kernel([[float(v) for v in row] for row in k.rows], dom, cod)
+
+
+def instances(seed, endo=False):
+    """(rational kernel, its float image) pairs over every size, with and
+    without null outcomes. An endo-kernel keeps the rows and takes the
+    domain as its codomain too; it need not be measure-preserving."""
+    rng = rng_for(seed)
+    out = []
+    for nulls in (False, True):
+        for n in SIZES:
+            k = exact_instance(rng, n, n if endo else int(rng.integers(1, 13)), nulls)
+            if endo:
+                k = fp.Kernel(k.rows, k.domain, k.domain)
+            out.append((k, float_image(k)))
+    return out
+
+
+def bits(rows):
+    return np.array([[float(v) for v in row] for row in rows]).view(np.int64)
+
+
+def same_entries(actual, expected, exact):
+    if exact:
+        return [list(r) for r in actual] == [list(r) for r in expected]
+    return np.array_equal(bits(actual), bits(expected))
+
+
+def parallel_sequence(rng, k):
+    """Kernels with k's domain and codomain: k itself, k canonicalized,
+    slides towards the independent kernel and one arbitrary stochastic
+    kernel (not measure-preserving)."""
+    q = k.codomain.weights
+    seq = [k, fp.canonicalize(k)]
+    for a in (F(1), F(1, 2), F(1, 8)):
+        seq.append(fp.Kernel((1 - a) * k.rows + a * q, k.domain, k.codomain))
+    free = [_stochastic(rng, k.codomain.size) for _ in range(k.domain.size)]
+    seq.append(fp.Kernel(free, k.domain, k.codomain))
+    return seq
+
+
+def to_float(k, like):
+    return fp.Kernel([[float(v) for v in row] for row in k.rows], like.domain, like.codomain)
+
+
+class TestAgainstDefinition:
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_bayes_inverse(self, exact):
+        for k_exact, k_float in instances(1):
+            k = k_exact if exact else k_float
+            inv = fp.bayes_inverse(k)
+            assert same_entries(inv.rows, bayes_inverse_by_definition(k), exact)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_canonicalize(self, exact):
+        for k_exact, k_float in instances(2):
+            k = k_exact if exact else k_float
+            assert same_entries(fp.canonicalize(k).rows, canonicalize_by_definition(k), exact)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_coupling_roundtrip(self, exact):
+        for k_exact, k_float in instances(3):
+            k = k_exact if exact else k_float
+            back = fp.kernel_from_coupling(fp.coupling_from_kernel(k))
+            assert same_entries(back.rows, coupling_roundtrip_by_definition(k), exact)
+
+    def test_one_sided_distance(self):
+        rng = rng_for(4)
+        for k_exact, k_float in instances(4):
+            seq = parallel_sequence(rng, k_exact)
+            for h in seq:
+                expected = one_sided_distance_by_definition(h, k_exact)
+                assert fp.one_sided_distance(h, k_exact) == expected
+                h_float = to_float(h, k_float)
+                got = fp.one_sided_distance(h_float, k_float)
+                assert abs(got - one_sided_distance_by_definition(h_float, k_float)) <= DISTANCE_TOL
+                assert (got == 0) == (expected == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, math.inf])
+    def test_operator_pointwise_distances(self, n):
+        # Codomains of 7-10 outcomes are left out only to keep the exact
+        # subset enumeration short; beyond 10 the singletons are used.
+        rng = rng_for(5)
+        for k_exact, k_float in instances(5):
+            if 7 <= k_exact.codomain.size <= 10:
+                continue
+            seq = parallel_sequence(rng, k_exact)
+            expected = operator_distances_by_definition(
+                seq, k_exact, n, lambda t, m: fp.nth_root(t, m, R)
+            )
+            got = fp.operator_pointwise_distances(seq, k_exact, n)
+            assert got == expected
+            seq_float = [to_float(h, k_float) for h in seq]
+            got_float = fp.operator_pointwise_distances(seq_float, k_float, n)
+            expected_float = operator_distances_by_definition(
+                seq_float, k_float, n, lambda t, m: t ** (1.0 / m)
+            )
+            assert np.abs(np.subtract(got_float, expected_float)).max() <= DISTANCE_TOL
+            assert [d == 0 for d in got_float] == [d == 0 for d in got]
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_invariant_partition_of_any_relation(self, exact):
+        # The components are a graph property, so any endo-kernel serves.
+        for k_exact, k_float in instances(6, endo=True):
+            e = fp.IdempotentKernel(k_exact if exact else k_float, validate=False)
+            expected = fp.Partition(invariant_blocks_union_find(e), e.space.size)
+            assert fp.invariant_partition(e) == expected
+
+    def test_invariant_partition_of_idempotents(self):
+        rng = rng_for(7)
+        for k_exact, k_float in instances(7, endo=True):
+            part = random_partition(rng, k_exact.domain.size)
+            e = fp.cond_exp_kernel(k_exact.domain, part)
+            e_float = fp.cond_exp_kernel(k_float.domain, part)
+            expected = fp.Partition(invariant_blocks_union_find(e), e.space.size)
+            assert fp.invariant_partition(e) == expected
+            assert fp.invariant_partition(e_float) == expected
+
+
+class TestSameVerdicts:
+    def test_kernel_verdicts_agree_across_modes(self):
+        rng = rng_for(8)
+        for k_exact, k_float in instances(8):
+            for k in (k_exact, k_float):
+                assert fp.as_equal_kernels(fp.canonicalize(k), k)
+                assert fp.as_equal_kernels(fp.bayes_inverse(fp.bayes_inverse(k)), k)
+            assert fp.is_as_deterministic(k_exact) == fp.is_as_deterministic(k_float)
+            h = parallel_sequence(rng, k_exact)[-1]
+            assert fp.as_equal_kernels(h, k_exact) == fp.as_equal_kernels(
+                to_float(h, k_float), k_float
+            )
+
+    def test_deterministic_kernels_agree_across_modes(self):
+        rng = rng_for(9)
+        for k_exact, k_float in instances(9):
+            space_exact, space_float = k_exact.domain, k_float.domain
+            part = random_partition(rng, space_exact.size)
+            _, pi, _ = fp.coarsening_kernel(space_exact, part)
+            _, pi_float, _ = fp.coarsening_kernel(space_float, part)
+            assert fp.is_as_deterministic(pi) and fp.is_as_deterministic(pi_float)
+            assert same_entries(pi_float.rows, pi.rows, exact=False)
+
+
+class TestKernelErrorWitness:
+    def test_non_finite_names_row_and_column(self):
+        u2 = fp.uniform_space(2)
+        with pytest.raises(fp.NonFiniteError, match="row 1, column 0 is nan"):
+            fp.Kernel([[0.5, 0.5], [math.nan, 1.0]], u2, u2)
+
+    @pytest.mark.parametrize("mode", [R, FL], ids=["rational", "float"])
+    def test_negative_entry_names_row_and_column(self, mode):
+        u3 = fp.uniform_space(3, mode)
+        rows = [[1, 0, 0], [F(1, 2), F(3, 4), F(-1, 4)], [F(-1, 2), F(3, 2), 0]]
+        if not mode.exact:
+            rows = [[float(v) for v in row] for row in rows]
+        with pytest.raises(fp.NegativeWeightError, match="row 1, column 2 is negative"):
+            fp.Kernel(rows, u3, u3)
+
+    @pytest.mark.parametrize("mode", [R, FL], ids=["rational", "float"])
+    def test_bad_row_sum_names_first_row(self, mode):
+        u3 = fp.uniform_space(3, mode)
+        rows = [[1, 0, 0], [F(1, 2), F(1, 4), 0], [F(1, 2), 0, 0]]
+        if not mode.exact:
+            rows = [[float(v) for v in row] for row in rows]
+        expected = "row 1 sums to 3/4" if mode.exact else "row 1 sums to 0.75"
+        with pytest.raises(fp.SumNotOneError, match=expected):
+            fp.Kernel(rows, u3, u3)

@@ -110,6 +110,11 @@ class TestCanonicalize:
         out = fp.canonicalize(k)
         assert list(out.rows[1]) == [F(1, 2), F(0), F(1, 2)]
 
+    def test_integer_array_in_float_mode(self):
+        space = fp.make_space([0.5, 0.0, 0.5])
+        out = fp.canonicalize(fp.Kernel(np.eye(3, dtype=int), space, space))
+        assert out.rows.tolist() == [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]
+
     def test_full_support_unchanged(self):
         assert fp.canonicalize(HALF) is HALF
 

@@ -229,7 +229,7 @@ class TestIdempotentLimits:
         stabilized = [fp.cond_exp_kernel(space, p).kernel for p in parts] + [
             fp.cond_exp_kernel(space, parts[-1]).kernel
         ] * 3
-        assert fp.limit_is_idempotent(stabilized, stabilized[-1])
+        assert fp.is_idempotent(stabilized[-1])
 
     def test_closed_order(self):
         # e_n <= f_n for all n, both stabilize: the limits stay ordered

@@ -74,6 +74,13 @@ class TestErrors:
         with pytest.raises(fp.ConfigParseError):
             serialize.loads("kernel\nmode rational\nrow 1\n")
 
+    def test_non_ascii_file_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "accent.txt"
+        path.write_bytes("rv\nmode rational\n# caf\u00e9\nweights 1\nvalues 1\n".encode())
+        message = r"accent\.txt: not ascii text: byte 0xc3 at offset 22"
+        with pytest.raises(fp.ConfigParseError, match=message):
+            serialize.load(path)
+
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nspace\nmode rational\nweights 1\n"
         assert serialize.loads(text).size == 1
