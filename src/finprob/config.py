@@ -40,15 +40,14 @@ EXPERIMENTS = tuple(_DEMO_OVERRIDES)
 _CAPS = {"levels": 16, "size": 1024, "count": 10_000, "horizon": 1024}
 
 # Tighter size caps, where memory or work grows faster than linearly in size:
-# size**3 floats (banach truncation maps, levi-hilbert bases), up to size
-# kernels of size**2 entries (levi-kernel), horizon kernels of size**2
-# entries (homeo-audit), Bell(size) idempotents compared pairwise (galois).
+# size**3 floats (levi-hilbert bases), up to size kernels of size**2 entries
+# (levi-kernel), horizon kernels of size**2 entries (homeo-audit), Bell(size)
+# idempotents compared pairwise (galois).
 _SIZE_CAPS = {
     "galois-audit": 8,
     "homeo-audit": 64,
     "levi-kernel": 192,
     "levi-hilbert": 256,
-    "banach-counterexample": 256,
 }
 
 _EXPERIMENT_KEYS = {"name", "seed", "mode", "tolerance", "horizon", "n", "output", "input"}

@@ -5,7 +5,8 @@ P1 <= P2 iff both products equal P1 iff the image subspaces are nested.
 Increasing chains converge pointwise to the projector of the closed span of
 the union, decreasing chains to the projector of the intersection; under the
 sup norm that pointwise convergence fails, which the truncation family
-demonstrates at finite size.
+demonstrates at finite size. A coordinate truncation is a diagonal map, so it
+is carried as its diagonal (a 0/1 mask), not as a dense matrix.
 
 Everything here runs in float64; exactness plays no role in this module.
 """
@@ -42,7 +43,10 @@ def _vec_norm(x: np.ndarray, kind: VectorNorm) -> float:
 
 
 def _operator_norm(m: np.ndarray, kind: VectorNorm) -> float:
-    """Induced operator norm for the three named vector norms."""
+    """Induced operator norm for the three named vector norms. A 1-d m is a
+    diagonal map, whose norm is max|d| under each of them."""
+    if m.ndim == 1 and kind in ("euclidean", "sup", "sum"):
+        return float(np.max(np.abs(m))) if m.size else 0.0
     if kind == "euclidean":
         return float(np.linalg.norm(m, 2))
     if kind == "sup":
@@ -266,16 +270,15 @@ def levi_down_demo(chain: Sequence[Subspace], probes: Sequence, tol: float = DEF
     return _levi_demo(chain, probes, chain_inf(chain), tol)
 
 
-def truncation_maps(n: int) -> list[np.ndarray]:
-    """Coordinate-killing maps of the sup-norm counterexample: step i zeroes
-    coordinate i. Composites zero a growing prefix; each step is 1-Lipschitz
-    for the sup norm (and for the euclidean norm)."""
-    out = []
-    for i in range(n):
-        m = np.eye(n)
-        m[i, i] = 0.0
-        out.append(m)
-    return out
+def truncation_maps(n: int) -> np.ndarray:
+    """Coordinate-killing maps of the sup-norm counterexample, as the
+    read-only (n, n) stack of their diagonals: row i is all ones except a 0
+    at position i, so step i zeroes coordinate i. Composites zero a growing
+    prefix; each step is 1-Lipschitz for the sup norm (and for the euclidean
+    norm)."""
+    masks = 1.0 - np.eye(n)
+    masks.setflags(write=False)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -327,6 +330,19 @@ def banach_counterexample(n: int, probe=None) -> TruncationReport:
     return TruncationReport(tuple(sup_norms), tuple(euc_norms), semi)
 
 
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The map m applied to the vector x; a 1-d m is a diagonal."""
+    return m @ x if m.ndim == 2 else m * x
+
+
+def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """outer o inner, each a matrix or a diagonal; two diagonals compose to a
+    diagonal."""
+    if outer.ndim == 1:
+        return outer * inner if inner.ndim == 1 else outer[:, None] * inner
+    return outer @ inner if inner.ndim == 2 else outer * inner
+
+
 def colimit_seminorm(
     maps: Sequence[np.ndarray],
     a,
@@ -336,28 +352,43 @@ def colimit_seminorm(
 ) -> float:
     """Final value of ||pi_m o ... o pi_start (a)|| along a 1-Lipschitz chain.
 
-    The per-step norms are nonincreasing, so at finite scale the limit is
-    the last value; independence from the starting index (restarting one
-    step later with the pushed-forward vector) is verified. Surjectivity of
+    Each map is a matrix or, when 1-d, the diagonal of a diagonal map (the
+    rows of `truncation_maps` are such masks). One pass checks each map's
+    operator norm, applies it, and checks that the norms never increase; at
+    finite scale the limit is then the last value. Independence from the
+    starting index is verified without recursion: walking back from the
+    end, the composite of the maps from index k on is applied to the vector
+    the pass held at k, and its norm must equal the value. Surjectivity of
     the chain maps onto their targets is the caller's obligation.
     """
     if start < 0 or start >= len(maps) + 1:
         raise NotAChainError(f"start index {start} outside the chain")
     maps = [np.asarray(m, dtype=np.float64) for m in maps[start:]]
-    for m in maps:
-        if _operator_norm(m, norm) > 1.0 + tol:
-            raise NotLipschitzError("chain map exceeds operator norm 1")
     x = np.asarray(a, dtype=np.float64)
+    xs = [x]
     value = _vec_norm(x, norm)
-    for m in maps:
-        x = m @ x
+    # The composite below rounds apart from the step-by-step pass by a few
+    # ulps of the starting norm, so its comparison is scaled by that norm.
+    slack = tol * max(1.0, value)
+    for k, m in enumerate(maps):
+        op = _operator_norm(m, norm)
+        if op > 1.0 + tol:
+            raise NotLipschitzError(f"chain map {start + k} has operator norm {op} > 1")
+        x = _apply(m, x)
         nxt = _vec_norm(x, norm)
         if nxt > value + tol:
-            raise NotLipschitzError("norms increased along the chain")
+            raise NotLipschitzError(
+                f"norm rose from {value} to {nxt} at chain map {start + k}"
+            )
         value = nxt
-    if maps:
-        y = maps[0] @ np.asarray(a, dtype=np.float64)
-        later = colimit_seminorm(maps[1:], y, 0, norm, tol)
-        if abs(later - value) > tol:
-            raise NotAChainError("seminorm depends on the starting index")
+        xs.append(x)
+    suffix = np.ones(len(x))  # the identity of the last space, as a diagonal
+    for k in range(len(maps) - 1, 0, -1):
+        suffix = _compose(suffix, maps[k])
+        later = _vec_norm(_apply(suffix, xs[k]), norm)
+        if abs(later - value) > slack:
+            raise NotAChainError(
+                f"seminorm depends on the starting index: {later} from index "
+                f"{start + k} against {value}"
+            )
     return value

@@ -8,6 +8,7 @@ representative of that class fixes each null row to the codomain weights.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,9 +28,19 @@ from .spaces import ProbSpace
 
 
 def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
-    """Read-only matrix in the mode's dtype, whatever the caller handed over."""
+    """Read-only matrix in the mode's dtype, whatever the caller handed over.
+
+    An array already in that dtype is taken as it is; in rational mode only
+    when every entry is a Fraction. Any other array goes the way of a list
+    through `as_matrix`, which converts ints and integral floats and refuses
+    the rest.
+    """
     if isinstance(rows, np.ndarray):
-        if rows.ndim == 2 and rows.dtype == (object if mode.exact else np.float64):
+        if mode.exact:
+            as_is = rows.dtype == object and set(map(type, rows.flat)) <= {Fraction}
+        else:
+            as_is = rows.dtype == np.float64
+        if rows.ndim == 2 and as_is:
             m = rows.copy()
             m.setflags(write=False)
             return m

@@ -10,6 +10,8 @@ from math import lcm
 
 import numpy as np
 
+from finprob.errors import NotAChainError, NotLipschitzError
+
 
 def subsets(universe):
     items = list(universe)
@@ -322,3 +324,57 @@ def invariant_blocks_union_find(e):
         groups.setdefault(find(x), []).append(x)
     null = [[x] for x in range(space.size) if x not in space.support]
     return list(groups.values()) + null
+
+
+def truncation_maps_dense(n):
+    """The truncation chain as n dense n x n matrices: the identity with
+    diagonal entry i zeroed in matrix i."""
+    out = []
+    for i in range(n):
+        m = np.eye(n)
+        m[i, i] = 0.0
+        out.append(m)
+    return out
+
+
+def _named_norm(x, kind):
+    if kind == "euclidean":
+        return float(np.linalg.norm(x))
+    if kind == "sup":
+        return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.sum(np.abs(x)))
+
+
+def _named_operator_norm(m, kind):
+    if kind == "euclidean":
+        return float(np.linalg.norm(m, 2))
+    if kind == "sup":
+        return float(np.max(np.sum(np.abs(m), axis=1))) if m.size else 0.0
+    return float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
+
+
+def colimit_seminorm_recursive(maps, a, start=0, norm="euclidean", tol=1e-8):
+    """The colimit seminorm by definition, on dense matrices: check every
+    remaining map's operator norm, run the chain with nonincreasing norms,
+    then restart one step later from the pushed-forward vector and require
+    the same value, recursing once per starting index."""
+    if start < 0 or start >= len(maps) + 1:
+        raise NotAChainError(f"start index {start} outside the chain")
+    maps = [np.asarray(m, dtype=np.float64) for m in maps[start:]]
+    for m in maps:
+        if _named_operator_norm(m, norm) > 1.0 + tol:
+            raise NotLipschitzError("chain map exceeds operator norm 1")
+    x = np.asarray(a, dtype=np.float64)
+    value = _named_norm(x, norm)
+    for m in maps:
+        x = m @ x
+        nxt = _named_norm(x, norm)
+        if nxt > value + tol:
+            raise NotLipschitzError("norms increased along the chain")
+        value = nxt
+    if maps:
+        y = maps[0] @ np.asarray(a, dtype=np.float64)
+        later = colimit_seminorm_recursive(maps[1:], y, 0, norm, tol)
+        if abs(later - value) > tol:
+            raise NotAChainError("seminorm depends on the starting index")
+    return value

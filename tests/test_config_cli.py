@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -125,6 +126,13 @@ class TestCostCaps:
     )
     def test_largest_benchmark_sizes_accepted(self, name, sizes):
         assert validate_config(ExperimentConfig(experiment=name, **sizes)) == []
+
+    def test_banach_at_the_global_size_cap(self, tmp_path):
+        cfg = ExperimentConfig(experiment="banach-counterexample", size=1024, mode=fp.float_mode())
+        started = time.perf_counter()
+        code, _, verdict = run(cfg, outdir=str(tmp_path))
+        assert time.perf_counter() - started < 2.0
+        assert (code, verdict) == (0, "STABILIZED")
 
 
 class TestOutputResolution:

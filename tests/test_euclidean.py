@@ -1,11 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import finprob as fp
 
-from .oracles import closest_point_sampled
+from .oracles import closest_point_sampled, colimit_seminorm_recursive, truncation_maps_dense
 
 
 def axes(*idx, dim=3):
@@ -283,3 +284,72 @@ class TestColimitSeminorm:
             nca = fp.colimit_seminorm(maps, c * a, norm="sup")
             assert nab <= na + nb + 1e-12
             assert abs(nca - abs(c) * na) < 1e-12
+
+    def test_masks_are_read_only_rows(self):
+        masks = fp.truncation_maps(4)
+        assert masks.shape == (4, 4) and not masks.flags.writeable
+        assert masks.tolist() == [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+
+    def test_long_chain_has_no_recursion_limit(self):
+        # the chain is longer than the interpreter's recursion limit; diagonal
+        # and dense maps alternate in it
+        rot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        maps = [np.array([1.0, 1.0, 0.5]) if i % 2 else rot for i in range(1100)]
+        x = np.array([1.0, 2.0, 3.0])
+        expected = x.copy()
+        for m in maps:
+            expected = m @ expected if m.ndim == 2 else m * expected
+        started = time.perf_counter()
+        value = fp.colimit_seminorm(maps, x, norm="sup")
+        assert time.perf_counter() - started < 0.5
+        assert value == float(np.max(np.abs(expected))) == 2.0
+
+    def test_mixed_chain_matches_dense_form(self):
+        p1 = fp.orthogonal_projector(axes(1, 2)).matrix
+        maps = [np.array([1.0, -0.5, 1.0]), p1, np.array([0.25, 1.0, 1.0])]
+        dense = [np.diag(m) if m.ndim == 1 else m for m in maps]
+        for norm in ("sup", "euclidean", "sum"):
+            value = fp.colimit_seminorm(maps, [3.0, -2.0, 1.0], norm=norm)
+            assert value == colimit_seminorm_recursive(dense, [3.0, -2.0, 1.0], norm=norm)
+
+    def test_broken_composite_is_reported(self, monkeypatch):
+        # the start-index check is the only route through the composites, so
+        # a composite that drops its outer factor must surface there
+        monkeypatch.setattr(fp.euclidean, "_compose", lambda outer, inner: inner)
+        with pytest.raises(fp.NotAChainError, match="starting index"):
+            fp.colimit_seminorm(fp.truncation_maps(6)[:5], np.ones(6))
+
+
+class TestColimitSeminormOracle:
+    """Masks and the single pass against dense matrices and the recursion."""
+
+    @staticmethod
+    def outcome(seminorm, maps, probe, start, norm):
+        try:
+            return seminorm(maps, probe, start=start, norm=norm)
+        except fp.NotLipschitzError:
+            return "NotLipschitzError"
+
+    @pytest.mark.parametrize("norm", ["sup", "euclidean", "sum"])
+    def test_equals_recursive_definition(self, norm):
+        rng = np.random.default_rng(2024)
+        raised = 0
+        for n in range(2, 33):
+            masks = fp.truncation_maps(n)
+            diagonals = rng.uniform(-1.0, 1.0, size=(n, n))
+            diagonals /= np.abs(diagonals).max(axis=1, keepdims=True)
+            if n % 2:
+                diagonals[rng.integers(n)] *= 1.01
+            chains = [
+                (masks, truncation_maps_dense(n)),
+                (masks[: n - 1], truncation_maps_dense(n)[: n - 1]),
+                (diagonals, [np.diag(d) for d in diagonals]),
+            ]
+            for diag, dense in chains:
+                probe = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+                start = int(rng.integers(len(dense) + 1))
+                got = self.outcome(fp.colimit_seminorm, diag, probe, start, norm)
+                want = self.outcome(colimit_seminorm_recursive, dense, probe, start, norm)
+                assert got == want, (n, start)
+                raised += want == "NotLipschitzError"
+        assert 0 < raised < 31

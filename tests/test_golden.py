@@ -1,10 +1,13 @@
-"""Golden rational outputs: the exact bytes of rational-mode CSVs.
+"""Golden outputs: the exact bytes of rational-mode CSVs and of the float
+banach-counterexample CSVs.
 
 Rerun determinism (criterion 13) cannot tell a changed number from an
-unchanged one; these files pin the bytes themselves. They were written by
-the Fraction-per-element implementation that preceded the integer-numerator
-representation, so any change of arithmetic that moves a single rational
-shows up here. The serialized inputs are rebuilt from closed formulas.
+unchanged one; these files pin the bytes themselves. The rational files were
+written by the Fraction-per-element implementation that preceded the
+integer-numerator representation, so any change of arithmetic that moves a
+single rational shows up here. The serialized inputs are rebuilt from closed
+formulas. The banach files were written when the truncation chain was n dense
+matrices and its seminorm a recursion over start indices.
 """
 
 import math
@@ -68,12 +71,29 @@ CASES = {
 }
 
 
-def produce(name: str, tmp_path: Path) -> bytes:
-    cfg = replace(CASES[name](tmp_path), output=f"{name}.csv")
-    _, path, _ = run(cfg, outdir=str(tmp_path))
+BANACH_CASES = {
+    "banach-counterexample-demo": demo_config("banach-counterexample"),
+    "banach-counterexample-160": ExperimentConfig(
+        experiment="banach-counterexample", size=160, mode=fp.float_mode()
+    ),
+    "banach-counterexample-256": ExperimentConfig(
+        experiment="banach-counterexample", size=256, mode=fp.float_mode()
+    ),
+}
+
+
+def produce(cfg: ExperimentConfig, name: str, tmp_path: Path) -> bytes:
+    _, path, _ = run(replace(cfg, output=f"{name}.csv"), outdir=str(tmp_path))
     return path.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rational_csv_matches_golden(name, tmp_path):
-    assert produce(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+    cfg = CASES[name](tmp_path)
+    assert produce(cfg, name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(BANACH_CASES))
+def test_banach_csv_matches_golden(name, tmp_path):
+    produced = produce(BANACH_CASES[name], name, tmp_path)
+    assert produced == (GOLDEN / f"{name}.csv").read_bytes()

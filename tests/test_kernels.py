@@ -24,6 +24,18 @@ class TestConstruction:
         with pytest.raises(fp.NegativeWeightError):
             fp.Kernel([[F(3, 2), F(-1, 2)], [0, 1]], U2, U2)
 
+    def test_float_entries_in_object_array_refused(self):
+        rows = np.array([[0.5, 0.5]], dtype=object)
+        with pytest.raises(fp.FinprobError, match="non-integral float 0.5"):
+            fp.Kernel(rows, fp.point_space(R), U2)
+
+    def test_object_array_converted_like_a_list(self):
+        rows = [[1, 0.0]]
+        from_list = fp.Kernel(rows, fp.point_space(R), U2).rows
+        from_array = fp.Kernel(np.array(rows, dtype=object), fp.point_space(R), U2).rows
+        assert [type(v) for v in from_array.flat] == [F, F]
+        assert from_array.tolist() == from_list.tolist()
+
     def test_mode_mismatch(self):
         with pytest.raises(fp.SpaceMismatchError):
             fp.Kernel([[1.0, 0.0]], fp.uniform_space(1), U2)
