@@ -1,5 +1,5 @@
-"""Golden outputs: the exact bytes of rational-mode CSVs and of the float
-banach-counterexample CSVs.
+"""Golden outputs: the exact bytes of rational-mode CSVs, of the float
+banach-counterexample CSVs and of the homeo-audit CSVs.
 
 Rerun determinism (criterion 13) cannot tell a changed number from an
 unchanged one; these files pin the bytes themselves. The rational files were
@@ -7,7 +7,9 @@ written by the Fraction-per-element implementation that preceded the
 integer-numerator representation, so any change of arithmetic that moves a
 single rational shows up here. The serialized inputs are rebuilt from closed
 formulas. The banach files were written when the truncation chain was n dense
-matrices and its seminorm a recursion over start indices.
+matrices and its seminorm a recursion over start indices. The homeo-audit
+files were written when every kernel of a sequence was built, validated and
+measured one step at a time.
 """
 
 import math
@@ -82,6 +84,15 @@ BANACH_CASES = {
 }
 
 
+HOMEO_CASES = {
+    "homeo-audit-demo": demo_config("homeo-audit"),
+    "homeo-audit-bench": ExperimentConfig(
+        experiment="homeo-audit", size=4, count=200, horizon=40, seed=1, mode=fp.float_mode()
+    ),
+    "homeo-audit-rational": replace(demo_config("homeo-audit"), mode=fp.rational_mode()),
+}
+
+
 def produce(cfg: ExperimentConfig, name: str, tmp_path: Path) -> bytes:
     _, path, _ = run(replace(cfg, output=f"{name}.csv"), outdir=str(tmp_path))
     return path.read_bytes()
@@ -96,4 +107,10 @@ def test_rational_csv_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(BANACH_CASES))
 def test_banach_csv_matches_golden(name, tmp_path):
     produced = produce(BANACH_CASES[name], name, tmp_path)
+    assert produced == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HOMEO_CASES))
+def test_homeo_csv_matches_golden(name, tmp_path):
+    produced = produce(HOMEO_CASES[name], name, tmp_path)
     assert produced == (GOLDEN / f"{name}.csv").read_bytes()
