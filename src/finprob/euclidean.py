@@ -367,8 +367,8 @@ def colimit_seminorm(
     x = np.asarray(a, dtype=np.float64)
     xs = [x]
     value = _vec_norm(x, norm)
-    # The composite below rounds apart from the step-by-step pass by a few
-    # ulps of the starting norm, so its comparison is scaled by that norm.
+    # Applying a map, and the composite below, round by a few ulps of the
+    # starting norm, so both comparisons are scaled by that norm.
     slack = tol * max(1.0, value)
     for k, m in enumerate(maps):
         op = _operator_norm(m, norm)
@@ -376,7 +376,7 @@ def colimit_seminorm(
             raise NotLipschitzError(f"chain map {start + k} has operator norm {op} > 1")
         x = _apply(m, x)
         nxt = _vec_norm(x, norm)
-        if nxt > value + tol:
+        if nxt > value + slack:
             raise NotLipschitzError(
                 f"norm rose from {value} to {nxt} at chain map {start + k}"
             )

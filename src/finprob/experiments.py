@@ -22,7 +22,7 @@ from .errors import ConfigError, FinprobError
 from .numerics import rational_mode
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
-from .kernels import Kernel
+from .kernels import Kernel, kernel_sequence
 from .martingales import (
     DECREASING,
     Filtration,
@@ -33,7 +33,7 @@ from .martingales import (
     martingale_from_terminal,
     nonintegrable_example,
 )
-from .metrics import check_convergence, operator_pointwise_distances, report_from_distances
+from .metrics import homeomorphism_reports
 from .spaces import RandomVar
 from .sampling import (
     random_coarsening_chain,
@@ -293,17 +293,11 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _slide(k: Kernel, a) -> Kernel:
-    """Convex mix (1 - a) k + a i of k with the independent kernel i, whose
-    every row is the codomain weights."""
-    return Kernel((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
-
-
-def _interpolation_sequence(k: Kernel, horizon: int) -> list[Kernel]:
-    """Geometric convex slide towards k from the independent kernel with the
-    same marginals; distances halve each step."""
-    one = k.mode.one()
-    return [_slide(k, one / 2**i if k.mode.exact else 0.5**i) for i in range(horizon)]
+def _slide_sequence(k: Kernel, a: list) -> list[Kernel]:
+    """Convex mixes (1 - a[t]) k + a[t] i of k with the independent kernel i,
+    whose every row is the codomain weights, built and validated as one stack."""
+    a = np.array(a, dtype=object if k.mode.exact else np.float64)[:, None, None]
+    return kernel_sequence((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
@@ -314,16 +308,12 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
     for idx in range(cfg.count):
         k = random_mp_kernel(rng, cfg.size, cfg.size, cfg.mode)
         oscillate = idx % 5 == 4
-        if oscillate:
-            other = _slide(k, cfg.mode.one())
-            seq = [other if i % 2 else k for i in range(cfg.horizon)]
-            seq[-1] = other  # end off the limit so the verdict is clean
-        else:
-            seq = _interpolation_sequence(k, cfg.horizon)
-        metric = check_convergence(seq, k, "one-sided")
-        for n in norms:
-            distances = operator_pointwise_distances(seq, k, n)
-            operator = report_from_distances(distances, metric.tolerance)
+        if oscillate:  # k and the independent kernel in turn, ending off k for a clean verdict
+            a = [int(i % 2 or i == cfg.horizon - 1) for i in range(cfg.horizon)]
+        else:  # a geometric slide towards k: distances halve each step
+            a = [Fraction(1, 2**i) if cfg.mode.exact else 0.5**i for i in range(cfg.horizon)]
+        metric, operators = homeomorphism_reports(_slide_sequence(k, a), k, norms)
+        for n, operator in zip(norms, operators):
             agree = metric.converged == operator.converged
             rows.append(
                 (

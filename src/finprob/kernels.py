@@ -8,7 +8,6 @@ representative of that class fixes each null row to the codomain weights.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,25 +21,17 @@ from .errors import (
     SpaceMismatchError,
     SumNotOneError,
 )
-from .numerics import NumericMode, as_matrix, block_sums, mat_mul
+from .numerics import NumericMode, _in_mode_dtype, as_matrix, block_sums, mat_mul
 from .partitions import Partition
 from .spaces import ProbSpace
 
 
 def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
-    """Read-only matrix in the mode's dtype, whatever the caller handed over.
-
-    An array already in that dtype is taken as it is; in rational mode only
-    when every entry is a Fraction. Any other array goes the way of a list
-    through `as_matrix`, which converts ints and integral floats and refuses
-    the rest.
-    """
+    """Read-only array in the mode's dtype: an array that already holds the
+    mode's numbers as it is, anything else like a list through `as_matrix`,
+    which converts ints and integral floats and refuses the rest."""
     if isinstance(rows, np.ndarray):
-        if mode.exact:
-            as_is = rows.dtype == object and set(map(type, rows.flat)) <= {Fraction}
-        else:
-            as_is = rows.dtype == np.float64
-        if rows.ndim == 2 and as_is:
+        if _in_mode_dtype(rows, mode):
             m = rows.copy()
             m.setflags(write=False)
             return m
@@ -53,37 +44,53 @@ def _first(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
+def _at(index: tuple, names=("row", "column")) -> str:
+    """"step t, row x, column y": axes before the named ones are steps of a stack."""
+    return ", ".join(map("{} {}".format, ("step",) * (len(index) - len(names)) + names, index))
+
+
+def _table(rows, domain: ProbSpace, codomain: ProbSpace, what: str, lead: tuple = ()) -> np.ndarray:
+    """Frozen array of a kernel or coupling, or of a stack of them along the `lead` axes, with
+    every entry finite and nonnegative; an error names the first offending step, row and column."""
+    if domain.mode != codomain.mode:
+        raise SpaceMismatchError("domain and codomain use different numeric modes")
+    m = _freeze_matrix(rows, domain.mode)
+    if m.shape != lead + (domain.size, codomain.size):
+        raise SizeMismatchError(f"{what} shape {m.shape} for spaces {domain.size} -> {codomain.size}")
+    if not domain.mode.exact and not np.isfinite(m).all():
+        at = _first(~np.isfinite(m))
+        raise NonFiniteError(f"{what} entry at {_at(at)} is {m[at]}")
+    negative = m < 0
+    if negative.any():
+        at = _first(negative)
+        raise NegativeWeightError(f"{what} entry at {_at(at)} is negative: {m[at]}")
+    return m
+
+
+def _kernel_rows(rows, domain: ProbSpace, codomain: ProbSpace, lead: tuple = ()) -> np.ndarray:
+    """`_table` for kernels: each row must also sum to one."""
+    m = _table(rows, domain, codomain, "kernel", lead)
+    totals = m.sum(axis=-1)
+    bad = ~domain.mode.close_mask(totals, domain.mode.one())
+    if bad.any():
+        at = _first(bad)
+        raise SumNotOneError(f"{_at(at, ('row',))} sums to {totals[at]}")
+    return m
+
+
 class Kernel:
     """Row-stochastic matrix from a domain space to a codomain space."""
 
     __slots__ = ("rows", "domain", "codomain")
 
     def __init__(self, rows: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
-        if domain.mode != codomain.mode:
-            raise SpaceMismatchError("domain and codomain use different numeric modes")
-        mode = domain.mode
-        m = _freeze_matrix(rows, mode)
-        if m.shape != (domain.size, codomain.size):
-            raise SizeMismatchError(
-                f"kernel shape {m.shape} for spaces {domain.size} -> {codomain.size}"
-            )
-        if not mode.exact and not np.isfinite(m).all():
-            x, y = _first(~np.isfinite(m))
-            raise NonFiniteError(f"kernel entry at row {x}, column {y} is {m[x, y]}")
-        negative = m < 0
-        if negative.any():
-            x, y = _first(negative)
-            raise NegativeWeightError(
-                f"kernel entry at row {x}, column {y} is negative: {m[x, y]}"
-            )
-        totals = m.sum(axis=1)
-        bad = ~mode.close_mask(totals, mode.one())
-        if bad.any():
-            (x,) = _first(bad)
-            raise SumNotOneError(f"row {x} sums to {totals[x]}")
-        object.__setattr__(self, "rows", m)
+        self._bind(_kernel_rows(rows, domain, codomain), domain, codomain)
+
+    def _bind(self, rows: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Kernel is immutable")
@@ -97,6 +104,13 @@ class Kernel:
 
     def __repr__(self):
         return f"Kernel({self.domain.size}->{self.codomain.size}, mode={self.mode.kind})"
+
+
+def kernel_sequence(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
+    """Kernels from a (T, n, m) array of row matrices in the mode's numbers,
+    checked in one pass; kernel t holds slice t of one frozen copy."""
+    stack = _kernel_rows(stack, domain, codomain, (len(stack),))
+    return [object.__new__(Kernel)._bind(rows, domain, codomain) for rows in stack]
 
 
 def identity_kernel(space: ProbSpace) -> Kernel:
@@ -234,18 +248,8 @@ class Coupling:
     __slots__ = ("table", "domain", "codomain")
 
     def __init__(self, table: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
-        if domain.mode != codomain.mode:
-            raise SpaceMismatchError("domain and codomain use different numeric modes")
+        t = _table(table, domain, codomain, "coupling")
         mode = domain.mode
-        t = _freeze_matrix(table, mode)
-        if t.shape != (domain.size, codomain.size):
-            raise SizeMismatchError(f"coupling shape {t.shape}")
-        negative = t < 0
-        if negative.any():
-            x, y = _first(negative)
-            raise NegativeWeightError(
-                f"coupling entry at row {x}, column {y} is negative: {t[x, y]}"
-            )
         if not mode.all_close(t.sum(axis=1), domain.weights):
             raise NotMeasurePreservingError("row marginals differ from p")
         if not mode.all_close(t.sum(axis=0), codomain.weights):

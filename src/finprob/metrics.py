@@ -15,25 +15,35 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
-from .kernels import Kernel, bayes_inverse, compose, is_measure_preserving
+from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measure_preserving
 from .numerics import check_norm_index, is_infinite, nth_root
+
+
+def _stacked_difference(seq: Sequence[Kernel], limit: Kernel) -> np.ndarray:
+    """(T, n, m) stack of each kernel's rows minus the limit's rows."""
+    for k in seq:
+        _require_parallel(k, limit)
+    rows = np.array([k.rows for k in seq], dtype=limit.rows.dtype)
+    return rows.reshape((-1,) + limit.rows.shape) - limit.rows
+
+
+def _weighted_l1(diff: np.ndarray, domain) -> np.ndarray:
+    """Per step, sum_x p(x) sum_y |diff[t, x, y]| over the supported x."""
+    live = domain.live_index()
+    return abs(diff[:, live]).sum(axis=2) @ domain.weights[live]
 
 
 def one_sided_distance(k: Kernel, h: Kernel):
     """sum_x p(x) sum_y |k(y|x) - h(y|x)|: a pseudometric on kernels, zero
     exactly on a.s.-equal pairs."""
-    if not (k.domain.same_as(h.domain) and k.codomain.same_as(h.codomain)):
-        raise SpaceMismatchError("kernels have different domain or codomain")
-    live = k.domain.live_index()
-    return k.domain.weights[live] @ abs(k.rows[live] - h.rows[live]).sum(axis=1)
+    return _weighted_l1(_stacked_difference([k], h), k.domain)[0]
 
 
 def two_sided_distance(k: Kernel, h: Kernel):
     """One-sided distance of the kernels plus one-sided distance of their
     Bayesian inverses; both kernels must be measure-preserving onto the same
     codomain measure so that the inverses are parallel."""
-    if not (k.domain.same_as(h.domain) and k.codomain.same_as(h.codomain)):
-        raise SpaceMismatchError("kernels have different domain or codomain")
+    _require_parallel(k, h)
     if not (is_measure_preserving(k) and is_measure_preserving(h)):
         raise NotMeasurePreservingError("two-sided distance needs measure-preserving kernels")
     return one_sided_distance(k, h) + one_sided_distance(bayes_inverse(k), bayes_inverse(h))
@@ -88,6 +98,10 @@ def report_from_distances(
     return report_from_flags(distances, [d <= tolerance for d in distances], tolerance, horizon)
 
 
+def _tol(limit: Kernel, tol):  # the default is the mode's, 0 in rational mode
+    return tol if tol is not None else (0 if limit.mode.exact else limit.mode.tolerance)
+
+
 def check_convergence(
     seq: Sequence[Kernel],
     limit: Kernel,
@@ -102,13 +116,13 @@ def check_convergence(
     """
     if metric not in ("one-sided", "two-sided"):
         raise FinprobError(f"unknown metric {metric!r}")
-    dist = one_sided_distance if metric == "one-sided" else two_sided_distance
     if horizon is not None:
         seq = seq[:horizon]
-    distances = [dist(k, limit) for k in seq]
-    if tol is None:
-        tol = limit.mode.tolerance if not limit.mode.exact else 0
-    return report_from_distances(distances, tol, horizon or len(distances))
+    if metric == "one-sided":
+        distances = _weighted_l1(_stacked_difference(seq, limit), limit.domain)
+    else:
+        distances = [two_sided_distance(k, limit) for k in seq]
+    return report_from_distances(distances, _tol(limit, tol), horizon or len(distances))
 
 
 def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
@@ -119,42 +133,54 @@ def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
     return np.eye(size, dtype=bool)
 
 
-def operator_pointwise_distances(
-    seq: Sequence[Kernel], limit: Kernel, n=1
-) -> list:
-    """Per-step worst-case L^n distance of the pullbacks over indicator RVs.
-
-    All indicators are pulled back at once, as the columns of a 0/1 matrix
-    in the mode's number type. The n-th root is monotone, so the worst
-    distance is the root of the largest weighted total.
+def _pullback_distances(diff: np.ndarray, limit: Kernel, norms: Sequence) -> list:
+    """Per norm index, the per-step worst-case L^n distance of the pullbacks
+    over indicator RVs, pulled back at once as the columns of a 0/1 matrix in
+    the mode's number type; every norm reads the same product. The n-th root
+    is monotone, so the worst distance is the root of the largest weighted total.
     """
-    check_norm_index(n)
+    for n in norms:
+        check_norm_index(n)
     mode = limit.mode
     masks = np.where(_indicator_columns(limit.codomain.size), mode.one(), mode.zero())
     live = limit.domain.live_index()
     p = limit.domain.weights
-    out = []
-    for k in seq:
-        pulled = abs((k.rows - limit.rows) @ masks)
-        if is_infinite(n):
-            out.append(pulled[live].max())
-        else:  # null rows carry weight zero
-            out.append(nth_root((p @ pulled ** int(n)).max(), int(n), mode))
+    out = [[] for _ in norms]
+    block = max(1, (1 << 16) // (diff.shape[1] * masks.shape[1]))  # bounds the pulled values held
+    for start in range(0, len(diff), block):
+        pulled = abs(diff[start : start + block] @ masks)
+        for distances, n in zip(out, norms):
+            if is_infinite(n):
+                distances.extend(pulled[:, live].max(axis=(1, 2)))
+            elif mode.exact:  # null rows carry weight zero
+                distances.extend(nth_root(t, int(n), mode) for t in (p @ pulled ** int(n)).max(axis=1))
+            else:
+                distances.extend((p @ pulled ** int(n)).max(axis=1) ** (1.0 / int(n)))
     return out
 
 
-def homeomorphism_check(seq: Sequence[Kernel], limit: Kernel, n=1, tol=None) -> bool:
-    """Agreement of the two convergence notions: the kernel metric goes to
-    zero iff the pullback operators converge pointwise on indicator RVs.
+def operator_pointwise_distances(seq: Sequence[Kernel], limit: Kernel, n=1) -> list:
+    """Per-step worst-case L^n distance of the pullbacks over indicator RVs."""
+    (distances,) = _pullback_distances(_stacked_difference(seq, limit), limit, (n,))
+    return distances
 
-    Returns True when both verdicts agree (both converge or both fail).
-    """
-    metric_report = check_convergence(seq, limit, "one-sided", tol=tol)
-    distances = operator_pointwise_distances(seq, limit, n)
-    if tol is None:
-        tol = limit.mode.tolerance if not limit.mode.exact else 0
-    operator_report = report_from_distances(distances, tol)
-    return metric_report.converged == operator_report.converged
+
+def homeomorphism_reports(seq: Sequence[Kernel], limit: Kernel, norms=(1,), tol=None) -> tuple:
+    """The one-sided metric report and one operator report per norm index,
+    from one stacked difference and one shared pullback product. The two
+    notions of convergence agree when the verdicts do."""
+    tol = _tol(limit, tol)
+    diff = _stacked_difference(seq, limit)
+    metric = report_from_distances(_weighted_l1(diff, limit.domain), tol)
+    distances = _pullback_distances(diff, limit, norms)
+    return metric, tuple(report_from_distances(d, tol) for d in distances)
+
+
+def homeomorphism_check(seq: Sequence[Kernel], limit: Kernel, n=1, tol=None) -> bool:
+    """True when the metric and operator verdicts agree (both converge or
+    both fail) for norm index n."""
+    metric, (operator,) = homeomorphism_reports(seq, limit, (n,), tol)
+    return metric.converged == operator.converged
 
 
 def composition_continuity_probe(

@@ -115,17 +115,23 @@ def as_number(x, mode: NumericMode) -> Number:
     return float(x)
 
 
+def _in_mode_dtype(arr: np.ndarray, mode: NumericMode) -> bool:
+    """float64, or in rational mode an object array of Fractions only."""
+    if mode.exact:
+        return arr.dtype == object and set(map(type, arr.flat)) <= {Fraction}
+    return arr.dtype == np.float64
+
+
 def as_vector(values: Iterable, mode: NumericMode) -> np.ndarray:
     """Read-only 1-d array in the mode's dtype.
 
-    Arrays that already carry the right dtype (results of internal
-    arithmetic) are frozen without per-element coercion.
+    Arrays that already hold the mode's numbers (results of internal
+    arithmetic) are frozen as they are; any other goes like a list.
     """
-    if isinstance(values, np.ndarray) and values.ndim == 1:
-        if (values.dtype == object) == mode.exact:
-            arr = values.copy()
-            arr.setflags(write=False)
-            return arr
+    if isinstance(values, np.ndarray) and values.ndim == 1 and _in_mode_dtype(values, mode):
+        arr = values.copy()
+        arr.setflags(write=False)
+        return arr
     data = [as_number(v, mode) for v in values]
     if mode.exact:
         arr = np.empty(len(data), dtype=object)

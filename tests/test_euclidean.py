@@ -272,6 +272,17 @@ class TestColimitSeminorm:
         with pytest.raises(fp.NotLipschitzError):
             fp.colimit_seminorm([2.0 * np.eye(2)], [1.0, 0.0])
 
+    def test_orthogonal_chain_at_large_norm(self):
+        # at a norm near 3e12 one rounding step exceeds the absolute
+        # tolerance; a norm-preserving chain must pass at every seed
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+            x = rng.standard_normal(8)
+            x *= 3e12 / np.linalg.norm(x)
+            value = fp.colimit_seminorm([q, q.T, q, q.T], x)
+            assert abs(value - 3e12) <= 1e-12 * 3e12
+
     def test_seminorm_laws(self):
         rng = np.random.default_rng(5)
         maps = fp.truncation_maps(5)[:3]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import finprob as fp
+from finprob.experiments import _slide_sequence
 from finprob.sampling import random_partition, rng_for
 
 from .oracles import (
@@ -140,6 +141,29 @@ class TestAgainstDefinition:
                 got = fp.one_sided_distance(h_float, k_float)
                 assert abs(got - one_sided_distance_by_definition(h_float, k_float)) <= DISTANCE_TOL
                 assert (got == 0) == (expected == 0)
+
+    def test_check_convergence_step_by_step(self):
+        # the one-sided distances of a whole sequence come from one stacked
+        # difference; each step must still match the pair definition
+        rng = rng_for(8)
+        for k_exact, k_float in instances(8):
+            seq = parallel_sequence(rng, k_exact)
+            got = fp.check_convergence(seq, k_exact).step_distances
+            assert list(got) == [one_sided_distance_by_definition(h, k_exact) for h in seq]
+            seq_float = [to_float(h, k_float) for h in seq]
+            got_float = fp.check_convergence(seq_float, k_float).step_distances
+            expected = [one_sided_distance_by_definition(h, k_float) for h in seq_float]
+            assert np.abs(np.subtract(got_float, expected)).max() <= DISTANCE_TOL
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_slide_sequence_rows(self, exact):
+        # the stacked builder performs the pair form's operations per entry
+        for k_exact, k_float in instances(9):
+            k = k_exact if exact else k_float
+            one, zero = k.mode.one(), k.mode.zero()
+            a = [one / 2**i if exact else 0.5**i for i in range(6)] + [one, zero]
+            for step, t in zip(_slide_sequence(k, a), a):
+                assert same_entries(step.rows, (1 - t) * k.rows + t * k.codomain.weights, exact)
 
     @pytest.mark.parametrize("n", [1, 2, 3, math.inf])
     def test_operator_pointwise_distances(self, n):

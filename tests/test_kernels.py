@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -39,6 +40,45 @@ class TestConstruction:
     def test_mode_mismatch(self):
         with pytest.raises(fp.SpaceMismatchError):
             fp.Kernel([[1.0, 0.0]], fp.uniform_space(1), U2)
+
+
+class TestKernelSequence:
+    SPACE = fp.uniform_space(2)
+
+    def stack(self, step=None, entry=None, value=None):
+        rows = np.array([[[0.5, 0.5], [0.25, 0.75]]] * 4)
+        if step is not None:
+            rows[step][entry] = value
+        return rows
+
+    def test_slices_match_single_kernels(self):
+        seq = fp.kernel_sequence(self.stack(), self.SPACE, self.SPACE)
+        assert len(seq) == 4
+        for k in seq:
+            assert not k.rows.flags.writeable
+            assert k.rows.tolist() == fp.Kernel(k.rows, self.SPACE, self.SPACE).rows.tolist()
+
+    def test_rational_stack(self):
+        rows = np.array([[[F(1), F(0)], [F(1, 2), F(1, 2)]]] * 3, dtype=object)
+        seq = fp.kernel_sequence(rows, U2, Q34)
+        assert all(fp.as_equal_kernels(k, HALF) for k in seq)
+        assert [type(v) for v in seq[0].rows.flat] == [F] * 4
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (math.nan, fp.NonFiniteError, "step 2, row 1, column 0 is nan"),
+            (-0.25, fp.NegativeWeightError, "step 2, row 1, column 0 is negative"),
+            (0.5, fp.SumNotOneError, "step 2, row 1 sums to 1.25"),
+        ],
+    )
+    def test_bad_step_is_named(self, value, error, message):
+        with pytest.raises(error, match=message):
+            fp.kernel_sequence(self.stack(2, (1, 0), value), self.SPACE, self.SPACE)
+
+    def test_shape_checked(self):
+        with pytest.raises(fp.SizeMismatchError):
+            fp.kernel_sequence(self.stack()[:, :1], self.SPACE, self.SPACE)
 
 
 class TestCompose:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,6 +133,20 @@ class TestNonFinite:
         space = fp.uniform_space(2)
         with pytest.raises(fp.NonFiniteError, match="row 0, column 1"):
             fp.Kernel([[1.0, bad], [0.0, 1.0]], space, space)
+
+
+class TestAsVector:
+    def test_float_entries_in_object_array_refused(self):
+        # such an array used to be kept as it was, then fail on `.numerator`
+        values = np.array([0.5, 0.25], dtype=object)
+        with pytest.raises(fp.FinprobError, match="non-integral float 0.5"):
+            fp.RandomVar(values, fp.uniform_space(2, R))
+
+    def test_object_array_converted_like_a_list(self):
+        values = [F(1, 2), 1, 2.0]
+        from_array = fp.RandomVar(np.array(values, dtype=object), fp.uniform_space(3, R))
+        assert [type(v) for v in from_array.values] == [F, F, F]
+        assert list(from_array.values) == list(fp.RandomVar(values, fp.uniform_space(3, R)).values)
 
 
 @st.composite
