@@ -144,7 +144,7 @@ def _pullback_distances(diff: np.ndarray, limit: Kernel, norms: Sequence) -> lis
     mode = limit.mode
     masks = np.where(_indicator_columns(limit.codomain.size), mode.one(), mode.zero())
     live = limit.domain.live_index()
-    p = limit.domain.weights
+    p = limit.domain.weights  # null rows carry weight zero in the finite-n totals
     out = [[] for _ in norms]
     block = max(1, (1 << 16) // (diff.shape[1] * masks.shape[1]))  # bounds the pulled values held
     for start in range(0, len(diff), block):
@@ -152,7 +152,7 @@ def _pullback_distances(diff: np.ndarray, limit: Kernel, norms: Sequence) -> lis
         for distances, n in zip(out, norms):
             if is_infinite(n):
                 distances.extend(pulled[:, live].max(axis=(1, 2)))
-            elif mode.exact:  # null rows carry weight zero
+            elif mode.exact:
                 distances.extend(nth_root(t, int(n), mode) for t in (p @ pulled ** int(n)).max(axis=1))
             else:
                 distances.extend((p @ pulled ** int(n)).max(axis=1) ** (1.0 / int(n)))
