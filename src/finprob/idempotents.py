@@ -12,7 +12,6 @@ partitions. All of that is finite here, so it is checked, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -28,14 +27,16 @@ from .errors import (
 )
 from .kernels import (
     Kernel,
+    _exact_stack,
     as_equal_kernels,
     bayes_inverse,
     coarsening_kernel,
     compose,
     identity_kernel,
     is_measure_preserving,
+    kernel_sequence,
 )
-from .numerics import block_sums
+from .numerics import block_sums, int_array, widen
 from .partitions import (
     Partition,
     all_partitions,
@@ -94,6 +95,39 @@ def is_idempotent(k: Kernel) -> bool:
     return as_equal_kernels(compose(k, k), k)
 
 
+def _conditioning(space: ProbSpace, parts: Sequence[Partition]) -> list[Kernel]:
+    """Conditioning kernels of partitions of the space, built and checked as
+    one stack. Row x of a partition's kernel is w(y) / (mass of x's block)
+    on x's block at a supported x, and the weights at a null x. Block masses
+    add up in outcome order; rational mode works on the weight numerators,
+    whose denominator cancels, over one denominator per kernel: the lcm of
+    its supported block masses (and of the weight denominator when null
+    outcomes take the weights)."""
+    labels = np.array([p.labels for p in parts])
+    m, n = labels.shape
+    same = labels[:, :, None] == labels[:, None, :]
+    bins = (labels + n * np.arange(m)[:, None]).ravel()
+    null = np.ones(n, dtype=bool)
+    null[space.live_index()] = False
+    if not space.mode.exact:
+        w = space.weights
+        mass = block_sums(np.tile(w, m), bins, m * n)[bins].reshape(m, n)
+        cond = np.divide(w, mass, out=np.zeros((m, n)), where=mass > 0)
+        rows = np.where(same, cond[:, None, :], 0.0)
+        rows[:, null] = w
+        return kernel_sequence(rows, space, space)
+    w, wden = space.int_weights()
+    mass = block_sums(np.tile(w, m), bins, m * n)[bins].reshape(m, n)
+    nulls = [wden] if null.any() else []
+    dens = [lcm(*nulls, *row) for row in mass[:, ~null].tolist()]
+    bound = max(dens)
+    w, mass, den = widen(bound, w, mass, int_array(dens, bound))
+    scale = den[:, None] // np.where(mass > 0, mass, 1)
+    num = np.where(same, (w * scale)[:, None, :], 0)
+    num[:, null] = w * (den[:, None] // wden)[:, None]
+    return _exact_stack(num, den, space, space)
+
+
 def cond_exp_kernel(space: ProbSpace, p: Partition, validate: bool = True) -> IdempotentKernel:
     """Conditioning kernel of a partition: each supported row is p(.|block(x)).
 
@@ -105,20 +139,32 @@ def cond_exp_kernel(space: ProbSpace, p: Partition, validate: bool = True) -> Id
         raise SpaceMismatchError(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
-    exact = space.mode.exact
-    zero = space.mode.zero()
-    labels = p.labels
-    # rational mode works on the weight numerators: their denominator cancels
-    w = space.int_weights()[0] if exact else space.weights
-    mass = block_sums(w, labels, p.n_blocks)[labels]
-    if exact:
-        cond = np.array([Fraction(a, m) if a else zero for a, m in zip(w.tolist(), mass.tolist())])
-    else:
-        cond = np.divide(w, mass, out=np.zeros(space.size), where=mass > 0)
-    rows = np.where(labels[:, None] == labels, cond, zero)
-    if not space.fully_supported:
-        rows[w == 0] = space.weights
-    return IdempotentKernel(Kernel(rows, space, space), validate=validate)
+    return IdempotentKernel(_conditioning(space, [p])[0], validate=validate)
+
+
+def _transitions(data: np.ndarray, space: ProbSpace) -> np.ndarray:
+    """The positive transition relation e(y|x) > 0 between supported
+    outcomes, over the last two axes of kernel numerators (rational mode) or
+    rows (float mode, above the tolerance)."""
+    live = space.live_index()
+    threshold = 0 if space.mode.exact else space.mode.tolerance
+    return data[..., live[:, None], live] > threshold
+
+
+def _invariant_partitions(step: np.ndarray, space: ProbSpace) -> list[Partition]:
+    """Invariant partitions of a stack of transition relations (see
+    `invariant_partition`), closed all at once."""
+    live = space.live_index()
+    reach = step | step.swapaxes(-1, -2) | np.eye(live.size, dtype=bool)
+    while True:  # square the reachability relations until they are transitive
+        square = reach.astype(np.float64)
+        closed = square @ square > 0
+        if (closed == reach).all():
+            break
+        reach = closed
+    labels = np.tile(np.arange(space.size), (len(step), 1))  # null outcomes keep a label of their own
+    labels[:, live] = live[reach.argmax(axis=-1)]
+    return [Partition.from_labels(row) for row in labels.tolist()]
 
 
 def invariant_partition(e: IdempotentKernel) -> Partition:
@@ -130,55 +176,9 @@ def invariant_partition(e: IdempotentKernel) -> Partition:
     is exactly the atomic decomposition of the invariant sigma-algebra (the
     subset-enumeration oracle agrees).
     """
-    space = e.space
-    mode = space.mode
-    threshold = mode.zero() if mode.exact else mode.tolerance
-    live = space.live_index()
-    step = e.kernel.rows[live][:, live] > threshold
-    reach = step | step.T | np.eye(live.size, dtype=bool)
-    while True:  # square the reachability relation until it is transitive
-        square = reach.astype(np.float64)
-        closed = square @ square > 0
-        if (closed == reach).all():
-            break
-        reach = closed
-    labels = np.arange(space.size)  # null outcomes keep a label of their own
-    labels[live] = live[reach.argmax(axis=1)]
-    return Partition.from_labels(labels.tolist())
-
-
-def invariant_partition_bruteforce(e: IdempotentKernel, max_size: int = 16) -> Partition:
-    """Independent oracle: enumerate all outcome subsets, test invariance
-    directly (e(B|x) = 1_B(x) at every supported x), and return the atoms of
-    the resulting sigma-algebra."""
-    space = e.space
-    n = space.size
-    if n > max_size:
-        raise TooLargeError(f"subset enumeration over {n} outcomes refused")
-    mode = space.mode
-    rows = e.kernel.rows
-    one, zero = mode.one(), mode.zero()
-    invariant_masks = []
-    for mask in range(1 << n):
-        members = [y for y in range(n) if mask >> y & 1]
-        ok = True
-        for x in space.support:
-            mass = sum(rows[x][y] for y in members)
-            target = one if mask >> x & 1 else zero
-            if not mode.close(mass, target):
-                ok = False
-                break
-        if ok:
-            invariant_masks.append(mask)
-    atoms: dict[int, list[int]] = {}
-    full = (1 << n) - 1
-    for x in range(n):
-        atom = full
-        for mask in invariant_masks:
-            if mask >> x & 1:
-                atom &= mask
-        atoms.setdefault(atom, []).append(x)
-    return Partition(atoms.values(), n)
+    k = e.kernel
+    step = _transitions(k.num if k.mode.exact else k.rows, e.space)
+    return _invariant_partitions(step[None], e.space)[0]
 
 
 def split(e: IdempotentKernel) -> Splitting:
@@ -199,59 +199,67 @@ def split(e: IdempotentKernel) -> Splitting:
 # -- the idempotent partial order ------------------------------------------
 
 def _int_form(kernels: Sequence[Kernel]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact endo-kernels of one space as integer numerators, stacked.
+    """Exact endo-kernels of one space as their held numerators, stacked.
 
-    Returns an (m, n, n) numerator array and the (m,) vector of each
-    kernel's common denominator over its supported rows. Null rows are
-    zero: a measure-preserving kernel moves no mass from a supported outcome
-    to a null one, so they never reach a supported row of a composite. No
-    numerator exceeds its denominator, so a composite entry is at most
-    n * max(denominators)**2; the arrays are int64 when that fits, and
-    Python ints otherwise.
+    Returns an (m, n, n) numerator array and the (m,) vector of the
+    kernels' denominators. Null rows are zeroed: a measure-preserving kernel
+    moves no mass from a supported outcome to a null one, so they never
+    reach a supported row of a composite. A composite of two forms has
+    nonnegative rows summing to the product of their denominators; the
+    arrays are int64 when max(denominators)**2 fits, and Python ints
+    otherwise.
     """
-    n = kernels[0].domain.size
-    support = list(kernels[0].domain.support)
-    nums = np.zeros((len(kernels), n, n), dtype=object)
-    dens = []
-    for i, k in enumerate(kernels):
-        live = k.rows[support]
-        den = lcm(*(v.denominator for v in live.flat))
-        nums[i, support] = [[v.numerator * (den // v.denominator) for v in row] for row in live]
-        dens.append(den)
-    dtype = np.int64 if n * max(dens) ** 2 <= np.iinfo(np.int64).max else object
-    return nums.astype(dtype), np.array(dens, dtype=dtype)
+    dens = [k.den for k in kernels]
+    top = max(dens)
+    nums, dens = widen(top * top, np.stack([k.num for k in kernels]), int_array(dens, top))
+    nums[:, kernels[0].domain.int_weights()[0] == 0] = 0
+    return nums, dens
 
 
-def _order_forms(kernels: Sequence[Kernel]):
-    """Idempotents of one space, prepared once for `_leq_against`: the
-    integer stack of `_int_form` in exact mode, the kernels in float mode."""
-    return _int_form(kernels) if kernels[0].mode.exact else tuple(kernels)
+def _order_forms(kernels: Sequence[Kernel]) -> tuple:
+    """Endo-kernels of one space, stacked once for `_leq_against` and
+    `_same_forms`: (numerators, denominators, mode), from `_int_form` in
+    exact mode; in float mode the rows, null rows zeroed likewise, over
+    denominators of 1.0."""
+    mode = kernels[0].mode
+    if mode.exact:
+        return (*_int_form(kernels), mode)
+    rows = np.stack([k.rows for k in kernels])
+    rows[:, kernels[0].domain.weights == 0] = 0.0
+    return rows, np.ones(len(kernels)), mode
+
+
+def _same_forms(forms, twin) -> np.ndarray:
+    """Per prepared form i, whether it is a.s. equal to form twin[i]."""
+    nums, dens, mode = forms
+    scaled = mode.close_mask(nums * dens[twin, None, None], nums[twin] * dens[:, None, None])
+    return scaled.all(axis=(1, 2))
 
 
 def _leq_against(forms, i: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(e_i <= e_j, e_j <= e_i) for every j in lo..hi-1 of prepared forms.
 
-    e <= f when both composites e.f and f.e are a.s. equal to e. In integer
-    form the composites of forms a and b carry the denominator la * lb, so
-    they are compared with a scaled by lb and with b scaled by la.
+    e <= f when both composites e.f and f.e are a.s. equal to e. The
+    composites of forms a and b carry the denominator la * lb, so they are
+    compared with a scaled by lb and with b scaled by la: exactly in
+    rational mode, within the tolerance in float mode.
     """
-    if isinstance(forms[0], Kernel):
-        pairs = [_leq_pair_generic(forms[i], k) for k in forms[lo:hi]]
-        return np.array([p[0] for p in pairs], bool), np.array([p[1] for p in pairs], bool)
-    nums, dens = forms
+    nums, dens, mode = forms
     a, la = nums[i], dens[i]
     b, lb = nums[lo:hi], dens[lo:hi]
     ab, ba = np.matmul(a, b), np.matmul(b, a)
     a_scaled, b_scaled = a * lb[:, None, None], b * la
-    le = ((ab == a_scaled) & (ba == a_scaled)).all(axis=(1, 2))
-    ge = ((ab == b_scaled) & (ba == b_scaled)).all(axis=(1, 2))
-    return le, ge
+
+    def same(x, y):
+        return mode.close_mask(x, y).all(axis=(1, 2))
+
+    return same(ab, a_scaled) & same(ba, a_scaled), same(ab, b_scaled) & same(ba, b_scaled)
 
 
 def _leq_pair_exact(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
-    """(e1 <= e2, e2 <= e1) for exact idempotents: the batched test against
-    a stack of one."""
-    le, ge = _leq_against(_int_form([e1, e2]), 0, 1, 2)
+    """(e1 <= e2, e2 <= e1) for exact idempotents: the batched test on a
+    stack of two."""
+    le, ge = _leq_against(_order_forms([e1, e2]), 0, 1, 2)
     return bool(le[0]), bool(ge[0])
 
 
@@ -388,29 +396,29 @@ def galois_roundtrips(space: ProbSpace, max_size: int = 8) -> GaloisReport:
     (conditioning on the invariant partition of e reproduces e), the
     partition roundtrip (the invariant partition of the conditioning kernel
     of B is the completion of B), and monotonicity of both assignments.
+
+    The conditioning kernels of all partitions are one checked stack. Every
+    invariant partition is itself one of the partitions, so the idempotent
+    roundtrip compares e with the stacked kernel of its invariant partition.
     """
     n = space.size
     if n > max_size:
         raise TooLargeError(f"exhaustive audit over {n} outcomes refused")
     parts = list(all_partitions(n))
-    idems = [cond_exp_kernel(space, p, validate=False) for p in parts]
-    invariants = [invariant_partition(e) for e in idems]
+    m = len(parts)
+    kernels = _conditioning(space, parts)
+    forms = _order_forms(kernels)
+    invariants = _invariant_partitions(_transitions(forms[0], space), space)
     completions = [complete_partition(p, space) for p in parts]
 
     completion_failures = tuple(
-        (i,) for i in range(len(parts)) if invariants[i] != completions[i]
+        (i,) for i in range(m) if invariants[i] != completions[i]
     )
-    roundtrip_failures = tuple(
-        (i,)
-        for i in range(len(parts))
-        if not as_equal_kernels(
-            cond_exp_kernel(space, invariants[i], validate=False).kernel, idems[i].kernel
-        )
-    )
+    index = {p: i for i, p in enumerate(parts)}
+    same = _same_forms(forms, [index[p] for p in invariants])
+    roundtrip_failures = tuple((int(i),) for i in np.flatnonzero(~same))
 
     # Order of the idempotents, by composites (the honest route).
-    m = len(parts)
-    forms = _order_forms([e.kernel for e in idems])
     leq = np.eye(m, dtype=bool)
     for i in range(m):
         leq[i, i + 1:], leq[i + 1:, i] = _leq_against(forms, i, i + 1, m)

@@ -4,10 +4,21 @@ A kernel is a row-stochastic matrix: rows[x][y] is the probability of landing
 on codomain outcome y from domain outcome x. Two kernels are almost surely
 equal when their rows agree at every supported domain outcome; the canonical
 representative of that class fixes each null row to the codomain weights.
+
+In float mode a kernel holds its rows as a float64 array. In rational mode
+it holds `num`, an integer numerator matrix, over one positive denominator
+`den`, in lowest terms, and every operation is an integer array expression
+over these. Rows are nonnegative and sum to the denominator, so no entry of
+a kernel, or of a product of kernels, exceeds its denominator; each
+operation bounds its results that way first and works in int64 when the
+bound fits and in Python ints otherwise. `rows` is then a read-only
+`Fraction` array built on first access and cached.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,7 +32,19 @@ from .errors import (
     SpaceMismatchError,
     SumNotOneError,
 )
-from .numerics import NumericMode, _in_mode_dtype, as_matrix, block_sums, mat_mul
+from .numerics import (
+    NumericMode,
+    Rationals,
+    _in_mode_dtype,
+    as_matrix,
+    block_sums,
+    int_array,
+    int_numerators,
+    fraction_array,
+    magnitude,
+    mat_mul,
+    widen,
+)
 from .partitions import Partition
 from .spaces import ProbSpace
 
@@ -68,7 +91,7 @@ def _table(rows, domain: ProbSpace, codomain: ProbSpace, what: str, lead: tuple 
 
 
 def _kernel_rows(rows, domain: ProbSpace, codomain: ProbSpace, lead: tuple = ()) -> np.ndarray:
-    """`_table` for kernels: each row must also sum to one."""
+    """`_table` for float kernels: each row must also sum to one."""
     m = _table(rows, domain, codomain, "kernel", lead)
     totals = m.sum(axis=-1)
     bad = ~domain.mode.close_mask(totals, domain.mode.one())
@@ -78,22 +101,70 @@ def _kernel_rows(rows, domain: ProbSpace, codomain: ProbSpace, lead: tuple = ())
     return m
 
 
-class Kernel:
-    """Row-stochastic matrix from a domain space to a codomain space."""
+def _int_rows(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> tuple:
+    """Checked lowest-terms form of integer numerators over positive
+    denominators: one kernel (a 2-d `num` over a 0-d `den`) or a stack of
+    them along the leading axes, each over its own denominator. Every
+    numerator must be nonnegative and every row must sum to its denominator;
+    an error names the first offending step, row and column. The frozen
+    arrays are int64 when the largest denominator fits."""
+    negative = num < 0
+    if negative.any():
+        at = _first(negative)
+        value = Fraction(int(num[at]), int(den[at[:-2]]))
+        raise NegativeWeightError(f"kernel entry at {_at(at)} is negative: {value}")
+    totals = num.sum(axis=-1)
+    bad = totals != den[..., None]
+    if bad.any():
+        at = _first(bad)
+        total = Fraction(int(totals[at]), int(den[at[:-1]]))
+        raise SumNotOneError(f"{_at(at, ('row',))} sums to {total}")
+    g = np.asarray(np.gcd(np.gcd.reduce(num.reshape(den.shape + (-1,)), axis=-1), den))
+    num, den = num // g[..., None, None], np.asarray(den // g)
+    if num.dtype == object and max(den.reshape(-1).tolist(), default=0) <= np.iinfo(np.int64).max:
+        num, den = num.astype(np.int64), den.astype(np.int64)
+    num.setflags(write=False)
+    return num, den
 
-    __slots__ = ("rows", "domain", "codomain")
+
+class Kernel:
+    """Row-stochastic matrix from a domain space to a codomain space.
+
+    Float mode holds the float64 `rows`; rational mode holds the integer
+    numerators `num` over the denominator `den` (see the module docstring).
+    """
+
+    __slots__ = ("rows", "num", "den", "domain", "codomain")
 
     def __init__(self, rows: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
-        self._bind(_kernel_rows(rows, domain, codomain), domain, codomain)
+        if not domain.mode.exact:
+            self._bind(_kernel_rows(rows, domain, codomain), None, None, domain, codomain)
+            return
+        num, den = int_numerators(_table(rows, domain, codomain, "kernel"))
+        num, den = _int_rows(num, np.asarray(den), domain, codomain)
+        self._bind(None, num, int(den), domain, codomain)
 
-    def _bind(self, rows: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
-        object.__setattr__(self, "rows", rows)
+    def _bind(self, rows, num, den, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
+        if rows is not None:
+            object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Kernel is immutable")
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset: in rational mode `rows`, the
+        # read-only Fraction matrix, is built on first access and cached in
+        # its slot, so reading it costs a float kernel nothing extra.
+        if name != "rows" or self.num is None:
+            raise AttributeError(name)
+        rows = fraction_array(self.num, self.den)
+        object.__setattr__(self, "rows", rows)
+        return rows
 
     @property
     def mode(self):
@@ -106,27 +177,52 @@ class Kernel:
         return f"Kernel({self.domain.size}->{self.codomain.size}, mode={self.mode.kind})"
 
 
+def _exact(num: np.ndarray, den: int, domain: ProbSpace, codomain: ProbSpace) -> Kernel:
+    """Checked rational kernel of integer numerators over a denominator."""
+    num, den = _int_rows(num, np.asarray(den), domain, codomain)
+    return object.__new__(Kernel)._bind(None, num, int(den), domain, codomain)
+
+
+def _exact_stack(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
+    """Rational kernels from a (T, n, m) numerator array over (T,)
+    denominators, checked in one pass; kernel t holds slice t."""
+    num, den = _int_rows(num, den, domain, codomain)
+    return [object.__new__(Kernel)._bind(None, k, d, domain, codomain) for k, d in zip(num, den.tolist())]
+
+
 def kernel_sequence(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
     """Kernels from a (T, n, m) array of row matrices in the mode's numbers,
     checked in one pass; kernel t holds slice t of one frozen copy."""
+    if domain.mode.exact:
+        num, den = int_numerators(_table(stack, domain, codomain, "kernel", (len(stack),)))
+        return _exact_stack(num, int_array([den] * len(num), den), domain, codomain)
     stack = _kernel_rows(stack, domain, codomain, (len(stack),))
-    return [object.__new__(Kernel)._bind(rows, domain, codomain) for rows in stack]
+    return [object.__new__(Kernel)._bind(rows, None, None, domain, codomain) for rows in stack]
 
 
 def identity_kernel(space: ProbSpace) -> Kernel:
-    mode = space.mode
-    return Kernel(np.where(np.eye(space.size, dtype=bool), mode.one(), mode.zero()), space, space)
+    if space.mode.exact:
+        return _exact(np.eye(space.size, dtype=np.int64), 1, space, space)
+    return Kernel(np.eye(space.size), space, space)
 
 
 def compose(k: Kernel, l: Kernel) -> Kernel:
     """Composite kernel: apply k, then l. Rows are the matrix product k.rows @ l.rows."""
     if not k.codomain.same_as(l.domain):
         raise SpaceMismatchError("middle spaces do not match")
+    if k.mode.exact:
+        den = k.den * l.den
+        return _exact(mat_mul(*widen(den, k.num, l.num)), den, k.domain, l.codomain)
     return Kernel(mat_mul(k.rows, l.rows), k.domain, l.codomain)
 
 
 def is_measure_preserving(k: Kernel) -> bool:
     """Pushforward check: p^T rows = q within the mode's tolerance."""
+    if k.mode.exact:
+        wnum, wden = k.domain.int_weights()
+        qnum, qden = k.codomain.int_weights()
+        w, num, q = widen(wden * k.den * qden, wnum, k.num, qnum)
+        return bool((mat_mul(w, num) * qden == q * (wden * k.den)).all())
     push = mat_mul(k.domain.weights, k.rows)
     return k.mode.all_close(push, k.codomain.weights)
 
@@ -145,6 +241,9 @@ def as_equal_kernels(k: Kernel, h: Kernel) -> bool:
     """Almost-sure equality: rows agree at every supported domain outcome."""
     _require_parallel(k, h)
     live = k.domain.live_index()
+    if k.mode.exact:
+        a, b = widen(k.den * h.den, k.num[live], h.num[live])
+        return bool((a * h.den == b * k.den).all())
     return k.mode.all_close(k.rows[live], h.rows[live])
 
 
@@ -153,14 +252,33 @@ def canonicalize(k: Kernel) -> Kernel:
     _require_mp(k)
     if k.domain.fully_supported:
         return k
+    if k.mode.exact:
+        qnum, qden = k.codomain.int_weights()
+        den = math.lcm(k.den, qden)
+        num, q = widen(den, k.num, qnum)
+        num = num * (den // k.den)
+        num[k.domain.int_weights()[0] == 0] = q * (den // qden)
+        return _exact(num, den, k.domain, k.codomain)
     rows = k.rows.copy()
     rows[k.domain.weights == 0] = k.codomain.weights
     return Kernel(rows, k.domain, k.codomain)
 
 
-def _conditioned(table: np.ndarray, given: ProbSpace, other: ProbSpace) -> Kernel:
+def _conditioned(table: np.ndarray, den, given: ProbSpace, other: ProbSpace) -> Kernel:
     """Kernel from `given` to `other` conditioning a joint table on its rows:
-    row x is table[x] / given(x), and the weights of `other` where given(x) = 0."""
+    row x is table[x] / given(x), and the weights of `other` where given(x) = 0.
+    In rational mode the table is integer numerators over `den`."""
+    if given.mode.exact:
+        gnum, gden = given.int_weights()
+        onum, oden = other.int_weights()
+        row_den = [den * g for g in gnum.tolist()]  # row x is table[x] * gden / row_den[x]
+        nulls = [] if given.fully_supported else [oden]
+        common = math.lcm(*(set(row_den) - {0}), *nulls)
+        scale = [common // d if d else 0 for d in row_den]
+        bound = max(magnitude(table) * gden * max(scale), common)
+        t, s, o = widen(bound, table, int_array(scale, bound), onum)
+        num = np.where(s[:, None] > 0, t * gden * s[:, None], o * (common // oden))
+        return _exact(num, common, given, other)
     live = given.live_index()
     rows = np.empty_like(table)
     rows[:] = other.weights
@@ -176,7 +294,11 @@ def bayes_inverse(k: Kernel) -> Kernel:
     subset pairs, which pins it down up to a.s. equality.
     """
     _require_mp(k)
-    return _conditioned((k.rows * k.domain.weights[:, None]).T, k.codomain, k.domain)
+    if k.mode.exact:
+        wnum, wden = k.domain.int_weights()
+        num, w = widen(k.den * wden, k.num, wnum)
+        return _conditioned((num * w[:, None]).T, k.den * wden, k.codomain, k.domain)
+    return _conditioned((k.rows * k.domain.weights[:, None]).T, None, k.codomain, k.domain)
 
 
 def deterministic_from_function(
@@ -193,15 +315,25 @@ def deterministic_from_function(
         (x,) = _first(outside)
         raise SizeMismatchError(f"f({x}) = {labels[x]} outside the codomain")
     mode = domain.mode
-    pushed = block_sums(domain.weights, labels, codomain.size)
-    wrong = ~mode.close_mask(pushed, codomain.weights)
+    if mode.exact:
+        wnum, wden = domain.int_weights()
+        qnum, qden = codomain.int_weights()
+        w, q = widen(wden * qden, wnum, qnum)
+        pushed = block_sums(w, labels, codomain.size)
+        wrong = pushed * qden != q * wden
+    else:
+        pushed = block_sums(domain.weights, labels, codomain.size)
+        wrong = ~mode.close_mask(pushed, codomain.weights)
     if wrong.any():
         (y,) = _first(wrong)
+        got = Fraction(int(pushed[y]), wden) if mode.exact else pushed[y]
         raise NotMeasurePreservingError(
-            f"map pushes weight {pushed[y]} onto outcome {y}, expected {codomain.weights[y]}"
+            f"map pushes weight {got} onto outcome {y}, expected {codomain.weights[y]}"
         )
     hits = labels[:, None] == np.arange(codomain.size)
-    return Kernel(np.where(hits, mode.one(), mode.zero()), domain, codomain)
+    if mode.exact:
+        return _exact(hits.astype(np.int64), 1, domain, codomain)
+    return Kernel(np.where(hits, 1.0, 0.0), domain, codomain)
 
 
 def coarsening_kernel(
@@ -217,7 +349,12 @@ def coarsening_kernel(
         raise SizeMismatchError(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
-    quotient = ProbSpace(block_sums(space.weights, p.labels, p.n_blocks), space.mode)
+    if space.mode.exact:
+        wnum, wden = space.int_weights()
+        mass = Rationals(block_sums(wnum, p.labels, p.n_blocks), int_array([wden] * p.n_blocks, wden))
+    else:
+        mass = block_sums(space.weights, p.labels, p.n_blocks)
+    quotient = ProbSpace(mass, space.mode)
     pi = deterministic_from_function(p.labels, space, quotient)
     pi_dag = bayes_inverse(pi)
     return quotient, pi, pi_dag
@@ -232,9 +369,12 @@ def is_as_deterministic(k: Kernel) -> bool:
     kinv = bayes_inverse(k)
     roundtrip = compose(kinv, k)  # endo-kernel on the codomain
     dagger_epi = as_equal_kernels(roundtrip, identity_kernel(k.codomain))
-    mode = k.mode
-    live = k.rows[k.domain.live_index()]
-    zero_one = bool((mode.close_mask(live, mode.zero()) | mode.close_mask(live, mode.one())).all())
+    live = k.domain.live_index()
+    if k.mode.exact:
+        rows, one = k.num[live], k.den
+    else:
+        rows, one = k.rows[live], 1.0
+    zero_one = bool((k.mode.close_mask(rows, 0) | k.mode.close_mask(rows, one)).all())
     if dagger_epi != zero_one:
         raise FinprobError(
             "dagger-epi test and 0/1-row criterion disagree on this kernel"
@@ -270,11 +410,16 @@ def coupling_from_kernel(k: Kernel) -> Coupling:
 
 def kernel_from_coupling(c: Coupling) -> Kernel:
     """Conditioning on the first marginal; null rows canonicalized to q."""
-    return _conditioned(c.table, c.domain, c.codomain)
+    if c.domain.mode.exact:
+        return _conditioned(*int_numerators(c.table), c.domain, c.codomain)
+    return _conditioned(c.table, None, c.domain, c.codomain)
 
 
 def kernel_from_measure(space: ProbSpace) -> Kernel:
     """The unique measure-preserving kernel from the one-point space to `space`."""
     from .spaces import point_space
 
+    if space.mode.exact:
+        wnum, wden = space.int_weights()
+        return _exact(wnum[None, :], wden, point_space(space.mode), space)
     return Kernel(space.weights[None, :], point_space(space.mode), space)

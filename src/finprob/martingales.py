@@ -25,9 +25,9 @@ from .errors import (
 )
 from .idempotents import (
     IdempotentKernel,
+    _conditioning,
     _leq_against,
     _order_forms,
-    cond_exp_kernel,
     idem_leq,
     inf_idempotents,
     sup_idempotents,
@@ -273,7 +273,7 @@ def preserves_optima_check(f: Filtration, n=2, max_size: int = 8) -> bool:
     if space.size > max_size:
         raise TooLargeError(f"exhaustive optimality check over {space.size} outcomes refused")
     parts = [filtration_limit(f), *f.partitions, *all_partitions(space.size)]
-    forms = _order_forms([cond_exp_kernel(space, p, validate=False).kernel for p in parts])
+    forms = _order_forms(_conditioning(space, parts))
     first, end = len(f.partitions) + 1, len(parts)  # candidates are first..end-1
     increasing = f.direction == INCREASING
 

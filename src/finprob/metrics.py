@@ -9,34 +9,48 @@ two-sided variant adds the same distance between the Bayesian inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
 from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measure_preserving
-from .numerics import check_norm_index, is_infinite, nth_root
+from .numerics import check_norm_index, int_array, is_infinite, nth_root, widen
 
 
-def _stacked_difference(seq: Sequence[Kernel], limit: Kernel) -> np.ndarray:
-    """(T, n, m) stack of each kernel's rows minus the limit's rows."""
+def _stacked_difference(seq: Sequence[Kernel], limit: Kernel) -> tuple:
+    """(T, n, m) stack of each kernel's rows minus the limit's rows, with its
+    denominator: in rational mode integer numerators over the lcm of every
+    kernel's denominator, in float mode the differences over None."""
     for k in seq:
         _require_parallel(k, limit)
-    rows = np.array([k.rows for k in seq], dtype=limit.rows.dtype)
-    return rows.reshape((-1,) + limit.rows.shape) - limit.rows
+    if not limit.mode.exact:
+        rows = np.array([k.rows for k in seq], dtype=limit.rows.dtype)
+        return rows.reshape((-1,) + limit.rows.shape) - limit.rows, None
+    den = math.lcm(limit.den, *(k.den for k in seq))
+    scale = int_array([den // k.den for k in seq], den)
+    nums, scale, last = widen(den, np.array([k.num for k in seq]), scale, limit.num)
+    nums = nums.reshape((-1,) + limit.num.shape)
+    return nums * scale[:, None, None] - last * (den // limit.den), den
 
 
-def _weighted_l1(diff: np.ndarray, domain) -> np.ndarray:
+def _weighted_l1(diff: np.ndarray, den, domain) -> list:
     """Per step, sum_x p(x) sum_y |diff[t, x, y]| over the supported x."""
     live = domain.live_index()
-    return abs(diff[:, live]).sum(axis=2) @ domain.weights[live]
+    if den is None:
+        return abs(diff[:, live]).sum(axis=2) @ domain.weights[live]
+    wnum, wden = domain.int_weights()
+    diff, w = widen(2 * den * wden, diff[:, live], wnum[live])  # a row of |diff| sums to at most 2 den
+    return [Fraction(t, den * wden) for t in (abs(diff).sum(axis=2) @ w).tolist()]
 
 
 def one_sided_distance(k: Kernel, h: Kernel):
     """sum_x p(x) sum_y |k(y|x) - h(y|x)|: a pseudometric on kernels, zero
     exactly on a.s.-equal pairs."""
-    return _weighted_l1(_stacked_difference([k], h), k.domain)[0]
+    return _weighted_l1(*_stacked_difference([k], h), k.domain)[0]
 
 
 def two_sided_distance(k: Kernel, h: Kernel):
@@ -119,7 +133,7 @@ def check_convergence(
     if horizon is not None:
         seq = seq[:horizon]
     if metric == "one-sided":
-        distances = _weighted_l1(_stacked_difference(seq, limit), limit.domain)
+        distances = _weighted_l1(*_stacked_difference(seq, limit), limit.domain)
     else:
         distances = [two_sided_distance(k, limit) for k in seq]
     return report_from_distances(distances, _tol(limit, tol), horizon or len(distances))
@@ -133,35 +147,45 @@ def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
     return np.eye(size, dtype=bool)
 
 
-def _pullback_distances(diff: np.ndarray, limit: Kernel, norms: Sequence) -> list:
+def _pullback_distances(diff: np.ndarray, den, limit: Kernel, norms: Sequence) -> list:
     """Per norm index, the per-step worst-case L^n distance of the pullbacks
-    over indicator RVs, pulled back at once as the columns of a 0/1 matrix in
-    the mode's number type; every norm reads the same product. The n-th root
-    is monotone, so the worst distance is the root of the largest weighted total.
+    over indicator RVs, pulled back at once as the columns of a 0/1 matrix;
+    every norm reads the same product. The n-th root is monotone, so the
+    worst distance is the root of the largest weighted total. In rational
+    mode `diff` holds integer numerators over `den` and so do the pulled
+    values; a total of n-th powers is over wden * den**n.
     """
     for n in norms:
         check_norm_index(n)
     mode = limit.mode
-    masks = np.where(_indicator_columns(limit.codomain.size), mode.one(), mode.zero())
+    masks = _indicator_columns(limit.codomain.size).astype(diff.dtype if mode.exact else np.float64)
     live = limit.domain.live_index()
-    p = limit.domain.weights  # null rows carry weight zero in the finite-n totals
+    if mode.exact:
+        w, wden = limit.domain.int_weights()
+    else:
+        w = limit.domain.weights  # null rows carry weight zero in the finite-n totals
     out = [[] for _ in norms]
     block = max(1, (1 << 16) // (diff.shape[1] * masks.shape[1]))  # bounds the pulled values held
     for start in range(0, len(diff), block):
         pulled = abs(diff[start : start + block] @ masks)
         for distances, n in zip(out, norms):
             if is_infinite(n):
-                distances.extend(pulled[:, live].max(axis=(1, 2)))
+                worst = pulled[:, live].max(axis=(1, 2))
+                distances.extend([Fraction(t, den) for t in worst.tolist()] if mode.exact else worst)
             elif mode.exact:
-                distances.extend(nth_root(t, int(n), mode) for t in (p @ pulled ** int(n)).max(axis=1))
+                n = int(n)
+                scale = wden * den**n
+                p, v = widen(scale * 2**n, w, pulled)  # a pulled value is at most 2 den
+                totals = (p @ v**n).max(axis=1).tolist()
+                distances.extend(nth_root(Fraction(t, scale), n, mode) for t in totals)
             else:
-                distances.extend((p @ pulled ** int(n)).max(axis=1) ** (1.0 / int(n)))
+                distances.extend((w @ pulled ** int(n)).max(axis=1) ** (1.0 / int(n)))
     return out
 
 
 def operator_pointwise_distances(seq: Sequence[Kernel], limit: Kernel, n=1) -> list:
     """Per-step worst-case L^n distance of the pullbacks over indicator RVs."""
-    (distances,) = _pullback_distances(_stacked_difference(seq, limit), limit, (n,))
+    (distances,) = _pullback_distances(*_stacked_difference(seq, limit), limit, (n,))
     return distances
 
 
@@ -170,9 +194,9 @@ def homeomorphism_reports(seq: Sequence[Kernel], limit: Kernel, norms=(1,), tol=
     from one stacked difference and one shared pullback product. The two
     notions of convergence agree when the verdicts do."""
     tol = _tol(limit, tol)
-    diff = _stacked_difference(seq, limit)
-    metric = report_from_distances(_weighted_l1(diff, limit.domain), tol)
-    distances = _pullback_distances(diff, limit, norms)
+    diff, den = _stacked_difference(seq, limit)
+    metric = report_from_distances(_weighted_l1(diff, den, limit.domain), tol)
+    distances = _pullback_distances(diff, den, limit, norms)
     return metric, tuple(report_from_distances(d, tol) for d in distances)
 
 

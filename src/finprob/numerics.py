@@ -8,13 +8,13 @@ In rational mode, random variables and space weights are held as
 `Rationals`: an integer numerator array over positive integer
 denominators. A vector whose entries share a denominator keeps one common
 value (weights always do); conditional expectations carry one denominator
-per block. Each operation first bounds its results from the data; the
-arrays are int64 when that bound fits and Python-int object arrays
-otherwise, so no result ever wraps around. `fractions.Fraction` objects
-appear only at the boundary: scalar results, `.values`/`.weights` (built
-on first access and cached) and the text formats. Kernel rows are still
-`Fraction` object arrays; kernel operations are whole-array expressions
-that run unchanged on float64 and on `Fraction` object arrays.
+per block. A kernel holds an integer numerator matrix over one common
+denominator, in lowest terms, and a stack of kernels one denominator per
+kernel. Each operation first bounds its results from the data; the arrays
+are int64 when that bound fits and Python-int object arrays otherwise, so
+no result ever wraps around. `fractions.Fraction` objects appear only at
+the boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
+access and cached), input given as Fractions, and the text formats.
 """
 
 from __future__ import annotations
@@ -288,10 +288,27 @@ class Rationals:
 
     def fractions(self) -> np.ndarray:
         """Read-only object array of the values as Fractions."""
-        out = np.empty(len(self.num), dtype=object)
-        out[:] = [Fraction(a, b) for a, b in zip(self.num.tolist(), self.den.tolist())]
-        out.setflags(write=False)
-        return out
+        return fraction_array(self.num, self.den)
+
+
+def fraction_array(num: np.ndarray, den) -> np.ndarray:
+    """Read-only object array of the Fractions num / den, for integer arrays
+    of any shape; `den` broadcasts against `num`."""
+    num, den = np.broadcast_arrays(num, np.asarray(den))
+    out = np.empty(num.shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(a, b) for a, b in zip(num.ravel().tolist(), den.ravel().tolist())]
+    out.setflags(write=False)
+    return out
+
+
+def int_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(numerators, L) of an object array of Fractions, of any shape:
+    values = numerators / L, L the lcm of the denominators. The numerators
+    are int64 when their absolute sum fits, so that no sum over them wraps."""
+    flat = values.ravel().tolist()
+    den = math.lcm(*{v.denominator for v in flat})
+    nums = [v.numerator * (den // v.denominator) for v in flat]
+    return int_array(nums, sum(map(abs, nums))).reshape(values.shape), den
 
 
 def int_dot(a: np.ndarray, b: np.ndarray) -> int:

@@ -1,19 +1,20 @@
 """Seeded random instances for tests and experiments.
 
 All draws go through a numpy Generator (PCG64 via default_rng), so a seed
-pins every instance exactly; rational draws build Fractions from integer
+pins every instance exactly; rational instances are built from integer
 draws and are therefore reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .idempotents import IdempotentKernel, cond_exp_kernel
-from .kernels import Kernel, kernel_from_coupling, Coupling
-from .numerics import NumericMode
+from .kernels import Coupling, Kernel, _conditioned, _exact, kernel_from_coupling
+from .numerics import NumericMode, Rationals, int_array, mat_mul, widen
 from .partitions import Partition
 from .spaces import ProbSpace, RandomVar, VecRandomVar
 
@@ -68,21 +69,17 @@ def random_joint_table(
     rng: np.random.Generator,
     nrows: int,
     ncols: int,
-    mode: NumericMode,
     null_rows: int = 0,
-):
-    """Nonnegative joint table with total mass one and the requested number
-    of all-zero rows; its marginals define measure-preserving data exactly."""
+) -> np.ndarray:
+    """Nonnegative integer table with a positive total and the requested
+    number of all-zero rows; divided by its total it is a joint distribution
+    whose marginals define measure-preserving data exactly."""
     while True:
         raw = rng.integers(0, 10, size=(nrows, ncols))
         kill = rng.permutation(nrows)[:null_rows]
         raw[kill, :] = 0
         if raw.sum() > 0 and (raw.sum(axis=0) > 0).any():
-            break
-    if mode.exact:
-        total = int(raw.sum())
-        return [[Fraction(int(v), total) for v in row] for row in raw]
-    return raw / raw.sum()
+            return raw
 
 
 def random_mp_kernel(
@@ -94,12 +91,15 @@ def random_mp_kernel(
 ) -> Kernel:
     """Measure-preserving kernel with fresh marginal spaces, built from a
     random joint table by conditioning."""
-    table = random_joint_table(rng, nrows, ncols, mode, null_rows)
-    arr = np.asarray(table, dtype=object if mode.exact else np.float64)
-    p = arr.sum(axis=1)
-    q = arr.sum(axis=0)
-    domain = ProbSpace(list(p), mode)
-    codomain = ProbSpace(list(q), mode)
+    raw = random_joint_table(rng, nrows, ncols, null_rows)
+    if mode.exact:
+        total = int(raw.sum())
+        domain = ProbSpace(Rationals(raw.sum(axis=1), np.full(nrows, total)), mode)
+        codomain = ProbSpace(Rationals(raw.sum(axis=0), np.full(ncols, total)), mode)
+        return _conditioned(raw, total, domain, codomain)
+    table = raw / raw.sum()
+    domain = ProbSpace(list(table.sum(axis=1)), mode)
+    codomain = ProbSpace(list(table.sum(axis=0)), mode)
     return kernel_from_coupling(Coupling(table, domain, codomain))
 
 
@@ -110,23 +110,27 @@ def random_mp_kernel_from(
     is the pushforward of random stochastic rows."""
     mode = domain.mode
     if mode.exact:
-        rows = []
-        for _ in range(domain.size):
-            raw = rng.integers(0, 10, size=ncols)
-            if raw.sum() == 0:
-                raw[int(rng.integers(0, ncols))] = 1
-            total = int(raw.sum())
-            rows.append([Fraction(int(v), total) for v in raw])
-    else:
-        raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
-        rows = raw / raw.sum(axis=1, keepdims=True)
-        rows = [list(r) for r in rows]
+        raw = np.zeros((domain.size, ncols), dtype=np.int64)
+        for row in raw:
+            row[:] = rng.integers(0, 10, size=ncols)
+            if row.sum() == 0:
+                row[int(rng.integers(0, ncols))] = 1
+        totals = raw.sum(axis=1).tolist()
+        den = math.lcm(*totals)
+        wnum, wden = domain.int_weights()
+        # every numerator is at most den, and the pushforward's at most den * wden
+        raw, scale, w = widen(den * wden, raw, int_array([den // t for t in totals], den), wnum)
+        num = raw * scale[:, None]
+        q = Rationals(mat_mul(w, num), int_array([den * wden] * ncols, den * wden))
+        return _exact(num, den, domain, ProbSpace(q, mode))
+    raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    rows = [list(r) for r in rows]
     q = [
         sum(domain.weights[x] * rows[x][y] for x in range(domain.size))
         for y in range(ncols)
     ]
-    codomain = ProbSpace(q, mode)
-    return Kernel(rows, domain, codomain)
+    return Kernel(rows, domain, ProbSpace(q, mode))
 
 
 def random_partition(rng: np.random.Generator, n: int) -> Partition:

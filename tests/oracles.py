@@ -5,12 +5,16 @@ enumeration, raw summation loops and least-squares solves act as the second
 route against which the implementation is judged.
 """
 
+from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 
 import numpy as np
 
-from finprob.errors import NotAChainError, NotLipschitzError
+import finprob as fp
+from finprob.errors import NotAChainError, NotLipschitzError, TooLargeError
+from finprob.idempotents import _leq_against, _order_forms
+from finprob.partitions import Partition
 
 
 def subsets(universe):
@@ -160,6 +164,25 @@ def invariant_sets_direct(e):
         if ok:
             masks.append(mask)
     return masks
+
+
+def invariant_partition_bruteforce(e, max_size=16):
+    """Enumerate all outcome subsets, test invariance directly
+    (e(B|x) = 1_B(x) at every supported x), and return the atoms of the
+    resulting sigma-algebra."""
+    n = e.space.size
+    if n > max_size:
+        raise TooLargeError(f"subset enumeration over {n} outcomes refused")
+    invariant_masks = invariant_sets_direct(e)
+    atoms = {}
+    full = (1 << n) - 1
+    for x in range(n):
+        atom = full
+        for mask in invariant_masks:
+            if mask >> x & 1:
+                atom &= mask
+        atoms.setdefault(atom, []).append(x)
+    return Partition(atoms.values(), n)
 
 
 def closest_point_sampled(basis, x, rng, samples=400, radius=4.0):
@@ -378,3 +401,113 @@ def colimit_seminorm_recursive(maps, a, start=0, norm="euclidean", tol=1e-8):
         if abs(later - value) > tol:
             raise NotAChainError("seminorm depends on the starting index")
     return value
+
+
+# --- kernels by Fractions ---------------------------------------------------
+
+
+def compose_by_definition(k, l):
+    """Rows of the composite: sum_y k(y|x) l(z|y), one Fraction product each."""
+    return [
+        [sum(k.rows[x][y] * l.rows[y][z] for y in range(k.codomain.size)) for z in range(l.codomain.size)]
+        for x in range(k.domain.size)
+    ]
+
+
+def as_equal_by_rows(domain, a, b):
+    """Rows a and b agree at every supported domain outcome."""
+    return all(list(a[x]) == list(b[x]) for x in range(domain.size) if not domain.is_null(x))
+
+
+def idem_leq_by_definition(e1, e2):
+    """e1 <= e2: both composites of the rows equal e1's rows almost surely."""
+    k1, k2 = e1.kernel, e2.kernel
+    rows = k1.rows
+    return as_equal_by_rows(k1.domain, compose_by_definition(k1, k2), rows) and as_equal_by_rows(
+        k1.domain, compose_by_definition(k2, k1), rows
+    )
+
+
+def random_mp_kernel_by_fractions(rng, nrows, ncols, null_rows=0):
+    """Rational `sampling.random_mp_kernel` as lists of Fractions: the same
+    draws, each table entry and weight a Fraction, conditioned through a
+    `Coupling`."""
+    while True:
+        raw = rng.integers(0, 10, size=(nrows, ncols))
+        kill = rng.permutation(nrows)[:null_rows]
+        raw[kill, :] = 0
+        if raw.sum() > 0 and (raw.sum(axis=0) > 0).any():
+            break
+    total = int(raw.sum())
+    table = [[Fraction(int(v), total) for v in row] for row in raw]
+    p = [sum(row) for row in table]
+    q = [sum(table[x][y] for x in range(nrows)) for y in range(ncols)]
+    domain = fp.ProbSpace(p, fp.rational_mode())
+    codomain = fp.ProbSpace(q, fp.rational_mode())
+    return fp.kernel_from_coupling(fp.Coupling(table, domain, codomain))
+
+
+def random_mp_kernel_from_by_fractions(rng, domain, ncols):
+    """Rational `sampling.random_mp_kernel_from` as lists of Fractions: the
+    same draws, and the codomain weights as Python sums of Fractions."""
+    rows = []
+    for _ in range(domain.size):
+        raw = rng.integers(0, 10, size=ncols)
+        if raw.sum() == 0:
+            raw[int(rng.integers(0, ncols))] = 1
+        total = int(raw.sum())
+        rows.append([Fraction(int(v), total) for v in raw])
+    q = [sum(domain.weights[x] * rows[x][y] for x in range(domain.size)) for y in range(ncols)]
+    return fp.Kernel(rows, domain, fp.ProbSpace(q, domain.mode))
+
+
+def galois_roundtrips_by_kernels(space):
+    """The Galois audit one kernel at a time: a conditioning kernel and an
+    invariant partition per partition, the idempotent roundtrip by building
+    the kernel of each invariant partition again, and the order by the
+    composite test of `_leq_against`."""
+    n = space.size
+    parts = list(fp.all_partitions(n))
+    idems = [fp.cond_exp_kernel(space, p, validate=False) for p in parts]
+    invariants = [fp.invariant_partition(e) for e in idems]
+    completions = [fp.complete_partition(p, space) for p in parts]
+    m = len(parts)
+    completion_failures = tuple((i,) for i in range(m) if invariants[i] != completions[i])
+    roundtrip_failures = tuple(
+        (i,)
+        for i in range(m)
+        if not fp.as_equal_kernels(
+            fp.cond_exp_kernel(space, invariants[i], validate=False).kernel, idems[i].kernel
+        )
+    )
+    forms = _order_forms([e.kernel for e in idems])
+    leq = np.eye(m, dtype=bool)
+    for i in range(m):
+        leq[i, i + 1:], leq[i + 1:, i] = _leq_against(forms, i, i + 1, m)
+
+    def same_block(ps):
+        labels = np.array([p.labels for p in ps])
+        return labels[:, :, None] == labels[:, None, :]
+
+    same_part, same_inv = same_block(parts), same_block(invariants)
+    adjunction_failures = []
+    monotonicity_failures = []
+    for i in range(m):
+        contained = ~(same_inv & ~same_part[i]).any(axis=(1, 2))
+        for e in np.flatnonzero(contained != leq[i]):
+            adjunction_failures.append((i, int(e), bool(contained[e]), bool(leq[i, e])))
+        up = ~(same_part & ~same_part[i]).any(axis=(1, 2)) & ~leq[i]
+        down = leq[i] & (same_inv & ~same_inv[i]).any(axis=(1, 2))
+        for j in np.flatnonzero(up | down):
+            if up[j]:
+                monotonicity_failures.append(("partition-to-kernel", i, int(j)))
+            if down[j]:
+                monotonicity_failures.append(("kernel-to-partition", i, int(j)))
+    return fp.GaloisReport(
+        size=n,
+        n_partitions=m,
+        adjunction_failures=tuple(adjunction_failures),
+        roundtrip_failures=roundtrip_failures,
+        completion_failures=completion_failures,
+        monotonicity_failures=tuple(monotonicity_failures),
+    )

@@ -7,7 +7,13 @@ import finprob as fp
 from finprob.idempotents import _leq_against, _order_forms
 from finprob.sampling import random_partition, random_space, rng_for
 
-from .oracles import cond_exp_kernel_by_definition, invariant_sets_direct, kernel_mass
+from .oracles import (
+    cond_exp_kernel_by_definition,
+    galois_roundtrips_by_kernels,
+    invariant_partition_bruteforce,
+    invariant_sets_direct,
+    kernel_mass,
+)
 
 R = fp.rational_mode()
 
@@ -103,7 +109,7 @@ class TestInvariantPartition:
             part = random_partition(rng, size)
             e = fp.cond_exp_kernel(space, part)
             fast = fp.invariant_partition(e)
-            assert fast == fp.invariant_partition_bruteforce(e)
+            assert fast == invariant_partition_bruteforce(e)
             # and the oracle's raw subset list matches the partition algebra
             masks = invariant_sets_direct(e)
             for mask in masks:
@@ -117,12 +123,12 @@ class TestInvariantPartition:
         rng = rng_for(51)
         space = random_space(rng, 12, R, null_outcomes=2)
         e = fp.cond_exp_kernel(space, random_partition(rng, 12))
-        assert fp.invariant_partition(e) == fp.invariant_partition_bruteforce(e)
+        assert fp.invariant_partition(e) == invariant_partition_bruteforce(e)
 
     def test_bruteforce_size_cap(self):
         e = fp.IdempotentKernel(fp.identity_kernel(fp.uniform_space(20, fp.FLOAT_DEFAULT)))
         with pytest.raises(fp.TooLargeError):
-            fp.invariant_partition_bruteforce(e)
+            invariant_partition_bruteforce(e)
 
 
 class TestSplit:
@@ -228,13 +234,17 @@ class TestBatchedOrder:
     @pytest.mark.parametrize("nulls", [0, 1])
     def test_table_matches_definition(self, size, nulls):
         space = random_space(rng_for(48 + size), size, R, null_outcomes=nulls)
-        nums, _ = self.check_space(space)
+        nums, _, _ = self.check_space(space)
         assert nums.dtype == np.int64
+
+    @pytest.mark.parametrize("nulls", [0, 1])
+    def test_float_table_matches_definition(self, nulls):
+        self.check_space(random_space(rng_for(53), 5, fp.FLOAT_DEFAULT, null_outcomes=nulls))
 
     def test_huge_denominators_take_the_python_int_path(self):
         p, q = 10**10 + 19, 10**10 + 33  # primes: block masses keep ~20-digit denominators
         space = fp.make_space([F(1, p), F(1, q), 1 - F(1, p) - F(1, q), F(0)], R)
-        nums, dens = self.check_space(space)
+        nums, dens, _ = self.check_space(space)
         assert nums.dtype == object and max(dens) > 2**63
 
 
@@ -318,6 +328,16 @@ class TestGalois:
     def test_float_mode_audit(self):
         report = fp.galois_roundtrips(fp.make_space([0.5, 0.0, 0.5]))
         assert report.all_ok
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_stacked_audit_matches_per_kernel_audit(self, mode):
+        rng = rng_for(47)
+        for size in range(1, 7):
+            for nulls in range(size):
+                space = random_space(rng, size, mode, null_outcomes=nulls)
+                report = fp.galois_roundtrips(space)
+                assert report == galois_roundtrips_by_kernels(space)
+                assert report.all_ok
 
     def test_too_large(self):
         with pytest.raises(fp.TooLargeError):

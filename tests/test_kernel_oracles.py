@@ -15,15 +15,21 @@ import pytest
 
 import finprob as fp
 from finprob.experiments import _slide_sequence
-from finprob.sampling import random_partition, rng_for
+from finprob.sampling import random_mp_kernel, random_mp_kernel_from, random_partition, rng_for
 
 from .oracles import (
+    as_equal_by_rows,
     bayes_inverse_by_definition,
     canonicalize_by_definition,
+    compose_by_definition,
     coupling_roundtrip_by_definition,
+    galois_roundtrips_by_kernels,
+    idem_leq_by_definition,
     invariant_blocks_union_find,
     one_sided_distance_by_definition,
     operator_distances_by_definition,
+    random_mp_kernel_by_fractions,
+    random_mp_kernel_from_by_fractions,
 )
 
 R = fp.rational_mode()
@@ -254,3 +260,70 @@ class TestKernelErrorWitness:
         expected = "row 1 sums to 3/4" if mode.exact else "row 1 sums to 0.75"
         with pytest.raises(fp.SumNotOneError, match=expected):
             fp.Kernel(rows, u3, u3)
+
+
+def coprime_space(p, q):
+    """Four outcomes, one null, with weights over the coprime denominators p and q."""
+    return fp.make_space([F(1, p), F(1, q), 1 - F(1, p) - F(1, q), F(0)], R)
+
+
+class TestPythonIntPath:
+    """Weights over large coprime denominators. With p, q near 1e6 the
+    weight denominator p*q fits int64 but a product of two kernel
+    denominators does not; near 1e10 the denominators themselves do not."""
+
+    SPACES = [coprime_space(1_000_003, 999_983), coprime_space(10**10 + 19, 10**10 + 33)]
+
+    @pytest.mark.parametrize("space", SPACES, ids=["products-widen", "held-as-objects"])
+    def test_kernel_operations_against_fractions(self, space):
+        rng = rng_for(12)
+        k = random_mp_kernel_from(rng, space, 3)
+        l = random_mp_kernel_from(rng, k.codomain, 4)
+        parts = list(fp.all_partitions(space.size))
+        e = fp.cond_exp_kernel(space, parts[5]).kernel
+        assert e.den**2 * space.size > 2**63
+        composite = fp.compose(k, l)
+        assert composite.rows.tolist() == compose_by_definition(k, l)
+        assert fp.compose(e, e).rows.tolist() == compose_by_definition(e, e)
+        inverse = fp.bayes_inverse(k)
+        assert inverse.rows.tolist() == bayes_inverse_by_definition(k)
+        for a, b in [(k, k), (k, fp.canonicalize(k)), (e, fp.identity_kernel(space))]:
+            assert fp.as_equal_kernels(a, b) == as_equal_by_rows(space, a.rows, b.rows)
+        assert fp.as_equal_kernels(fp.bayes_inverse(inverse), k)
+
+    @pytest.mark.parametrize("space", SPACES, ids=["products-widen", "held-as-objects"])
+    def test_order_and_audit_against_fractions(self, space):
+        idems = [fp.cond_exp_kernel(space, p) for p in fp.all_partitions(space.size)]
+        for e1 in idems:
+            for e2 in idems:
+                assert fp.idem_leq(e1, e2) == idem_leq_by_definition(e1, e2)
+        report = fp.galois_roundtrips(space)
+        assert report.all_ok and report == galois_roundtrips_by_kernels(space)
+
+
+class TestIntegerSampling:
+    """The sampled rational kernels equal those built entry by entry from
+    Fractions, out of the same draws in the same order."""
+
+    DOMAINS = [fp.uniform_space(1, R), fp.uniform_space(5, R), fp.make_space([F(1, 2), F(0), F(1, 3), F(1, 6)], R)]
+
+    def test_random_mp_kernel(self):
+        for seed in range(20):
+            nrows, ncols = 1 + seed % 7, 1 + seed % 5
+            nulls = min(seed % 3, nrows - 1)
+            rng, ref = rng_for(seed), rng_for(seed)
+            k = random_mp_kernel(rng, nrows, ncols, R, null_rows=nulls)
+            expected = random_mp_kernel_by_fractions(ref, nrows, ncols, nulls)
+            assert k.domain == expected.domain and k.codomain == expected.codomain
+            assert k.rows.tolist() == expected.rows.tolist()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_random_mp_kernel_from(self):
+        for seed in range(20):
+            domain, ncols = self.DOMAINS[seed % 3], 1 + seed % 5
+            rng, ref = rng_for(seed), rng_for(seed)
+            k = random_mp_kernel_from(rng, domain, ncols)
+            expected = random_mp_kernel_from_by_fractions(ref, domain, ncols)
+            assert k.codomain == expected.codomain
+            assert k.rows.tolist() == expected.rows.tolist()
+            assert rng.bit_generator.state == ref.bit_generator.state
