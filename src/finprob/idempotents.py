@@ -148,7 +148,7 @@ def _transitions(data: np.ndarray, space: ProbSpace) -> np.ndarray:
     rows (float mode, above the tolerance)."""
     live = space.live_index()
     threshold = 0 if space.mode.exact else space.mode.tolerance
-    return data[..., live[:, None], live] > threshold
+    return data[..., live, :][..., live] > threshold
 
 
 def _invariant_partitions(step: np.ndarray, space: ProbSpace) -> list[Partition]:
