@@ -38,9 +38,9 @@ from .numerics import (
     _in_mode_dtype,
     as_matrix,
     block_sums,
+    fraction_array,
     int_array,
     int_numerators,
-    fraction_array,
     magnitude,
     mat_mul,
     widen,
@@ -119,7 +119,7 @@ def _int_rows(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: Pro
         at = _first(bad)
         total = Fraction(int(totals[at]), int(den[at[:-1]]))
         raise SumNotOneError(f"{_at(at, ('row',))} sums to {total}")
-    g = np.asarray(np.gcd(np.gcd.reduce(num.reshape(den.shape + (-1,)), axis=-1), den))
+    g = np.asarray(np.gcd(np.gcd.reduce(np.gcd.reduce(num, axis=-1), axis=-1), den))
     num, den = num // g[..., None, None], np.asarray(den // g)
     if num.dtype == object and max(den.reshape(-1).tolist(), default=0) <= np.iinfo(np.int64).max:
         num, den = num.astype(np.int64), den.astype(np.int64)

@@ -76,6 +76,12 @@ class TestKernelSequence:
         with pytest.raises(error, match=message):
             fp.kernel_sequence(self.stack(2, (1, 0), value), self.SPACE, self.SPACE)
 
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_empty_stack(self, mode):
+        space = fp.uniform_space(2, mode)
+        stack = np.empty((0, 2, 2), dtype=object if mode.exact else np.float64)
+        assert fp.kernel_sequence(stack, space, space) == []
+
     def test_shape_checked(self):
         with pytest.raises(fp.SizeMismatchError):
             fp.kernel_sequence(self.stack()[:, :1], self.SPACE, self.SPACE)
