@@ -12,9 +12,11 @@ per block. A kernel holds an integer numerator matrix over one common
 denominator, in lowest terms, and a stack of kernels one denominator per
 kernel. Each operation first bounds its results from the data; the arrays
 are int64 when that bound fits and Python-int object arrays otherwise, so
-no result ever wraps around. `fractions.Fraction` objects appear only at
-the boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
-access and cached), input given as Fractions, and the text formats.
+no result ever wraps around. `fractions.Fraction` objects appear at the
+boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
+access and cached), input given as Fractions, and the text formats. Vector
+random variables and the kernel pullbacks of `operators` still compute on
+Fractions.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import numpy as np
 
 import finprob as fp
 from finprob.errors import NotAChainError, NotLipschitzError, TooLargeError
-from finprob.idempotents import _leq_against, _order_forms
+from finprob.idempotents import _leq_against, _order_forms, _same_block
 from finprob.partitions import Partition
 
 
@@ -430,8 +430,8 @@ def idem_leq_by_definition(e1, e2):
 
 def random_mp_kernel_by_fractions(rng, nrows, ncols, null_rows=0):
     """Rational `sampling.random_mp_kernel` as lists of Fractions: the same
-    draws, each table entry and weight a Fraction, conditioned through a
-    `Coupling`."""
+    draws, each table entry and weight a Fraction, and row x the table row
+    over p(x), or q where p(x) = 0."""
     while True:
         raw = rng.integers(0, 10, size=(nrows, ncols))
         kill = rng.permutation(nrows)[:null_rows]
@@ -442,9 +442,9 @@ def random_mp_kernel_by_fractions(rng, nrows, ncols, null_rows=0):
     table = [[Fraction(int(v), total) for v in row] for row in raw]
     p = [sum(row) for row in table]
     q = [sum(table[x][y] for x in range(nrows)) for y in range(ncols)]
-    domain = fp.ProbSpace(p, fp.rational_mode())
-    codomain = fp.ProbSpace(q, fp.rational_mode())
-    return fp.kernel_from_coupling(fp.Coupling(table, domain, codomain))
+    rows = [list(q) if p[x] == 0 else [v / p[x] for v in table[x]] for x in range(nrows)]
+    mode = fp.rational_mode()
+    return fp.Kernel(rows, fp.ProbSpace(p, mode), fp.ProbSpace(q, mode))
 
 
 def random_mp_kernel_from_by_fractions(rng, domain, ncols):
@@ -485,11 +485,7 @@ def galois_roundtrips_by_kernels(space):
     for i in range(m):
         leq[i, i + 1:], leq[i + 1:, i] = _leq_against(forms, i, i + 1, m)
 
-    def same_block(ps):
-        labels = np.array([p.labels for p in ps])
-        return labels[:, :, None] == labels[:, None, :]
-
-    same_part, same_inv = same_block(parts), same_block(invariants)
+    same_part, same_inv = _same_block(parts), _same_block(invariants)
     adjunction_failures = []
     monotonicity_failures = []
     for i in range(m):
