@@ -19,10 +19,10 @@ import numpy as np
 
 from .config import ExperimentConfig, resolve_output
 from .errors import ConfigError, FinprobError
-from .numerics import int_array, rational_mode, widen
+from .numerics import rational_mode
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
-from .kernels import Kernel, _exact_stack, kernel_sequence
+from .kernels import Kernel, kernel_sequence
 from .martingales import (
     DECREASING,
     Filtration,
@@ -295,22 +295,9 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _slide_sequence(k: Kernel, a: list) -> list[Kernel]:
     """Convex mixes (1 - a[t]) k + a[t] i of k with the independent kernel i,
-    whose every row is the codomain weights, built and validated as one stack.
-    In rational mode step t is integer numerators over ad * k.den * qden,
-    for a[t] = an / ad and the codomain weights qnum / qden."""
-    if not k.mode.exact:
-        a = np.array(a, dtype=np.float64)[:, None, None]
-        return kernel_sequence((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
-    qnum, qden = k.codomain.int_weights()
-    a = [Fraction(t) for t in a]
-    an = [t.numerator for t in a]
-    ad = [t.denominator for t in a]
-    dens = [d * k.den * qden for d in ad]
-    bound = max((abs(d - n) + abs(n)) * k.den * qden for n, d in zip(an, ad))
-    an, ad, num, q = widen(bound, int_array(an, bound), int_array(ad, bound), k.num, qnum)
-    an, ad = an[:, None, None], ad[:, None, None]
-    stack = (ad - an) * qden * num + an * k.den * q
-    return _exact_stack(stack, int_array(dens, max(dens)), k.domain, k.codomain)
+    whose every row is the codomain weights, built and validated as one stack."""
+    a = np.array(a, dtype=object if k.mode.exact else np.float64)[:, None, None]
+    return kernel_sequence((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:

@@ -257,26 +257,17 @@ def _leq_against(forms, i: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _leq_pair_exact(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
-    """(e1 <= e2, e2 <= e1) for exact idempotents: the batched test on a
-    stack of two."""
+    """(e1 <= e2, e2 <= e1) for idempotents in either mode: the batched
+    test on a stack of two."""
     le, ge = _leq_against(_order_forms([e1, e2]), 0, 1, 2)
     return bool(le[0]), bool(ge[0])
-
-
-def _leq_pair_generic(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
-    p1 = compose(e1, e2)
-    p2 = compose(e2, e1)
-    leq12 = as_equal_kernels(p1, e1) and as_equal_kernels(p2, e1)
-    leq21 = as_equal_kernels(p1, e2) and as_equal_kernels(p2, e2)
-    return leq12, leq21
 
 
 def idem_leq(e1: IdempotentKernel, e2: IdempotentKernel) -> bool:
     """Idempotent order: true when both composites of e1 and e2 a.s. equal e1."""
     if not e1.space.same_as(e2.space):
         raise SpaceMismatchError("idempotents on different spaces")
-    pair = _leq_pair_exact if e1.space.mode.exact else _leq_pair_generic
-    return pair(e1.kernel, e2.kernel)[0]
+    return _leq_pair_exact(e1.kernel, e2.kernel)[0]
 
 
 def order_witnesses(

@@ -140,9 +140,7 @@ class Kernel:
         if not domain.mode.exact:
             self._bind(_kernel_rows(rows, domain, codomain), None, None, domain, codomain)
             return
-        num, den = int_numerators(_table(rows, domain, codomain, "kernel"))
-        num, den = _int_rows(num, np.asarray(den), domain, codomain)
-        self._bind(None, num, int(den), domain, codomain)
+        self._bind_int(*int_numerators(_table(rows, domain, codomain, "kernel")), domain, codomain)
 
     def _bind(self, rows, num, den, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
         if rows is not None:
@@ -152,6 +150,11 @@ class Kernel:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         return self
+
+    def _bind_int(self, num: np.ndarray, den: int, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
+        """Bind the checked lowest-terms form of integer numerators over a denominator."""
+        num, den = _int_rows(num, np.asarray(den), domain, codomain)
+        return self._bind(None, num, int(den), domain, codomain)
 
     def __setattr__(self, name, value):
         raise AttributeError("Kernel is immutable")
@@ -179,8 +182,7 @@ class Kernel:
 
 def _exact(num: np.ndarray, den: int, domain: ProbSpace, codomain: ProbSpace) -> Kernel:
     """Checked rational kernel of integer numerators over a denominator."""
-    num, den = _int_rows(num, np.asarray(den), domain, codomain)
-    return object.__new__(Kernel)._bind(None, num, int(den), domain, codomain)
+    return object.__new__(Kernel)._bind_int(num, den, domain, codomain)
 
 
 def _exact_stack(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:

@@ -7,13 +7,14 @@ route against which the implementation is judged.
 
 from fractions import Fraction
 from itertools import chain, combinations
+from types import SimpleNamespace
 from math import lcm
 
 import numpy as np
 
 import finprob as fp
 from finprob.errors import NotAChainError, NotLipschitzError, TooLargeError
-from finprob.idempotents import _leq_against, _order_forms, _same_block
+from finprob.idempotents import _same_block
 from finprob.partitions import Partition
 
 
@@ -461,29 +462,53 @@ def random_mp_kernel_from_by_fractions(rng, domain, ncols):
     return fp.Kernel(rows, domain, fp.ProbSpace(q, domain.mode))
 
 
+def _order_by_composites(mode, live, rows):
+    """(m, m) table of e_i <= e_j for the row matrices of idempotents: both
+    composites of e_i and e_j equal e_i at every supported row. Exact rows
+    are scaled to integer numerators over one denominator per kernel, so
+    the composite of e_i and e_j carries den_i * den_j and is compared with
+    e_i scaled by den_j."""
+    if mode.exact:
+        nums, dens = zip(*(_int_scale(r) for r in rows))
+        dtype = np.int64 if max(dens) ** 2 <= np.iinfo(np.int64).max else object
+        nums, dens = np.array(nums, dtype=dtype), np.array(dens, dtype=dtype)
+    else:
+        nums, dens = np.array(rows, dtype=np.float64), np.ones(len(rows))
+    composites = np.matmul(nums[:, None], nums[None, :])[:, :, live]
+    scaled = nums[:, None, live] * dens[None, :, None, None]
+    ij = mode.close_mask(composites, scaled).all(axis=(2, 3))
+    ji = mode.close_mask(composites.transpose(1, 0, 2, 3), scaled).all(axis=(2, 3))
+    return ij & ji
+
+
 def galois_roundtrips_by_kernels(space):
-    """The Galois audit one kernel at a time: a conditioning kernel and an
-    invariant partition per partition, the idempotent roundtrip by building
-    the kernel of each invariant partition again, and the order by the
-    composite test of `_leq_against`."""
+    """The Galois audit one kernel at a time, by definition: each
+    conditioning kernel from `cond_exp_kernel_by_definition`, each
+    invariant partition by subset enumeration, the idempotent roundtrip by
+    building the kernel of each invariant partition again and comparing
+    its supported rows, and the order by every composite of two kernels."""
     n = space.size
+    mode = space.mode
+    weights = list(space.weights)
+    live = [x for x in range(n) if not space.is_null(x)]
     parts = list(fp.all_partitions(n))
-    idems = [fp.cond_exp_kernel(space, p, validate=False) for p in parts]
-    invariants = [fp.invariant_partition(e) for e in idems]
+    rows = [cond_exp_kernel_by_definition(weights, p.blocks) for p in parts]
+    invariants = [
+        invariant_partition_bruteforce(SimpleNamespace(space=space, kernel=SimpleNamespace(rows=r)))
+        for r in rows
+    ]
     completions = [fp.complete_partition(p, space) for p in parts]
     m = len(parts)
     completion_failures = tuple((i,) for i in range(m) if invariants[i] != completions[i])
     roundtrip_failures = tuple(
         (i,)
         for i in range(m)
-        if not fp.as_equal_kernels(
-            fp.cond_exp_kernel(space, invariants[i], validate=False).kernel, idems[i].kernel
+        if not mode.all_close(
+            np.array(cond_exp_kernel_by_definition(weights, invariants[i].blocks))[live],
+            np.array(rows[i])[live],
         )
     )
-    forms = _order_forms([e.kernel for e in idems])
-    leq = np.eye(m, dtype=bool)
-    for i in range(m):
-        leq[i, i + 1:], leq[i + 1:, i] = _leq_against(forms, i, i + 1, m)
+    leq = _order_by_composites(mode, live, rows)
 
     same_part, same_inv = _same_block(parts), _same_block(invariants)
     adjunction_failures = []
