@@ -95,6 +95,12 @@ def is_idempotent(k: Kernel) -> bool:
     return as_equal_kernels(compose(k, k), k)
 
 
+def _same_block(parts: Sequence[Partition]) -> np.ndarray:
+    """(m, n, n) table: [k, x, y] is true when x and y share a block of parts[k]."""
+    labels = np.array([p.labels for p in parts])
+    return labels[:, :, None] == labels[:, None, :]
+
+
 def _conditioning(space: ProbSpace, parts: Sequence[Partition]) -> list[Kernel]:
     """Conditioning kernels of partitions of the space, built and checked as
     one stack. Row x of a partition's kernel is w(y) / (mass of x's block)
@@ -105,7 +111,7 @@ def _conditioning(space: ProbSpace, parts: Sequence[Partition]) -> list[Kernel]:
     outcomes take the weights)."""
     labels = np.array([p.labels for p in parts])
     m, n = labels.shape
-    same = labels[:, :, None] == labels[:, None, :]
+    same = _same_block(parts)
     bins = (labels + n * np.arange(m)[:, None]).ravel()
     null = np.ones(n, dtype=bool)
     null[space.live_index()] = False
@@ -350,12 +356,6 @@ def inf_idempotents(chain: Sequence[IdempotentKernel]) -> IdempotentKernel:
 
 
 # -- exhaustive Galois audit -------------------------------------------------
-
-def _same_block(parts: Sequence[Partition]) -> np.ndarray:
-    """(m, n, n) table: [k, x, y] is true when x and y share a block of parts[k]."""
-    labels = np.array([p.labels for p in parts])
-    return labels[:, :, None] == labels[:, None, :]
-
 
 @dataclass(frozen=True)
 class GaloisReport:

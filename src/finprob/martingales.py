@@ -20,6 +20,7 @@ from .errors import (
     InvalidFiltrationError,
     NotAMartingaleError,
     NotMonotoneError,
+    SizeMismatchError,
     SpaceMismatchError,
     TooLargeError,
 )
@@ -213,9 +214,9 @@ def dyadic_space(levels: int, mode: NumericMode = rational_mode()) -> ProbSpace:
 
 def dyadic_partition(levels: int, level: int) -> Partition:
     """Partition of 2**levels atoms into 2**level consecutive runs."""
-    n = 1 << levels
-    run = 1 << (levels - level)
-    return Partition([range(i, i + run) for i in range(0, n, run)], n)
+    if not 0 <= level <= levels:
+        raise SizeMismatchError(f"dyadic level {level} outside 0..{levels}")
+    return Partition.from_labels((np.arange(1 << levels) >> (levels - level)).tolist())
 
 
 def dyadic_filtration(

@@ -15,7 +15,7 @@ are int64 when that bound fits and Python-int object arrays otherwise, so
 no result ever wraps around. `fractions.Fraction` objects appear at the
 boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
 access and cached), input given as Fractions, and the text formats. Vector
-random variables and the kernel pullbacks of `operators` still compute on
+random variables and `operators.vector_pullback` still compute on
 Fractions.
 """
 

@@ -26,6 +26,7 @@ from .numerics import (
     block_sums,
     check_norm_index,
     exact_sqrt,
+    int_array,
     is_infinite,
     mat_mul,
     magnitude,
@@ -39,9 +40,20 @@ VNorm = Union[str, Callable[[np.ndarray], float]]
 
 
 def apply_pullback(k: Kernel, g: RandomVar) -> RandomVar:
-    """k*g: integrate g against each row of k."""
+    """k*g: integrate g against each row of k.
+
+    Rational mode takes one integer product: the kernel numerators against
+    g's numerators over their common denominator L, over k.den * L. A
+    kernel row is nonnegative and sums to k.den, so every result is at most
+    k.den * max|numerator| in magnitude.
+    """
     if not g.space.same_as(k.codomain):
         raise SpaceMismatchError("RV must live on the kernel's codomain")
+    if k.mode.exact:
+        gnum, common = g._exact.over_common()
+        den = k.den * common
+        num, gnum = widen(max(k.den * magnitude(gnum), den), k.num, gnum)
+        return RandomVar(Rationals(mat_mul(num, gnum), int_array([den] * len(num), den)), k.domain)
     return RandomVar(mat_mul(k.rows, g.values), k.domain)
 
 

@@ -5,103 +5,102 @@ partition-generated ones, so the lattice of partitions carries the whole
 structure: join = common refinement, meet = finest common coarsening, and
 null-set completion splits every zero-weight outcome into its own block.
 
-Canonical form (blocks ordered by minimal element, members ascending) makes
-structural equality independent of how a partition was produced.
+A partition is held as its canonical label vector: `labels[x]` is the
+index of the block of outcome x, blocks numbered in order of their least
+member. Two partitions are equal exactly when their label vectors are, so
+equality does not depend on how a partition was produced, and every
+lattice operation is a relabelling. `blocks`, the ascending member tuples
+in that same order, is built from the labels on first access.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import SizeMismatchError
 from .spaces import ProbSpace, RandomVar
 
-Blocks = tuple[tuple[int, ...], ...]
-
-
-def _canonical(blocks: Iterable[Iterable[int]]) -> Blocks:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-
 
 class Partition:
-    """Disjoint nonempty blocks covering {0..parent_size-1}, in canonical form."""
+    """Disjoint nonempty blocks covering {0..parent_size-1}, held as the
+    canonical label vector (see the module docstring)."""
 
-    __slots__ = ("blocks", "parent_size", "_labels")
+    __slots__ = ("labels", "n_blocks", "parent_size", "blocks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], parent_size: int):
-        canon = _canonical(blocks)
         labels = [-1] * parent_size
-        seen = 0
-        for bi, block in enumerate(canon):
+        for bi, block in enumerate(blocks):
+            block = tuple(block)
             if not block:
                 raise SizeMismatchError("empty partition block")
             for x in block:
+                if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+                    raise SizeMismatchError(f"partition member {x!r} is not an integer outcome")
                 if not 0 <= x < parent_size:
                     raise SizeMismatchError(f"outcome {x} outside 0..{parent_size - 1}")
                 if labels[x] != -1:
                     raise SizeMismatchError(f"outcome {x} appears in two blocks")
                 labels[x] = bi
-                seen += 1
-        if seen != parent_size:
+        if -1 in labels:
             missing = [x for x in range(parent_size) if labels[x] == -1]
             raise SizeMismatchError(f"outcomes not covered: {missing}")
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "parent_size", parent_size)
-        labels = np.array(labels, dtype=np.intp)
-        labels.setflags(write=False)
-        object.__setattr__(self, "_labels", labels)
+        self._bind(labels)
+
+    def _bind(self, labels: Iterable[Hashable]) -> "Partition":
+        """Bind the labels renumbered by first appearance: the canonical form."""
+        seen: dict = {}
+        canon = np.array([seen.setdefault(lab, len(seen)) for lab in labels], dtype=np.intp)
+        canon.setflags(write=False)
+        object.__setattr__(self, "labels", canon)
+        object.__setattr__(self, "n_blocks", len(seen))
+        object.__setattr__(self, "parent_size", canon.size)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __getattr__(self, name):
+        # Reached only while a slot is unset: `blocks` is built from the
+        # labels on first access and cached in its slot.
+        if name != "blocks":
+            raise AttributeError(name)
+        groups: list = [[] for _ in range(self.n_blocks)]
+        for x, lab in enumerate(self.labels.tolist()):
+            groups[lab].append(x)
+        blocks = tuple(map(tuple, groups))
+        object.__setattr__(self, "blocks", blocks)
+        return blocks
+
     @classmethod
     def discrete(cls, n: int) -> "Partition":
-        return cls([(i,) for i in range(n)], n)
+        return cls.from_labels(range(n))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
-        return cls([tuple(range(n))], n)
+        return cls.from_labels([0] * n)
 
     @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        groups: dict[int, list[int]] = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
-        return cls(groups.values(), len(labels))
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Block index (in canonical order) of every outcome, as a read-only array."""
-        return self._labels
-
-    def label_of(self, x: int) -> int:
-        """Index (in canonical order) of the block containing outcome x."""
-        return int(self._labels[x])
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self._labels[x]]
+    def from_labels(cls, labels: Iterable[Hashable]) -> "Partition":
+        """The partition whose blocks are the outcomes sharing a label."""
+        return object.__new__(cls)._bind(labels)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self sits inside a block of other."""
         if self.parent_size != other.parent_size:
             raise SizeMismatchError("partitions of different parent size")
-        first = np.fromiter((b[0] for b in self.blocks), dtype=np.intp, count=self.n_blocks)
-        theirs = other._labels
-        return bool((theirs == theirs[first][self._labels]).all())
+        theirs = np.empty(self.n_blocks, dtype=np.intp)
+        theirs[self.labels] = other.labels
+        return bool((theirs[self.labels] == other.labels).all())
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.parent_size == other.parent_size and self.blocks == other.blocks
+        return self.labels.tobytes() == other.labels.tobytes()  # equal bytes: equal sizes too
 
     def __hash__(self):
-        return hash((self.parent_size, self.blocks))
+        return hash(self.labels.tobytes())
 
     def __repr__(self):
         inner = ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -118,24 +117,20 @@ def _require_same_parent(p: Partition, q: Partition) -> None:
 def join_partitions(p: Partition, q: Partition) -> Partition:
     """Join of the generated sigma-algebras: the common refinement.
 
-    Blocks are the nonempty pairwise intersections of p-blocks and q-blocks.
+    Outcomes share a block when they share their pair of p- and q-labels.
     """
     _require_same_parent(p, q)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for x, key in enumerate(zip(p.labels.tolist(), q.labels.tolist())):
-        groups.setdefault(key, []).append(x)
-    return Partition(groups.values(), p.parent_size)
+    return Partition.from_labels((p.labels * q.n_blocks + q.labels).tolist())
 
 
 def meet_partitions(p: Partition, q: Partition) -> Partition:
     """Meet of the generated sigma-algebras: the finest common coarsening.
 
-    Blocks are connected components of the graph linking outcomes that share
-    a p-block or a q-block.
+    Blocks are connected components of the graph on the p-blocks and the
+    q-blocks that links the two blocks of every outcome.
     """
     _require_same_parent(p, q)
-    n = p.parent_size
-    parent = list(range(n))
+    parent = list(range(p.n_blocks + q.n_blocks))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -143,19 +138,11 @@ def meet_partitions(p: Partition, q: Partition) -> Partition:
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
+    for a, b in zip(p.labels.tolist(), (q.labels + p.n_blocks).tolist()):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
-
-    for part in (p, q):
-        for block in part.blocks:
-            for x in block[1:]:
-                union(block[0], x)
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return Partition(groups.values(), n)
+    return Partition.from_labels([find(a) for a in p.labels.tolist()])
 
 
 def complete_partition(p: Partition, space: ProbSpace) -> Partition:
@@ -168,19 +155,13 @@ def complete_partition(p: Partition, space: ProbSpace) -> Partition:
         raise SizeMismatchError(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
-    null = set(range(space.size)).difference(space.support)
-    if all(len(p.block_of(x)) == 1 for x in null):
+    if space.fully_supported:
         return p
-    blocks: list = []
-    for block in p.blocks:
-        if null.isdisjoint(block):
-            blocks.append(block)
-            continue
-        kept = [x for x in block if x not in null]
-        if kept:
-            blocks.append(kept)
-        blocks.extend([x] for x in block if x in null)
-    return Partition(blocks, p.parent_size)
+    labels = p.labels.tolist()
+    for x in set(range(space.size)).difference(space.support):
+        labels[x] = -1 - x  # a label of its own
+    out = Partition.from_labels(labels)
+    return p if out.n_blocks == p.n_blocks else out
 
 
 def _constant_on_blocks(f: RandomVar, p: Partition, outcomes: np.ndarray) -> bool:

@@ -151,11 +151,8 @@ def random_coarsening_chain(
     current = start if start is not None else Partition.discrete(n)
     chain = [current]
     while len(chain) < length and current.n_blocks > 1:
-        blocks = list(current.blocks)
-        i, j = rng.permutation(len(blocks))[:2]
-        merged = list(blocks[i]) + list(blocks[j])
-        rest = [b for idx, b in enumerate(blocks) if idx not in (i, j)]
-        current = Partition(rest + [merged], n)
+        i, j = rng.permutation(current.n_blocks)[:2]
+        current = Partition.from_labels(np.where(current.labels == j, i, current.labels).tolist())
         chain.append(current)
     return chain
 

@@ -258,6 +258,50 @@ def completion_by_definition(weights, blocks):
     return out
 
 
+# --- the partition lattice, on sets of blocks --------------------------------
+
+
+def join_by_intersections(p_blocks, q_blocks):
+    """Blocks of the common refinement: the nonempty pairwise intersections."""
+    return {frozenset(a) & frozenset(b) for a in p_blocks for b in q_blocks} - {frozenset()}
+
+
+def meet_by_closing(p_blocks, q_blocks):
+    """Blocks of the finest common coarsening: blocks of either partition
+    that overlap are merged until no two overlap."""
+    blocks = [frozenset(b) for b in chain(p_blocks, q_blocks)]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in combinations(blocks, 2):
+            if a & b:
+                blocks.remove(a)
+                blocks.remove(b)
+                blocks.append(a | b)
+                merged = True
+                break
+    return set(blocks)
+
+
+def refines_by_containment(p_blocks, q_blocks):
+    """True when every block of p lies inside some block of q."""
+    return all(any(set(a) <= set(b) for b in q_blocks) for a in p_blocks)
+
+
+def coarsening_chain_by_blocks(rng, n, length):
+    """Canonical block tuples of `random_coarsening_chain` from the discrete
+    partition, by its definition on blocks: each step draws one permutation
+    of the block indices and merges the first two blocks it names."""
+    blocks = [(x,) for x in range(n)]
+    out = [tuple(blocks)]
+    while len(out) < length and len(blocks) > 1:
+        i, j = rng.permutation(len(blocks))[:2]
+        rest = [b for k, b in enumerate(blocks) if k not in (i, j)]
+        blocks = sorted(rest + [tuple(sorted(blocks[i] + blocks[j]))])
+        out.append(tuple(blocks))
+    return out
+
+
 # --- kernel operations, entry by entry -------------------------------------
 # Each works on the rows of library kernels with one scalar operation per
 # entry, in the order a hand computation would take.

@@ -43,6 +43,18 @@ class TestFiltration:
             fp.Filtration([B_PART, C_PART], fp.DECREASING, space)
 
 
+class TestDyadicPartition:
+    def test_runs_of_equal_length(self):
+        assert fp.dyadic_partition(3, 1).blocks == ((0, 1, 2, 3), (4, 5, 6, 7))
+        assert fp.dyadic_partition(3, 0) == fp.Partition.trivial(8)
+        assert fp.dyadic_partition(3, 3) == fp.Partition.discrete(8)
+
+    @pytest.mark.parametrize("level", [-1, 4, 5])
+    def test_level_outside_range(self, level):
+        with pytest.raises(fp.SizeMismatchError, match=f"dyadic level {level} outside 0..3"):
+            fp.dyadic_partition(3, level)
+
+
 class TestFiltrationLimit:
     def test_dyadic_join_is_discrete(self):
         f = fp.dyadic_filtration(3)

@@ -49,6 +49,21 @@ class TestApplyPullback:
         with pytest.raises(fp.SpaceMismatchError):
             fp.apply_pullback(HALF, g)
 
+    @pytest.mark.parametrize("n", [1, 4, 16, 32])
+    def test_exact_equals_fraction_product(self, n):
+        """The integer product equals the row-by-row Fraction sums, on int64
+        kernels and (at n = 32, a 34-digit denominator) Python-int kernels,
+        and on values whose numerators outgrow int64."""
+        rng = rng_for(5)
+        k = random_mp_kernel(rng, n, n, R, null_rows=n // 4)
+        if n == 32:
+            assert k.num.dtype == object
+        big = [F(10**30 + y, 7 + y) for y in range(n)]
+        for g in (random_rv(rng, k.codomain), fp.RandomVar(big, k.codomain)):
+            pulled = fp.apply_pullback(k, g)
+            expected = [sum(k.rows[x][y] * g.values[y] for y in range(n)) for x in range(n)]
+            assert list(pulled.values) == expected
+
 
 class TestCondExpectation:
     def test_block_average(self):

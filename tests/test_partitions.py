@@ -1,9 +1,19 @@
 import itertools
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import finprob as fp
+from finprob.sampling import random_coarsening_chain
+
+from .oracles import (
+    coarsening_chain_by_blocks,
+    completion_by_definition,
+    join_by_intersections,
+    meet_by_closing,
+    refines_by_containment,
+)
 
 R = fp.rational_mode()
 
@@ -20,12 +30,31 @@ class TestCanonicalForm:
         assert fp.Partition([(2, 3), (1, 0)], 4) == P_BLOCKS
 
     def test_overlap_rejected(self):
-        with pytest.raises(fp.SizeMismatchError):
+        with pytest.raises(fp.SizeMismatchError, match="outcome 1 appears in two blocks"):
             fp.Partition([(0, 1), (1, 2)], 3)
 
     def test_cover_required(self):
-        with pytest.raises(fp.SizeMismatchError):
+        with pytest.raises(fp.SizeMismatchError, match=r"outcomes not covered: \[2\]"):
             fp.Partition([(0, 1)], 3)
+
+    @pytest.mark.parametrize(
+        "blocks, n, message",
+        [
+            ([(0,), ()], 1, "empty partition block"),
+            ([(0, 3)], 3, "outcome 3 outside 0..2"),
+            ([(0, -1)], 2, "outcome -1 outside 0..1"),
+            ([(0, 1.5)], 2, "member 1.5 is not an integer outcome"),
+            ([(0, 1.0)], 2, "member 1.0 is not an integer outcome"),
+            ([(False, True)], 2, "member False is not an integer outcome"),
+            ([(0, None)], 2, "member None is not an integer outcome"),
+        ],
+    )
+    def test_public_constructor_errors(self, blocks, n, message):
+        with pytest.raises(fp.SizeMismatchError, match=message):
+            fp.Partition(blocks, n)
+
+    def test_numpy_integer_members_accepted(self):
+        assert fp.Partition([np.arange(2), (np.int64(3), 2)], 4) == P_BLOCKS
 
 
 class TestJoin:
@@ -139,3 +168,59 @@ def test_partition_count_matches_bell_numbers():
     for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
         assert len(list(fp.all_partitions(n))) == bell
         assert fp.bell_number(n) == bell
+
+
+def _block_sets(p):
+    return set(map(frozenset, p.blocks))
+
+
+class TestAgainstSetOracles:
+    """Label operations against set-based definitions (tests/oracles.py)."""
+
+    def test_lattice_exhaustive_5(self):
+        parts = list(fp.all_partitions(5))
+        for p, q in itertools.product(parts, repeat=2):
+            assert _block_sets(fp.join_partitions(p, q)) == join_by_intersections(p.blocks, q.blocks)
+            assert _block_sets(fp.meet_partitions(p, q)) == meet_by_closing(p.blocks, q.blocks)
+            assert p.refines(q) == refines_by_containment(p.blocks, q.blocks)
+
+    def test_completion_for_every_small_null_set(self):
+        for null in itertools.chain.from_iterable(
+            itertools.combinations(range(5), r) for r in range(3)
+        ):
+            weights = [F(0) if x in null else F(1, 5 - len(null)) for x in range(5)]
+            space = fp.make_space(weights, R)
+            for p in fp.all_partitions(5):
+                out = fp.complete_partition(p, space)
+                assert _block_sets(out) == completion_by_definition(weights, p.blocks)
+                unchanged = all((x,) in p.blocks for x in null)
+                assert (out is p) == unchanged
+
+    def test_canonical_invariants(self):
+        rng = np.random.default_rng(3)
+        parts = list(fp.all_partitions(5)) + [
+            fp.Partition.from_labels(rng.integers(0, k, size=40).tolist()) for k in (1, 3, 9, 40)
+        ]
+        for p in parts:
+            labels = p.labels.tolist()
+            firsts = [x for x in range(p.parent_size) if labels[x] not in labels[:x]]
+            assert [labels[x] for x in firsts] == list(range(p.n_blocks))
+            assert [b[0] for b in p.blocks] == firsts
+            assert all(list(b) == sorted(b) for b in p.blocks)
+            assert all(labels[x] == k for k, b in enumerate(p.blocks) for x in b)
+            assert not p.labels.flags.writeable
+
+    def test_from_labels_of_a_renaming(self):
+        rng = np.random.default_rng(4)
+        for p in list(fp.all_partitions(5)) + [fp.dyadic_partition(6, 3)]:
+            names = rng.permutation(1000)[: p.n_blocks].tolist()
+            for rename in (names, [f"b{k}" for k in names], [(k, -k) for k in names]):
+                q = fp.Partition.from_labels([rename[lab] for lab in p.labels.tolist()])
+                assert q == p and hash(q) == hash(p)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    def test_random_coarsening_chain_merges_blocks(self, n):
+        for seed in range(6):
+            chain = random_coarsening_chain(np.random.default_rng(seed), n, n + 2)
+            expected = coarsening_chain_by_blocks(np.random.default_rng(seed), n, n + 2)
+            assert [p.blocks for p in chain] == expected
