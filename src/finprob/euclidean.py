@@ -24,6 +24,7 @@ from .errors import (
     NotLipschitzError,
     NotOrthonormalError,
 )
+from .numerics import Frozen
 
 DEFAULT_TOL = 1e-8
 
@@ -56,7 +57,7 @@ def _operator_norm(m: np.ndarray, kind: VectorNorm) -> float:
     raise DimMismatchError("operator norms are only defined for named vector norms")
 
 
-class Subspace:
+class Subspace(Frozen):
     """Subspace of R^d carried by an explicit orthonormal basis (possibly empty)."""
 
     __slots__ = ("basis", "ambient_dim")
@@ -78,9 +79,6 @@ class Subspace:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -130,7 +128,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-class Projector:
+class Projector(Frozen):
     """Symmetric idempotent matrix: the orthogonal projector onto its image."""
 
     __slots__ = ("matrix",)
@@ -146,9 +144,6 @@ class Projector:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projector is immutable")
 
     @property
     def ambient_dim(self) -> int:

@@ -22,7 +22,7 @@ from .errors import ConfigError, FinprobError
 from .numerics import rational_mode
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
-from .kernels import Kernel, kernel_sequence
+from .kernels import Kernel, _checked_stack
 from .martingales import (
     DECREASING,
     Filtration,
@@ -33,7 +33,7 @@ from .martingales import (
     martingale_from_terminal,
     nonintegrable_example,
 )
-from .metrics import homeomorphism_reports
+from .metrics import _stack_reports
 from .spaces import RandomVar
 from .sampling import (
     random_coarsening_chain,
@@ -293,11 +293,13 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _slide_sequence(k: Kernel, a: list) -> list[Kernel]:
+def _slide_stack(k: Kernel, a: list) -> tuple:
     """Convex mixes (1 - a[t]) k + a[t] i of k with the independent kernel i,
-    whose every row is the codomain weights, built and validated as one stack."""
+    whose every row is the codomain weights, built with one expression and
+    checked as one stack, in the form `metrics._stack_reports` takes."""
     a = np.array(a, dtype=object if k.mode.exact else np.float64)[:, None, None]
-    return kernel_sequence((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
+    data, den = _checked_stack((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
+    return data, None if den is None else den.tolist()
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
@@ -312,7 +314,7 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
             a = [int(i % 2 or i == cfg.horizon - 1) for i in range(cfg.horizon)]
         else:  # a geometric slide towards k: distances halve each step
             a = [Fraction(1, 2**i) if cfg.mode.exact else 0.5**i for i in range(cfg.horizon)]
-        metric, operators = homeomorphism_reports(_slide_sequence(k, a), k, norms)
+        metric, operators = _stack_reports(*_slide_stack(k, a), k, norms, None)
         for n, operator in zip(norms, operators):
             agree = metric.converged == operator.converged
             rows.append(

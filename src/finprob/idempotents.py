@@ -36,7 +36,7 @@ from .kernels import (
     is_measure_preserving,
     kernel_sequence,
 )
-from .numerics import block_sums, int_array, widen
+from .numerics import Frozen, block_sums, int_array, widen
 from .partitions import (
     Partition,
     all_partitions,
@@ -47,7 +47,7 @@ from .partitions import (
 from .spaces import ProbSpace
 
 
-class IdempotentKernel:
+class IdempotentKernel(Frozen):
     """Endo-kernel validated to be measure-preserving and a.s. idempotent.
 
     Self-duality (equality with its own Bayesian inverse) holds for every
@@ -70,9 +70,6 @@ class IdempotentKernel:
                 )
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "space", kernel.domain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdempotentKernel is immutable")
 
     def __repr__(self):
         return f"IdempotentKernel(size={self.space.size}, mode={self.space.mode.kind})"
@@ -99,6 +96,21 @@ def _same_block(parts: Sequence[Partition]) -> np.ndarray:
     """(m, n, n) table: [k, x, y] is true when x and y share a block of parts[k]."""
     labels = np.array([p.labels for p in parts])
     return labels[:, :, None] == labels[:, None, :]
+
+
+def _packed_same_block(parts: Sequence[Partition]) -> np.ndarray:
+    """`_same_block` packed as bits: (m, W) uint64 words, one word per
+    partition when n * n <= 64."""
+    bits = np.packbits(_same_block(parts).reshape(len(parts), -1), axis=1)
+    words = np.zeros((len(parts), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    return words.view(np.uint64)
+
+
+def _subset_table(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """(len(sup), len(sub)) table of packed bit tables: [i, j] is true when
+    every bit of sub[j] is set in sup[i]."""
+    return ~(sub[None] & ~sup[:, None]).any(axis=-1)
 
 
 def _conditioning(space: ProbSpace, parts: Sequence[Partition]) -> list[Kernel]:
@@ -262,6 +274,48 @@ def _leq_against(forms, i: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     return same(ab, a_scaled) & same(ba, a_scaled), same(ab, b_scaled) & same(ba, b_scaled)
 
 
+_BLOCK = 1 << 12  # entries of a table, or of a stack of composites, held at once
+
+
+def _order_table(forms) -> np.ndarray:
+    """(m, m) table of e_i <= e_j over prepared forms, built in blocks.
+
+    A pair is decided by its two composites, as `_leq_against` decides it,
+    only when it survives a trace screen: if a.b and b.a equal a scaled by
+    lb, then tr(a.b) = lb * tr(a). In rational mode the screen asks for
+    equality. In float mode a composite within the tolerance of a moves its
+    trace by at most n * tolerance, and the screen allows twice that plus
+    the rounding of two sums taken in different orders, which needs far
+    less. The traces of a block of rows come from one product of flattened
+    forms, since tr(a.b) = sum over x, y of a[y, x] * b[x, y]; the pairs
+    that survive are composed in chunks. The diagonal is true untested.
+    """
+    nums, dens, mode = forms
+    m, n = nums.shape[:2]
+    if mode.exact:  # a trace of a composite is at most n * la * lb
+        wide, scale = widen(n * max(dens.tolist()) ** 2, nums, dens)
+        slack = 0
+    else:
+        wide, scale = nums, dens
+        slack = 2 * n * (mode.tolerance + n * n * np.finfo(np.float64).eps)
+    flat, traces = wide.reshape(m, n * n), np.trace(wide, axis1=1, axis2=2)
+    leq = np.eye(m, dtype=bool)
+    rows, pairs = max(1, _BLOCK // m), max(1, _BLOCK // (n * n))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        turned = wide[lo:hi].swapaxes(1, 2).reshape(hi - lo, n * n)
+        screen = np.abs(turned @ flat.T - traces[lo:hi, None] * scale) <= slack
+        screen[np.arange(hi - lo), np.arange(lo, hi)] = False
+        first, second = np.nonzero(screen)
+        for start in range(0, len(first), pairs):
+            i, j = first[start : start + pairs] + lo, second[start : start + pairs]
+            a, b = nums[i], nums[j]
+            a_scaled = a * dens[j, None, None]
+            agree = mode.close_mask(np.matmul(a, b), a_scaled).all(axis=(1, 2))
+            leq[i, j] = agree & mode.close_mask(np.matmul(b, a), a_scaled).all(axis=(1, 2))
+    return leq
+
+
 def _leq_pair_exact(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
     """(e1 <= e2, e2 <= e1) for idempotents in either mode: the batched
     test on a stack of two."""
@@ -391,6 +445,8 @@ def galois_roundtrips(space: ProbSpace, max_size: int = 8) -> GaloisReport:
     The conditioning kernels of all partitions are one checked stack. Every
     invariant partition is itself one of the partitions, so the idempotent
     roundtrip compares e with the stacked kernel of its invariant partition.
+    The order is one table (`_order_table`), and refinement is read from
+    same-block tables packed into one uint64 word per partition (n <= 8).
     """
     n = space.size
     if n > max_size:
@@ -409,27 +465,31 @@ def galois_roundtrips(space: ProbSpace, max_size: int = 8) -> GaloisReport:
     same = _same_forms(forms, [index[p] for p in invariants])
     roundtrip_failures = tuple((int(i),) for i in np.flatnonzero(~same))
 
-    # Order of the idempotents, by composites (the honest route).
-    leq = np.eye(m, dtype=bool)
-    for i in range(m):
-        leq[i, i + 1:], leq[i + 1:, i] = _leq_against(forms, i, i + 1, m)
+    # Order of the idempotents, by composites (the honest route). Only the
+    # pairs that pass a trace screen are composed. The screen is sound: e <= f
+    # makes e.f equal to e (scaled by f's denominator), so their traces agree,
+    # and a pair whose traces differ cannot be ordered. See `_order_table`.
+    leq = _order_table(forms)
 
-    # Refinement by "same block" tables: p refines q when p never puts two
-    # outcomes together that q separates.
-    same_part, same_inv = _same_block(parts), _same_block(invariants)
+    # Refinement by "same block" tables, packed as bits: p refines q when p
+    # never puts two outcomes together that q separates. Row blocks of the
+    # (m, m) tables give the failures in row-major order, as one table would.
+    part_bits, inv_bits = _packed_same_block(parts), _packed_same_block(invariants)
     adjunction_failures = []
     monotonicity_failures = []
-    for i in range(m):
-        contained = ~(same_inv & ~same_part[i]).any(axis=(1, 2))
-        for e in np.flatnonzero(contained != leq[i]):
-            adjunction_failures.append((i, int(e), bool(contained[e]), bool(leq[i, e])))
-        up = ~(same_part & ~same_part[i]).any(axis=(1, 2)) & ~leq[i]
-        down = leq[i] & (same_inv & ~same_inv[i]).any(axis=(1, 2))
-        for j in np.flatnonzero(up | down):
-            if up[j]:
-                monotonicity_failures.append(("partition-to-kernel", i, int(j)))
-            if down[j]:
-                monotonicity_failures.append(("kernel-to-partition", i, int(j)))
+    step = max(1, _BLOCK // m)
+    for lo in range(0, m, step):
+        rows = leq[lo : lo + step]
+        contained = _subset_table(inv_bits, part_bits[lo : lo + step])
+        for i, e in np.argwhere(contained != rows).tolist():
+            adjunction_failures.append((lo + i, e, bool(contained[i, e]), bool(rows[i, e])))
+        up = _subset_table(part_bits, part_bits[lo : lo + step]) & ~rows
+        down = rows & ~_subset_table(inv_bits, inv_bits[lo : lo + step])
+        for i, j in np.argwhere(up | down).tolist():
+            if up[i, j]:
+                monotonicity_failures.append(("partition-to-kernel", lo + i, j))
+            if down[i, j]:
+                monotonicity_failures.append(("kernel-to-partition", lo + i, j))
 
     return GaloisReport(
         size=n,

@@ -33,6 +33,7 @@ from .errors import (
     SumNotOneError,
 )
 from .numerics import (
+    Frozen,
     NumericMode,
     Rationals,
     _in_mode_dtype,
@@ -127,7 +128,7 @@ def _int_rows(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: Pro
     return num, den
 
 
-class Kernel:
+class Kernel(Frozen):
     """Row-stochastic matrix from a domain space to a codomain space.
 
     Float mode holds the float64 `rows`; rational mode holds the integer
@@ -156,9 +157,6 @@ class Kernel:
         num, den = _int_rows(num, np.asarray(den), domain, codomain)
         return self._bind(None, num, int(den), domain, codomain)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Kernel is immutable")
-
     def __getattr__(self, name):
         # Reached only while a slot is unset: in rational mode `rows`, the
         # read-only Fraction matrix, is built on first access and cached in
@@ -185,21 +183,34 @@ def _exact(num: np.ndarray, den: int, domain: ProbSpace, codomain: ProbSpace) ->
     return object.__new__(Kernel)._bind_int(num, den, domain, codomain)
 
 
+def _views(data: np.ndarray, den, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
+    """Kernels over the slices of a checked stack: float rows over None, or
+    rational numerators over their (T,) denominators."""
+    if den is None:
+        return [object.__new__(Kernel)._bind(rows, None, None, domain, codomain) for rows in data]
+    return [object.__new__(Kernel)._bind(None, k, d, domain, codomain) for k, d in zip(data, den.tolist())]
+
+
 def _exact_stack(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
     """Rational kernels from a (T, n, m) numerator array over (T,)
     denominators, checked in one pass; kernel t holds slice t."""
-    num, den = _int_rows(num, den, domain, codomain)
-    return [object.__new__(Kernel)._bind(None, k, d, domain, codomain) for k, d in zip(num, den.tolist())]
+    return _views(*_int_rows(num, den, domain, codomain), domain, codomain)
+
+
+def _checked_stack(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> tuple:
+    """A (T, n, m) array of row matrices in the mode's numbers, checked in
+    one pass, as (data, den): the frozen float rows over None, or the
+    lowest-terms numerators over (T,) denominators."""
+    if domain.mode.exact:
+        num, den = int_numerators(_table(stack, domain, codomain, "kernel", (len(stack),)))
+        return _int_rows(num, int_array([den] * len(num), den), domain, codomain)
+    return _kernel_rows(stack, domain, codomain, (len(stack),)), None
 
 
 def kernel_sequence(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
     """Kernels from a (T, n, m) array of row matrices in the mode's numbers,
     checked in one pass; kernel t holds slice t of one frozen copy."""
-    if domain.mode.exact:
-        num, den = int_numerators(_table(stack, domain, codomain, "kernel", (len(stack),)))
-        return _exact_stack(num, int_array([den] * len(num), den), domain, codomain)
-    stack = _kernel_rows(stack, domain, codomain, (len(stack),))
-    return [object.__new__(Kernel)._bind(rows, None, None, domain, codomain) for rows in stack]
+    return _views(*_checked_stack(stack, domain, codomain), domain, codomain)
 
 
 def identity_kernel(space: ProbSpace) -> Kernel:
@@ -384,7 +395,7 @@ def is_as_deterministic(k: Kernel) -> bool:
     return dagger_epi
 
 
-class Coupling:
+class Coupling(Frozen):
     """Joint table on domain x codomain whose marginals are p and q."""
 
     __slots__ = ("table", "domain", "codomain")
@@ -399,9 +410,6 @@ class Coupling:
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Coupling is immutable")
 
 
 def coupling_from_kernel(k: Kernel) -> Coupling:

@@ -28,14 +28,14 @@ from .idempotents import (
     IdempotentKernel,
     _conditioning,
     _leq_against,
+    _leq_pair_exact,
     _order_forms,
-    idem_leq,
     inf_idempotents,
     sup_idempotents,
 )
 from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, one_sided_distance, report_from_flags
-from .numerics import NumericMode, Rationals, check_norm_index, rational_mode
+from .numerics import Frozen, NumericMode, Rationals, check_norm_index, rational_mode
 from .operators import VNorm, bochner_norm, cond_expectation, vector_cond_expectation
 from .partitions import (
     Partition,
@@ -51,7 +51,7 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 
 
-class Filtration:
+class Filtration(Frozen):
     """Monotone sequence of partitions of one space.
 
     Monotonicity is almost-sure: after null-set completion, each step must
@@ -84,9 +84,6 @@ class Filtration:
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "space", space)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
-
     def __len__(self) -> int:
         return len(self.partitions)
 
@@ -108,7 +105,7 @@ def filtration_limit(f: Filtration) -> Partition:
     return out
 
 
-class Martingale:
+class Martingale(Frozen):
     """RVs adapted to a filtration, earlier ones conditioning later ones."""
 
     __slots__ = ("filtration", "rvs")
@@ -122,9 +119,6 @@ class Martingale:
                 raise SpaceMismatchError("martingale RVs must live on the filtration's space")
         object.__setattr__(self, "filtration", filtration)
         object.__setattr__(self, "rvs", rvs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Martingale is immutable")
 
 
 def martingale_from_terminal(f: RandomVar, filtration: Filtration) -> Martingale:
@@ -302,7 +296,9 @@ def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:
         raise NotMonotoneError("empty chain")
     increasing = None
     for a, b in zip(chain, chain[1:]):
-        up, down = idem_leq(a, b), idem_leq(b, a)
+        if not a.space.same_as(b.space):
+            raise SpaceMismatchError("idempotents on different spaces")
+        up, down = _leq_pair_exact(a.kernel, b.kernel)
         if up and down:
             continue  # a.s.-equal step decides nothing
         if up or down:

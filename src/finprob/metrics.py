@@ -21,19 +21,28 @@ from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measu
 from .numerics import check_norm_index, int_array, is_infinite, nth_root, widen
 
 
-def _stacked_difference(seq: Sequence[Kernel], limit: Kernel) -> tuple:
-    """(T, n, m) stack of each kernel's rows minus the limit's rows, with its
-    denominator: in rational mode integer numerators over the lcm of every
-    kernel's denominator, in float mode the differences over None."""
+def _stacked(seq: Sequence[Kernel], limit: Kernel) -> tuple:
+    """The kernels of a sequence parallel to the limit as one (T, n, m)
+    stack: float rows over None, or rational numerators over the list of
+    their denominators."""
     for k in seq:
         _require_parallel(k, limit)
     if not limit.mode.exact:
         rows = np.array([k.rows for k in seq], dtype=limit.rows.dtype)
-        return rows.reshape((-1,) + limit.rows.shape) - limit.rows, None
-    den = math.lcm(limit.den, *(k.den for k in seq))
-    scale = int_array([den // k.den for k in seq], den)
-    nums, scale, last = widen(den, np.array([k.num for k in seq]), scale, limit.num)
-    nums = nums.reshape((-1,) + limit.num.shape)
+        return rows.reshape((-1,) + limit.rows.shape), None
+    return np.array([k.num for k in seq]).reshape((-1,) + limit.num.shape), [k.den for k in seq]
+
+
+def _difference(data: np.ndarray, dens, limit: Kernel) -> tuple:
+    """(T, n, m) stack of each kernel's rows minus the limit's rows, with its
+    denominator, from a stack as `_stacked` gives it: in rational mode
+    integer numerators over the lcm of every kernel's denominator, in float
+    mode the differences over None."""
+    if dens is None:
+        return data - limit.rows, None
+    den = math.lcm(limit.den, *dens)
+    scale = int_array([den // d for d in dens], den)
+    nums, scale, last = widen(den, data, scale, limit.num)
     return nums * scale[:, None, None] - last * (den // limit.den), den
 
 
@@ -50,7 +59,7 @@ def _weighted_l1(diff: np.ndarray, den, domain) -> list:
 def one_sided_distance(k: Kernel, h: Kernel):
     """sum_x p(x) sum_y |k(y|x) - h(y|x)|: a pseudometric on kernels, zero
     exactly on a.s.-equal pairs."""
-    return _weighted_l1(*_stacked_difference([k], h), k.domain)[0]
+    return _weighted_l1(*_difference(*_stacked([k], h), h), k.domain)[0]
 
 
 def two_sided_distance(k: Kernel, h: Kernel):
@@ -133,7 +142,7 @@ def check_convergence(
     if horizon is not None:
         seq = seq[:horizon]
     if metric == "one-sided":
-        distances = _weighted_l1(*_stacked_difference(seq, limit), limit.domain)
+        distances = _weighted_l1(*_difference(*_stacked(seq, limit), limit), limit.domain)
     else:
         distances = [two_sided_distance(k, limit) for k in seq]
     return report_from_distances(distances, _tol(limit, tol), horizon or len(distances))
@@ -185,7 +194,7 @@ def _pullback_distances(diff: np.ndarray, den, limit: Kernel, norms: Sequence) -
 
 def operator_pointwise_distances(seq: Sequence[Kernel], limit: Kernel, n=1) -> list:
     """Per-step worst-case L^n distance of the pullbacks over indicator RVs."""
-    (distances,) = _pullback_distances(*_stacked_difference(seq, limit), limit, (n,))
+    (distances,) = _pullback_distances(*_difference(*_stacked(seq, limit), limit), limit, (n,))
     return distances
 
 
@@ -193,8 +202,14 @@ def homeomorphism_reports(seq: Sequence[Kernel], limit: Kernel, norms=(1,), tol=
     """The one-sided metric report and one operator report per norm index,
     from one stacked difference and one shared pullback product. The two
     notions of convergence agree when the verdicts do."""
+    return _stack_reports(*_stacked(seq, limit), limit, norms, tol)
+
+
+def _stack_reports(data: np.ndarray, dens, limit: Kernel, norms, tol) -> tuple:
+    """`homeomorphism_reports` of a sequence held as one checked stack
+    parallel to the limit (see `_stacked`), with no kernel per step."""
     tol = _tol(limit, tol)
-    diff, den = _stacked_difference(seq, limit)
+    diff, den = _difference(data, dens, limit)
     metric = report_from_distances(_weighted_l1(diff, den, limit.domain), tol)
     distances = _pullback_distances(diff, den, limit, norms)
     return metric, tuple(report_from_distances(d, tol) for d in distances)

@@ -15,8 +15,7 @@ are int64 when that bound fits and Python-int object arrays otherwise, so
 no result ever wraps around. `fractions.Fraction` objects appear at the
 boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
 access and cached), input given as Fractions, and the text formats. Vector
-random variables and `operators.vector_pullback` still compute on
-Fractions.
+random variables still compute on Fractions.
 """
 
 from __future__ import annotations
@@ -31,6 +30,36 @@ import numpy as np
 from .errors import FinprobError, TooLargeError
 
 Number = Union[float, Fraction]
+
+
+class Frozen:
+    """Base of the immutable slotted classes: a constructor binds the slots
+    through `object.__setattr__`, and assignment raises. Copies and pickles
+    carry the slots that are set, skipping a lazily built cache not yet
+    read, and restore them the same way, their arrays read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getstate__(self) -> dict:
+        state = {}
+        for cls in type(self).__mro__:
+            for name in cls.__dict__.get("__slots__", ()):
+                try:  # object.__getattribute__ does not fall back on a lazy __getattr__
+                    state[name] = object.__getattribute__(self, name)
+                except AttributeError:
+                    pass
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                value = value.view()  # freezing a view leaves a shared array as it is
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
 
 FLOAT = "float"
 RATIONAL = "rational"

@@ -26,7 +26,9 @@ from .numerics import (
     block_sums,
     check_norm_index,
     exact_sqrt,
+    fraction_array,
     int_array,
+    int_numerators,
     is_infinite,
     mat_mul,
     magnitude,
@@ -39,21 +41,24 @@ from .spaces import RandomVar, VecRandomVar, expectation, ln_norm
 VNorm = Union[str, Callable[[np.ndarray], float]]
 
 
-def apply_pullback(k: Kernel, g: RandomVar) -> RandomVar:
-    """k*g: integrate g against each row of k.
+def _int_pullback(k: Kernel, gnum: np.ndarray, common: int) -> tuple:
+    """Rational k* on values gnum / common, along the first axis: one
+    integer product of the kernel numerators with gnum, over k.den * common.
+    A kernel row is nonnegative and sums to k.den, so every result is at
+    most k.den * max|gnum| in magnitude."""
+    den = k.den * common
+    num, gnum = widen(max(k.den * magnitude(gnum), den), k.num, gnum)
+    return mat_mul(num, gnum), den
 
-    Rational mode takes one integer product: the kernel numerators against
-    g's numerators over their common denominator L, over k.den * L. A
-    kernel row is nonnegative and sums to k.den, so every result is at most
-    k.den * max|numerator| in magnitude.
-    """
+
+def apply_pullback(k: Kernel, g: RandomVar) -> RandomVar:
+    """k*g: integrate g against each row of k; in rational mode one integer
+    product over g's common denominator (see `_int_pullback`)."""
     if not g.space.same_as(k.codomain):
         raise SpaceMismatchError("RV must live on the kernel's codomain")
     if k.mode.exact:
-        gnum, common = g._exact.over_common()
-        den = k.den * common
-        num, gnum = widen(max(k.den * magnitude(gnum), den), k.num, gnum)
-        return RandomVar(Rationals(mat_mul(num, gnum), int_array([den] * len(num), den)), k.domain)
+        num, den = _int_pullback(k, *g._exact.over_common())
+        return RandomVar(Rationals(num, int_array([den] * len(num), den)), k.domain)
     return RandomVar(mat_mul(k.rows, g.values), k.domain)
 
 
@@ -163,9 +168,12 @@ def lipschitz_check(k: Kernel, g: RandomVar, n=1) -> bool:
 
 def vector_pullback(k: Kernel, g: VecRandomVar) -> VecRandomVar:
     """Componentwise pullback of a vector-valued RV; commutes with every
-    coordinate projection by construction."""
+    coordinate projection by construction. Rational mode takes one integer
+    product over the values' common denominator (see `_int_pullback`)."""
     if not g.space.same_as(k.codomain):
         raise SpaceMismatchError("vector RV must live on the kernel's codomain")
+    if k.mode.exact:
+        return VecRandomVar(fraction_array(*_int_pullback(k, *int_numerators(g.values))), k.domain, g.dim)
     return VecRandomVar(mat_mul(k.rows, g.values), k.domain, g.dim)
 
 

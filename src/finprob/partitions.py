@@ -20,10 +20,11 @@ from typing import Hashable, Iterable, Iterator
 import numpy as np
 
 from .errors import SizeMismatchError
+from .numerics import Frozen
 from .spaces import ProbSpace, RandomVar
 
 
-class Partition:
+class Partition(Frozen):
     """Disjoint nonempty blocks covering {0..parent_size-1}, held as the
     canonical label vector (see the module docstring)."""
 
@@ -57,9 +58,6 @@ class Partition:
         object.__setattr__(self, "n_blocks", len(seen))
         object.__setattr__(self, "parent_size", canon.size)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     def __getattr__(self, name):
         # Reached only while a slot is unset: `blocks` is built from the

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .numerics import (
     FLOAT_DEFAULT,
+    Frozen,
     NumericMode,
     Rationals,
     as_matrix,
@@ -35,7 +36,7 @@ from .numerics import (
 )
 
 
-class ProbSpace:
+class ProbSpace(Frozen):
     """Finite outcome set with probability weights.
 
     Weights are validated (nonnegative, summing to one within the mode's
@@ -100,9 +101,6 @@ class ProbSpace:
             ("_wkey", wkey), ("_wden", wden), ("_wnum", wnum), ("_live", None),
         ):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbSpace is immutable")
 
     @property
     def weights(self) -> np.ndarray:
@@ -183,7 +181,7 @@ def _require_same_space(a, b):
         raise SpaceMismatchError("operands live on different probability spaces")
 
 
-class RandomVar:
+class RandomVar(Frozen):
     """Real-valued function on the outcomes of a space.
 
     In rational mode the values are held as `Rationals`; `.values` is the
@@ -212,9 +210,6 @@ class RandomVar:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "_values", v)
         object.__setattr__(self, "_exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RandomVar is immutable")
 
     @property
     def values(self) -> np.ndarray:
@@ -246,7 +241,7 @@ class RandomVar:
         return f"RandomVar({list(self.values)!r})"
 
 
-class VecRandomVar:
+class VecRandomVar(Frozen):
     """Vector-valued function on the outcomes: one d-dimensional value per outcome."""
 
     __slots__ = ("values", "dim", "space")
@@ -267,9 +262,6 @@ class VecRandomVar:
         object.__setattr__(self, "values", m)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "space", space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VecRandomVar is immutable")
 
     def component(self, j: int) -> RandomVar:
         """Coordinate projection onto component j, as a scalar RV."""

@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finprob as fp
-from finprob.idempotents import _leq_against, _order_forms
-from finprob.sampling import random_partition, random_space, rng_for
+import finprob.idempotents as idempotents
+from finprob.idempotents import _leq_against, _order_forms, _order_table
+from finprob.sampling import random_mp_kernel_from, random_partition, random_space, rng_for
 
 from .oracles import (
     cond_exp_kernel_by_definition,
@@ -248,6 +251,80 @@ class TestBatchedOrder:
         assert nums.dtype == object and max(dens) > 2**63
 
 
+class TestOrderTable:
+    """The trace-screened order table against `_leq_against` on every
+    ordered pair; the diagonal is true by convention."""
+
+    @staticmethod
+    def check(kernels):
+        forms = _order_forms(kernels)
+        m = len(kernels)
+        expected = np.array([_leq_against(forms, i, 0, m)[0] for i in range(m)])
+        table = _order_table(forms)
+        off = ~np.eye(m, dtype=bool)
+        assert table.diagonal().all()
+        assert (table[off] == expected[off]).all()
+        return forms, table
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_conditioning_stacks(self, mode):
+        rng = rng_for(91)
+        for size in range(1, 7):
+            for nulls in range(min(size, 3)):
+                space = random_space(rng, size, mode, null_outcomes=nulls)
+                self.check([fp.cond_exp_kernel(space, p).kernel for p in fp.all_partitions(size)])
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_random_endo_kernels(self, mode):
+        # k after its Bayesian inverse is a measure-preserving endo-kernel,
+        # mostly not idempotent, so the screen sees traces of every size;
+        # the identity and the independent kernel add pairs that do compare
+        rng = rng_for(92)
+        for size in range(1, 6):
+            space = random_space(rng, size, mode, null_outcomes=int(size > 2))
+            independent = fp.cond_exp_kernel(space, fp.Partition.trivial(size)).kernel
+            kernels = [fp.identity_kernel(space), independent]
+            for _ in range(12):
+                k = random_mp_kernel_from(rng, space, int(rng.integers(1, 5)))
+                kernels.append(fp.compose(k, fp.bayes_inverse(k)))
+            kernels += kernels[2:4]  # equal kernels at distinct indices
+            _, table = self.check(kernels)
+            assert table[1].all() and table[:, 0].all()  # independent <= k <= identity
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_second_composite_decides(self, mode):
+        # rows of a are block measures of e, so a.e = a, but they are not
+        # constant on the blocks, so e.a differs from a: a is not below e
+        space = fp.uniform_space(4, mode)
+        half, zero = mode.one() / 2, mode.zero()
+        b1, b2 = [half, half, zero, zero], [zero, zero, half, half]
+        a = fp.Kernel([b1, b2, b1, b2], space, space)
+        e = fp.cond_exp_kernel(space, BLOCKS).kernel
+        assert fp.as_equal_kernels(fp.compose(a, e), a)
+        _, table = self.check([a, e, fp.identity_kernel(space)])
+        assert not table[0, 1] and table[0, 2]
+
+    def test_float_pairs_near_the_tolerance(self):
+        # mixes of idempotents with the independent kernel at weights around
+        # the tolerance: their composites differ by about that weight
+        space = random_space(rng_for(93), 5, fp.FLOAT_DEFAULT, null_outcomes=1)
+        independent = fp.cond_exp_kernel(space, fp.Partition.trivial(5)).kernel
+        kernels = []
+        for p in list(fp.all_partitions(5))[::4]:
+            e = fp.cond_exp_kernel(space, p).kernel
+            kernels.append(e)
+            for eps in (1e-11, 3e-10, 1e-9, 3e-9):
+                kernels.append(fp.Kernel((1 - eps) * e.rows + eps * independent.rows, space, space))
+        _, table = self.check(kernels)
+        assert 0 < table.sum() < table.size
+
+    def test_python_int_path(self):
+        p, q = 10**10 + 19, 10**10 + 33  # primes: block masses keep ~20-digit denominators
+        space = fp.make_space([F(1, p), F(1, q), 1 - F(1, p) - F(1, q), F(0)], R)
+        forms, _ = self.check([fp.cond_exp_kernel(space, part).kernel for part in fp.all_partitions(4)])
+        assert forms[0].dtype == object and max(forms[1]) > 2**63
+
+
 class TestWitnesses:
     def test_trivial_below_blocks(self):
         e_triv = fp.cond_exp_kernel(U4, fp.Partition.trivial(4))
@@ -338,6 +415,22 @@ class TestGalois:
                 report = fp.galois_roundtrips(space)
                 assert report == galois_roundtrips_by_kernels(space)
                 assert report.all_ok
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_failure_tuples_of_rotated_invariants(self, mode, monkeypatch):
+        # each idempotent gets the invariant partition of the next one, so
+        # every check fails somewhere; the failures and their order are pinned
+        found = idempotents._invariant_partitions
+
+        def rotated(step, space):
+            parts = found(step, space)
+            return parts[1:] + parts[:1]
+
+        monkeypatch.setattr(idempotents, "_invariant_partitions", rotated)
+        report = fp.galois_roundtrips(random_space(rng_for(31), 4, mode, null_outcomes=1))
+        golden = json.loads((Path(__file__).parent / "golden" / "galois-rotated-n4.json").read_text())
+        for name, expected in golden.items():
+            assert getattr(report, name) == tuple(map(tuple, expected)), name
 
     def test_too_large(self):
         with pytest.raises(fp.TooLargeError):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import finprob as fp
-from finprob.experiments import _slide_sequence
+from finprob.experiments import _slide_stack
+from finprob.numerics import fraction_array
 from finprob.sampling import random_mp_kernel, random_mp_kernel_from, random_partition, rng_for
 
 from .oracles import (
@@ -168,8 +169,11 @@ class TestAgainstDefinition:
             k = k_exact if exact else k_float
             one, zero = k.mode.one(), k.mode.zero()
             a = [one / 2**i if exact else 0.5**i for i in range(6)] + [one, zero]
-            for step, t in zip(_slide_sequence(k, a), a):
-                assert same_entries(step.rows, (1 - t) * k.rows + t * k.codomain.weights, exact)
+            data, dens = _slide_stack(k, a)
+            steps = data if dens is None else [fraction_array(num, den) for num, den in zip(data, dens)]
+            assert len(steps) == len(a)
+            for step, t in zip(steps, a):
+                assert same_entries(step, (1 - t) * k.rows + t * k.codomain.weights, exact)
 
     @pytest.mark.parametrize("n", [1, 2, 3, math.inf])
     def test_operator_pointwise_distances(self, n):

@@ -255,6 +255,12 @@ class TestLeviProperty:
         with pytest.raises(fp.NotMonotoneError):
             fp.levi_property_check([e1, e2])
 
+    def test_mismatched_spaces_rejected(self):
+        e1 = fp.cond_exp_kernel(U4, BLOCKS)
+        e2 = fp.cond_exp_kernel(fp.make_space([F(1, 2), F(1, 4), F(1, 8), F(1, 8)], R), BLOCKS)
+        with pytest.raises(fp.SpaceMismatchError):
+            fp.levi_property_check([e1, e2])
+
     def test_random_chains_converge(self):
         rng = rng_for(91)
         for i in range(10):

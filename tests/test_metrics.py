@@ -1,9 +1,13 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import finprob as fp
+from finprob.experiments import _slide_stack
+from finprob.kernels import _checked_stack
+from finprob.metrics import _stack_reports
 from finprob.sampling import random_mp_kernel, random_partition, random_space, rng_for
 
 from .oracles import setwise_distance, subsets
@@ -163,6 +167,38 @@ class TestHomeomorphism:
             h = _mix(k, _independent(k), F(1, 5))
             (op_d,) = fp.operator_pointwise_distances([h], k, 1)
             assert op_d <= fp.one_sided_distance(h, k)
+
+
+class TestStackReports:
+    """Reports from one checked stack equal the reports of its kernels."""
+
+    NORMS = (1, 2, 3, math.inf)
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_slides_match_kernel_lists(self, mode):
+        rng = rng_for(85)
+        one = mode.one()
+        for size in (1, 2, 4):
+            k = random_mp_kernel(rng, size, size, mode)
+            for a in ([one / 2**i for i in range(12)], [one * (i % 2 or i == 11) for i in range(12)]):
+                data, dens = _slide_stack(k, a)
+                mixes = np.array([(1 - t) * k.rows + t * k.codomain.weights for t in a])
+                seq = fp.kernel_sequence(mixes, k.domain, k.codomain)
+                expected = fp.homeomorphism_reports(seq, k, self.NORMS)
+                assert _stack_reports(data, dens, k, self.NORMS, None) == expected
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_mixed_denominators_match_kernel_lists(self, mode):
+        # kernels of the stack with denominators of their own, and a tolerance
+        rng = rng_for(86)
+        k = random_mp_kernel(rng, 3, 4, mode)
+        other = _independent(k)
+        seq = [_mix(k, other, mode.one() / d) for d in (3, 7, 11, 1, 5)]
+        data, den = _checked_stack(np.array([h.rows for h in seq]), k.domain, k.codomain)
+        dens = None if den is None else den.tolist()
+        for tol in (None, F(1, 10) if mode.exact else 0.1):
+            expected = fp.homeomorphism_reports(seq, k, self.NORMS, tol)
+            assert _stack_reports(data, dens, k, self.NORMS, tol) == expected
 
 
 class TestJointContinuity:

@@ -296,6 +296,22 @@ class TestVectorPullback:
                     assert lhs <= fp.bochner_norm(g, n, vnorm) + 1e-9
 
 
+    @pytest.mark.parametrize("n", [1, 4, 16, 32])
+    def test_exact_matches_fraction_product(self, n):
+        # at n = 32 the kernel's denominator, and with the 10**20 scale the
+        # values' denominator, leave int64: the product runs on Python ints
+        rng = rng_for(72 + n)
+        k = random_mp_kernel(rng, n, n, R)
+        assert (k.num.dtype == object) == (n == 32)
+        for scale in (1, 10**20):
+            nums, dens = rng.integers(-9, 10, size=(n, 3)).tolist(), rng.integers(1, 7, size=(n, 3)).tolist()
+            values = [[F(a, b * scale) for a, b in zip(*row)] for row in zip(nums, dens)]
+            g = fp.VecRandomVar(values, k.codomain, 3)
+            rows = k.rows
+            expected = [[sum(rows[x][y] * values[y][j] for y in range(n)) for j in range(3)] for x in range(n)]
+            assert [list(row) for row in fp.vector_pullback(k, g).values] == expected
+
+
 class TestBochnerNorm:
     def test_constant_vector(self):
         g = fp.VecRandomVar([[3, 4], [3, 4]], U2)

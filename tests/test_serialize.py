@@ -1,5 +1,8 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import finprob as fp
@@ -84,3 +87,64 @@ class TestErrors:
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nspace\nmode rational\nweights 1\n"
         assert serialize.loads(text).size == 1
+
+
+def _instances(mode):
+    """One object of every immutable class, on a space with a null outcome."""
+    one = mode.one()
+    space = fp.make_space([one / 2, one / 3, one / 6, 0 * one], mode)
+    part = fp.Partition([(0, 1), (2, 3)], 4)
+    kernel = fp.cond_exp_kernel(space, part).kernel
+    filtration = fp.Filtration([fp.Partition.trivial(4), part], "increasing", space)
+    martingale = fp.martingale_from_terminal(fp.RandomVar([1, 2, 3, 4], space), filtration)
+    subspace = fp.Subspace(np.eye(3)[:, :2])
+    return [
+        part,
+        space,
+        fp.RandomVar([1, -2, 3, 5], space),
+        fp.VecRandomVar([[1, 2], [3, 4], [5, 6], [7, 8]], space),
+        kernel,
+        fp.coupling_from_kernel(kernel),
+        fp.IdempotentKernel(kernel),
+        filtration,
+        martingale,
+        subspace,
+        fp.orthogonal_projector(subspace),
+    ]
+
+
+class TestCopyAndPickle:
+    COPIES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    }
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_round_trip(self, mode, how):
+        for obj in _instances(mode):
+            twin = self.COPIES[how](obj)
+            assert type(twin) is type(obj)
+            assert pickle.dumps(twin) == pickle.dumps(obj)  # the same state, slot by slot
+            with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+                twin.anything = 1
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_rational_kernel_with_unread_rows(self, how):
+        k = random_mp_kernel(rng_for(3), 3, 4, R)
+        twin = self.COPIES[how](k)
+        for kernel in (k, twin):  # neither copying nor restoring builds the Fraction rows
+            with pytest.raises(AttributeError):
+                object.__getattribute__(kernel, "rows")
+        assert twin.num.tolist() == k.num.tolist() and twin.den == k.den
+        assert not twin.num.flags.writeable
+        assert [list(r) for r in twin.rows] == [list(r) for r in k.rows]
+        assert fp.as_equal_kernels(twin, k)
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_assignment_still_raises(self, mode):
+        for obj in _instances(mode):
+            name = type(obj).__slots__[0]
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(obj, name, None)
