@@ -19,10 +19,10 @@ import numpy as np
 
 from .config import ExperimentConfig, resolve_output
 from .errors import ConfigError, FinprobError
-from .numerics import rational_mode
+from .numerics import int_array, rational_mode, widen
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
-from .kernels import Kernel, _checked_stack
+from .kernels import _int_rows, _kernel_rows
 from .martingales import (
     DECREASING,
     Filtration,
@@ -33,12 +33,12 @@ from .martingales import (
     martingale_from_terminal,
     nonintegrable_example,
 )
-from .metrics import _stack_reports
+from .metrics import _block_reports, _sequences_per_block
 from .spaces import RandomVar
 from .sampling import (
     random_coarsening_chain,
     random_idempotent_chain,
-    random_mp_kernel,
+    random_mp_stack,
     random_rv,
     random_space,
     rng_for,
@@ -293,13 +293,26 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _slide_stack(k: Kernel, a: list) -> tuple:
-    """Convex mixes (1 - a[t]) k + a[t] i of k with the independent kernel i,
-    whose every row is the codomain weights, built with one expression and
-    checked as one stack, in the form `metrics._stack_reports` takes."""
-    a = np.array(a, dtype=object if k.mode.exact else np.float64)[:, None, None]
-    data, den = _checked_stack((1 - a) * k.rows + a * k.codomain.weights, k.domain, k.codomain)
-    return data, None if den is None else den.tolist()
+def _slide_block(mode, limit: tuple, q: tuple, a) -> tuple:
+    """Convex mixes (1 - a[s, t]) k_s + a[s, t] i_s of each limit k_s with
+    its independent kernel i_s, whose every row is its codomain weights q_s,
+    built with one expression and checked as one (S, T, n, m) stack, in the
+    form `metrics._block_reports` takes; an error names the sequence, step,
+    row and column. In rational mode `a` is a pair of integer arrays,
+    numerators over denominators, and each step is over a * lcm(k, q)."""
+    (k, kden), (w, qden) = limit, q
+    lead = ("sequence", "step")
+    if kden is None:
+        a = a[..., None, None]
+        return _kernel_rows((1 - a) * k[:, None] + a * w[:, None, None], mode, k.shape[1:], lead), None
+    an, ad = a
+    common = np.lcm(kden.astype(object), qden.astype(object))
+    den = (ad * common[:, None]).tolist()
+    bound = max(map(max, den))
+    kscale, qscale, den = (int_array(x, bound) for x in ((common // kden).tolist(), (common // qden).tolist(), den))
+    an, ad, k, w = widen(bound, an, ad, k, w)
+    num = (ad - an)[..., None, None] * (k * kscale[:, None, None])[:, None]
+    return _int_rows(num + an[..., None, None] * (w * qscale[:, None])[:, None, None], den, lead)
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
@@ -307,28 +320,31 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     verdict = "PASS"
     norms = (1, 2, 3, math.inf)
-    for idx in range(cfg.count):
-        k = random_mp_kernel(rng, cfg.size, cfg.size, cfg.mode)
-        oscillate = idx % 5 == 4
-        if oscillate:  # k and the independent kernel in turn, ending off k for a clean verdict
-            a = [int(i % 2 or i == cfg.horizon - 1) for i in range(cfg.horizon)]
-        else:  # a geometric slide towards k: distances halve each step
-            a = [Fraction(1, 2**i) if cfg.mode.exact else 0.5**i for i in range(cfg.horizon)]
-        metric, operators = _stack_reports(*_slide_stack(k, a), k, norms, None)
-        for n, operator in zip(norms, operators):
-            agree = metric.converged == operator.converged
-            rows.append(
-                (
-                    idx,
-                    "oscillating" if oscillate else "interpolating",
-                    _norm_token(n),
-                    metric.converged,
-                    operator.converged,
-                    agree,
-                )
-            )
-            if not agree and verdict == "PASS":
-                verdict = f"VIOLATION step {idx}: metric and operator verdicts disagree"
+    mode, horizon = cfg.mode, cfg.horizon
+    steps = np.arange(horizon)
+    flip = (steps % 2 == 1) | (steps == horizon - 1)  # ends off k, for a clean verdict
+    if mode.exact:  # a geometric slide towards k: distances halve each step
+        halves = int_array([1 << t for t in steps.tolist()], 1 << (horizon - 1))
+    else:
+        halves = np.ldexp(1.0, -steps)
+    block = _sequences_per_block(horizon, cfg.size, cfg.size)
+    for lo in range(0, cfg.count, block):
+        seqs = np.arange(lo, min(lo + block, cfg.count))
+        oscillate = (seqs % 5 == 4)[:, None]  # k and the independent kernel in turn
+        if mode.exact:  # numerators over denominators
+            a = np.where(oscillate, flip, 1), np.where(oscillate, 1, halves)
+        else:
+            a = np.where(oscillate, flip, halves)
+        limit, p, q = random_mp_stack(rng, len(seqs), cfg.size, cfg.size, mode)
+        reports = _block_reports(*_slide_block(mode, limit, q, a), limit, p, norms, 0 if mode.exact else mode.tolerance)
+        metric, *operators = ((stable < horizon).tolist() for _, stable in reports)
+        for s, idx in enumerate(seqs.tolist()):
+            kind = "oscillating" if oscillate[s, 0] else "interpolating"
+            for n, operator in zip(norms, operators):
+                agree = metric[s] == operator[s]
+                rows.append((idx, kind, _norm_token(n), metric[s], operator[s], agree))
+                if not agree and verdict == "PASS":
+                    verdict = f"VIOLATION step {idx}: metric and operator verdicts disagree"
     return ExperimentResult(
         ("sequence", "kind", "n", "metric_converged", "operator_converged", "agree"),
         tuple(rows),

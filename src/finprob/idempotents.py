@@ -289,11 +289,15 @@ def _order_table(forms) -> np.ndarray:
     less. The traces of a block of rows come from one product of flattened
     forms, since tr(a.b) = sum over x, y of a[y, x] * b[x, y]; the pairs
     that survive are composed in chunks. The diagonal is true untested.
+    In rational mode the traces are integers of at most n * la * lb: below
+    2**53 the product runs on float64, where every partial sum of these
+    nonnegative terms is an exact integer, and on int64 or Python ints above.
     """
     nums, dens, mode = forms
     m, n = nums.shape[:2]
-    if mode.exact:  # a trace of a composite is at most n * la * lb
-        wide, scale = widen(n * max(dens.tolist()) ** 2, nums, dens)
+    if mode.exact:
+        bound = n * max(dens.tolist()) ** 2
+        wide, scale = (nums.astype(np.float64), dens.astype(np.float64)) if bound < 2**53 else widen(bound, nums, dens)
         slack = 0
     else:
         wide, scale = nums, dens

@@ -36,6 +36,8 @@ from .numerics import (
     Frozen,
     NumericMode,
     Rationals,
+    _at,
+    _first,
     _in_mode_dtype,
     as_matrix,
     block_sums,
@@ -63,63 +65,62 @@ def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
     return as_matrix(rows, mode)
 
 
-def _first(mask: np.ndarray) -> tuple:
-    """Index of the first true entry of a boolean array, in row-major order."""
-    return tuple(int(i) for i in np.argwhere(mask)[0])
-
-
-def _at(index: tuple, names=("row", "column")) -> str:
-    """"step t, row x, column y": axes before the named ones are steps of a stack."""
-    return ", ".join(map("{} {}".format, ("step",) * (len(index) - len(names)) + names, index))
-
-
-def _table(rows, domain: ProbSpace, codomain: ProbSpace, what: str, lead: tuple = ()) -> np.ndarray:
-    """Frozen array of a kernel or coupling, or of a stack of them along the `lead` axes, with
-    every entry finite and nonnegative; an error names the first offending step, row and column."""
+def _spaces(domain: ProbSpace, codomain: ProbSpace) -> tuple:
+    """(mode, (n, m)) of the spaces of a kernel or coupling, which share a mode."""
     if domain.mode != codomain.mode:
         raise SpaceMismatchError("domain and codomain use different numeric modes")
-    m = _freeze_matrix(rows, domain.mode)
-    if m.shape != lead + (domain.size, codomain.size):
-        raise SizeMismatchError(f"{what} shape {m.shape} for spaces {domain.size} -> {codomain.size}")
-    if not domain.mode.exact and not np.isfinite(m).all():
+    return domain.mode, (domain.size, codomain.size)
+
+
+_CELL, _STEPS = ("row", "column"), ("step",)
+
+
+def _table(rows, mode: NumericMode, shape: tuple, what: str, lead: tuple = ()) -> np.ndarray:
+    """Frozen array of an (n, m) kernel or coupling, or of a stack of them along the named
+    `lead` axes, with every entry finite and nonnegative; an error names the first offending
+    entry by its lead axes, row and column."""
+    m = _freeze_matrix(rows, mode)
+    if m.shape != m.shape[: len(lead)] + shape:
+        raise SizeMismatchError(f"{what} shape {m.shape} for spaces {shape[0]} -> {shape[1]}")
+    if not mode.exact and not np.isfinite(m).all():
         at = _first(~np.isfinite(m))
-        raise NonFiniteError(f"{what} entry at {_at(at)} is {m[at]}")
+        raise NonFiniteError(f"{what} entry at {_at(at, lead + _CELL)} is {m[at]}")
     negative = m < 0
     if negative.any():
         at = _first(negative)
-        raise NegativeWeightError(f"{what} entry at {_at(at)} is negative: {m[at]}")
+        raise NegativeWeightError(f"{what} entry at {_at(at, lead + _CELL)} is negative: {m[at]}")
     return m
 
 
-def _kernel_rows(rows, domain: ProbSpace, codomain: ProbSpace, lead: tuple = ()) -> np.ndarray:
+def _kernel_rows(rows, mode: NumericMode, shape: tuple, lead: tuple = ()) -> np.ndarray:
     """`_table` for float kernels: each row must also sum to one."""
-    m = _table(rows, domain, codomain, "kernel", lead)
+    m = _table(rows, mode, shape, "kernel", lead)
     totals = m.sum(axis=-1)
-    bad = ~domain.mode.close_mask(totals, domain.mode.one())
+    bad = ~mode.close_mask(totals, mode.one())
     if bad.any():
         at = _first(bad)
-        raise SumNotOneError(f"{_at(at, ('row',))} sums to {totals[at]}")
+        raise SumNotOneError(f"{_at(at, lead + ('row',))} sums to {totals[at]}")
     return m
 
 
-def _int_rows(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> tuple:
+def _int_rows(num: np.ndarray, den: np.ndarray, lead: tuple = ()) -> tuple:
     """Checked lowest-terms form of integer numerators over positive
     denominators: one kernel (a 2-d `num` over a 0-d `den`) or a stack of
-    them along the leading axes, each over its own denominator. Every
+    them along the named `lead` axes, each over its own denominator. Every
     numerator must be nonnegative and every row must sum to its denominator;
-    an error names the first offending step, row and column. The frozen
-    arrays are int64 when the largest denominator fits."""
+    an error names the first offending entry by its lead axes, row and
+    column. The frozen arrays are int64 when the largest denominator fits."""
     negative = num < 0
     if negative.any():
         at = _first(negative)
         value = Fraction(int(num[at]), int(den[at[:-2]]))
-        raise NegativeWeightError(f"kernel entry at {_at(at)} is negative: {value}")
+        raise NegativeWeightError(f"kernel entry at {_at(at, lead + _CELL)} is negative: {value}")
     totals = num.sum(axis=-1)
     bad = totals != den[..., None]
     if bad.any():
         at = _first(bad)
         total = Fraction(int(totals[at]), int(den[at[:-1]]))
-        raise SumNotOneError(f"{_at(at, ('row',))} sums to {total}")
+        raise SumNotOneError(f"{_at(at, lead + ('row',))} sums to {total}")
     g = np.asarray(np.gcd(np.gcd.reduce(np.gcd.reduce(num, axis=-1), axis=-1), den))
     num, den = num // g[..., None, None], np.asarray(den // g)
     if num.dtype == object and max(den.reshape(-1).tolist(), default=0) <= np.iinfo(np.int64).max:
@@ -139,9 +140,10 @@ class Kernel(Frozen):
 
     def __init__(self, rows: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
         if not domain.mode.exact:
-            self._bind(_kernel_rows(rows, domain, codomain), None, None, domain, codomain)
+            self._bind(_kernel_rows(rows, *_spaces(domain, codomain)), None, None, domain, codomain)
             return
-        self._bind_int(*int_numerators(_table(rows, domain, codomain, "kernel")), domain, codomain)
+        table = _table(rows, *_spaces(domain, codomain), "kernel")
+        self._bind_int(*int_numerators(table), domain, codomain)
 
     def _bind(self, rows, num, den, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
         if rows is not None:
@@ -154,7 +156,7 @@ class Kernel(Frozen):
 
     def _bind_int(self, num: np.ndarray, den: int, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
         """Bind the checked lowest-terms form of integer numerators over a denominator."""
-        num, den = _int_rows(num, np.asarray(den), domain, codomain)
+        num, den = _int_rows(num, np.asarray(den))
         return self._bind(None, num, int(den), domain, codomain)
 
     def __getattr__(self, name):
@@ -194,17 +196,18 @@ def _views(data: np.ndarray, den, domain: ProbSpace, codomain: ProbSpace) -> lis
 def _exact_stack(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
     """Rational kernels from a (T, n, m) numerator array over (T,)
     denominators, checked in one pass; kernel t holds slice t."""
-    return _views(*_int_rows(num, den, domain, codomain), domain, codomain)
+    return _views(*_int_rows(num, den, _STEPS), domain, codomain)
 
 
 def _checked_stack(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> tuple:
     """A (T, n, m) array of row matrices in the mode's numbers, checked in
     one pass, as (data, den): the frozen float rows over None, or the
     lowest-terms numerators over (T,) denominators."""
-    if domain.mode.exact:
-        num, den = int_numerators(_table(stack, domain, codomain, "kernel", (len(stack),)))
-        return _int_rows(num, int_array([den] * len(num), den), domain, codomain)
-    return _kernel_rows(stack, domain, codomain, (len(stack),)), None
+    mode, shape = _spaces(domain, codomain)
+    if mode.exact:
+        num, den = int_numerators(_table(stack, mode, shape, "kernel", _STEPS))
+        return _int_rows(num, int_array([den] * len(num), den), _STEPS)
+    return _kernel_rows(stack, mode, shape, _STEPS), None
 
 
 def kernel_sequence(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
@@ -292,11 +295,15 @@ def _conditioned(table: np.ndarray, den, given: ProbSpace, other: ProbSpace) -> 
         t, s, o = widen(bound, table, int_array(scale, bound), onum)
         num = np.where(s[:, None] > 0, t * gden * s[:, None], o * (common // oden))
         return _exact(num, common, given, other)
-    live = given.live_index()
+    return Kernel(_conditioned_rows(table, given.weights, other.weights), given, other)
+
+
+def _conditioned_rows(table: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Float rows of a joint table, or of a stack of them with their weight
+    stacks, conditioned on the rows: table[x] / p(x), and q where p(x) = 0."""
     rows = np.empty_like(table)
-    rows[:] = other.weights
-    rows[live] = table[live] / given.weights[live, None]
-    return Kernel(rows, given, other)
+    rows[...] = q[..., None, :]
+    return np.divide(table, p[..., None], out=rows, where=p[..., None] > 0)
 
 
 def bayes_inverse(k: Kernel) -> Kernel:
@@ -395,18 +402,26 @@ def is_as_deterministic(k: Kernel) -> bool:
     return dagger_epi
 
 
+def _checked_marginals(table: np.ndarray, p, q, mode: NumericMode, lead: tuple = ()) -> None:
+    """A joint table, or a stack of them along the named `lead` axes, has
+    the row marginals p and the column marginals q within the mode's
+    tolerance; an error names the first table that does not."""
+    for axis, w, side, name in ((-1, p, "row", "p"), (-2, q, "column", "q")):
+        bad = ~mode.close_mask(table.sum(axis=axis), w).all(axis=-1)
+        if bad.any():
+            where = f" of {_at(_first(bad), lead)}" if lead else ""
+            raise NotMeasurePreservingError(f"{side} marginals{where} differ from {name}")
+
+
 class Coupling(Frozen):
     """Joint table on domain x codomain whose marginals are p and q."""
 
     __slots__ = ("table", "domain", "codomain")
 
     def __init__(self, table: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
-        t = _table(table, domain, codomain, "coupling")
-        mode = domain.mode
-        if not mode.all_close(t.sum(axis=1), domain.weights):
-            raise NotMeasurePreservingError("row marginals differ from p")
-        if not mode.all_close(t.sum(axis=0), codomain.weights):
-            raise NotMeasurePreservingError("column marginals differ from q")
+        mode, shape = _spaces(domain, codomain)
+        t = _table(table, mode, shape, "coupling")
+        _checked_marginals(t, domain.weights, codomain.weights, mode)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)

@@ -9,57 +9,78 @@ two-sided variant adds the same distance between the Bayesian inverses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
 from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measure_preserving
-from .numerics import check_norm_index, int_array, is_infinite, nth_root, widen
+from .numerics import EXACT, check_norm_index, fraction_array, int_array, is_infinite, nth_root, widen
 
 
 def _stacked(seq: Sequence[Kernel], limit: Kernel) -> tuple:
-    """The kernels of a sequence parallel to the limit as one (T, n, m)
-    stack: float rows over None, or rational numerators over the list of
-    their denominators."""
+    """A sequence of kernels parallel to the limit as a block of one
+    sequence, in the form `_block_reports` takes: the (1, T, n, m) data over
+    its (1, T) denominators, the limit, and the domain weights."""
     for k in seq:
         _require_parallel(k, limit)
+    shape = (1, -1) + (limit.domain.size, limit.codomain.size)
     if not limit.mode.exact:
-        rows = np.array([k.rows for k in seq], dtype=limit.rows.dtype)
-        return rows.reshape((-1,) + limit.rows.shape), None
-    return np.array([k.num for k in seq]).reshape((-1,) + limit.num.shape), [k.den for k in seq]
+        rows = np.array([k.rows for k in seq], dtype=np.float64).reshape(shape)
+        return rows, None, (limit.rows[None], None), (limit.domain.weights[None], None)
+    dens = [k.den for k in seq]
+    wnum, wden = limit.domain.int_weights()
+    return (
+        np.array([k.num for k in seq]).reshape(shape),
+        int_array([dens], max(dens, default=1)),
+        (limit.num[None], np.array([limit.den])),
+        (wnum[None], np.array([wden])),
+    )
 
 
-def _difference(data: np.ndarray, dens, limit: Kernel) -> tuple:
-    """(T, n, m) stack of each kernel's rows minus the limit's rows, with its
-    denominator, from a stack as `_stacked` gives it: in rational mode
-    integer numerators over the lcm of every kernel's denominator, in float
-    mode the differences over None."""
+def _difference(data: np.ndarray, dens, limit: tuple) -> tuple:
+    """(S, T, n, m) stack of each step's rows minus its sequence's limit
+    rows, with its denominators, from a block as `_stacked` gives it: in
+    rational mode integer numerators over one denominator per sequence, the
+    lcm of its limit's and its steps' denominators, held as an (S,) vector;
+    in float mode the differences over None."""
+    k, kden = limit
     if dens is None:
-        return data - limit.rows, None
-    den = math.lcm(limit.den, *dens)
-    scale = int_array([den // d for d in dens], den)
-    nums, scale, last = widen(den, data, scale, limit.num)
-    return nums * scale[:, None, None] - last * (den // limit.den), den
+        return data - k[:, None], None
+    den = np.lcm.reduce(np.column_stack([kden, dens]).astype(object), axis=1).tolist()
+    bound = max(den)
+    den = int_array(den, bound)
+    nums, dens, k, kden = widen(bound, data, dens, k, kden)
+    return nums * (den[:, None] // dens)[..., None, None] - k[:, None] * (den // kden)[:, None, None, None], den
 
 
-def _weighted_l1(diff: np.ndarray, den, domain) -> list:
-    """Per step, sum_x p(x) sum_y |diff[t, x, y]| over the supported x."""
-    live = domain.live_index()
+def _over(totals: np.ndarray, dens: list) -> np.ndarray:
+    """(S, T) Fractions totals[s, t] / dens[s]."""
+    return fraction_array(totals, np.array(dens, dtype=object)[:, None])
+
+
+def _weighted_l1(diff: np.ndarray, den, weights: tuple) -> np.ndarray:
+    """(S, T) distances sum_x p(x) sum_y |diff[s, t, x, y]|, each sequence
+    with its own domain weights p; a null row carries weight zero."""
+    w, wden = weights
     if den is None:
-        return abs(diff[:, live]).sum(axis=2) @ domain.weights[live]
-    wnum, wden = domain.int_weights()
-    diff, w = widen(2 * den * wden, diff[:, live], wnum[live])  # a row of |diff| sums to at most 2 den
-    return [Fraction(t, den * wden) for t in (abs(diff).sum(axis=2) @ w).tolist()]
+        return (abs(diff).sum(axis=3) * w[:, None, :]).sum(axis=2)
+    scale = [d * wd for d, wd in zip(den.tolist(), wden.tolist())]
+    diff, w = widen(2 * max(scale), diff, w)  # a row of |diff| sums to at most 2 den
+    return _over((abs(diff).sum(axis=3) * w[:, None, :]).sum(axis=2), scale)
+
+
+def _stacked_difference(seq: Sequence[Kernel], limit: Kernel) -> tuple:
+    """`_difference` of a sequence against its limit, with the domain weights."""
+    data, dens, lim, weights = _stacked(seq, limit)
+    return (*_difference(data, dens, lim), weights)
 
 
 def one_sided_distance(k: Kernel, h: Kernel):
     """sum_x p(x) sum_y |k(y|x) - h(y|x)|: a pseudometric on kernels, zero
     exactly on a.s.-equal pairs."""
-    return _weighted_l1(*_difference(*_stacked([k], h), h), k.domain)[0]
+    return _weighted_l1(*_stacked_difference([k], h))[0, 0]
 
 
 def two_sided_distance(k: Kernel, h: Kernel):
@@ -97,20 +118,29 @@ class ConvergenceReport:
                 raise ValueError("report marked converged but the tail exceeds tolerance")
 
 
+def _stabilization(flags: np.ndarray) -> np.ndarray:
+    """The first index along the last axis of a boolean array from which
+    every flag holds: the axis length when the last flag fails."""
+    return flags.shape[-1] - np.logical_and.accumulate(flags[..., ::-1], axis=-1).sum(axis=-1)
+
+
+def _report(distances: Sequence, stable: int, tolerance, horizon: Optional[int] = None) -> ConvergenceReport:
+    """Report of per-step distances whose flags hold from index `stable` on;
+    converged when that index lies within the steps."""
+    distances = tuple(distances)
+    if horizon is None:
+        horizon = len(distances)
+    if stable == len(distances):
+        return ConvergenceReport(distances, False, None, tolerance, horizon)
+    return ConvergenceReport(distances, True, stable, tolerance, horizon)
+
+
 def report_from_flags(
     distances: Sequence, flags: Sequence, tolerance, horizon: Optional[int] = None
 ) -> ConvergenceReport:
     """Verdict from per-step flags: stabilization is the first index from
     which every flag holds; no such index means not converged."""
-    distances = tuple(distances)
-    if horizon is None:
-        horizon = len(distances)
-    idx = len(flags)
-    while idx > 0 and flags[idx - 1]:
-        idx -= 1
-    if idx == len(flags):
-        return ConvergenceReport(distances, False, None, tolerance, horizon)
-    return ConvergenceReport(distances, True, idx, tolerance, horizon)
+    return _report(distances, int(_stabilization(np.array(flags, dtype=bool))), tolerance, horizon)
 
 
 def report_from_distances(
@@ -142,7 +172,7 @@ def check_convergence(
     if horizon is not None:
         seq = seq[:horizon]
     if metric == "one-sided":
-        distances = _weighted_l1(*_difference(*_stacked(seq, limit), limit), limit.domain)
+        distances = _weighted_l1(*_stacked_difference(seq, limit))[0]
     else:
         distances = [two_sided_distance(k, limit) for k in seq]
     return report_from_distances(distances, _tol(limit, tol), horizon or len(distances))
@@ -156,63 +186,86 @@ def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
     return np.eye(size, dtype=bool)
 
 
-def _pullback_distances(diff: np.ndarray, den, limit: Kernel, norms: Sequence) -> list:
-    """Per norm index, the per-step worst-case L^n distance of the pullbacks
+def _pullback_distances(diff: np.ndarray, den, weights: tuple, norms: Sequence) -> list:
+    """Per norm index, the (S, T) worst-case L^n distances of the pullbacks
     over indicator RVs, pulled back at once as the columns of a 0/1 matrix;
     every norm reads the same product. The n-th root is monotone, so the
     worst distance is the root of the largest weighted total. In rational
-    mode `diff` holds integer numerators over `den` and so do the pulled
-    values; a total of n-th powers is over wden * den**n.
+    mode `diff` holds integer numerators over the (S,) `den` and so do the
+    pulled values; a total of n-th powers is over wden * den**n.
     """
     for n in norms:
         check_norm_index(n)
-    mode = limit.mode
-    masks = _indicator_columns(limit.codomain.size).astype(diff.dtype if mode.exact else np.float64)
-    live = limit.domain.live_index()
-    if mode.exact:
-        w, wden = limit.domain.int_weights()
-    else:
-        w = limit.domain.weights  # null rows carry weight zero in the finite-n totals
-    out = [[] for _ in norms]
-    block = max(1, (1 << 16) // (diff.shape[1] * masks.shape[1]))  # bounds the pulled values held
-    for start in range(0, len(diff), block):
-        pulled = abs(diff[start : start + block] @ masks)
-        for distances, n in zip(out, norms):
+    w, wden = weights
+    exact = den is not None
+    masks = _indicator_columns(diff.shape[3]).astype(diff.dtype if exact else np.float64)
+    live = (w > 0)[:, None, :, None]
+    out = [[np.empty((len(diff), 0), dtype=object if exact else np.float64)] for _ in norms]
+    block = max(1, (1 << 16) // (len(diff) * diff.shape[2] * masks.shape[1]))  # bounds the pulled values held
+    for start in range(0, diff.shape[1], block):
+        pulled = diff[:, start : start + block] @ masks
+        pulled = np.abs(pulled, out=pulled)
+        pulled *= live  # null rows: weight zero in every total, and out of the sup
+        for chunks, n in zip(out, norms):
             if is_infinite(n):
-                worst = pulled[:, live].max(axis=(1, 2))
-                distances.extend([Fraction(t, den) for t in worst.tolist()] if mode.exact else worst)
-            elif mode.exact:
-                n = int(n)
-                scale = wden * den**n
-                p, v = widen(scale * 2**n, w, pulled)  # a pulled value is at most 2 den
-                totals = (p @ v**n).max(axis=1).tolist()
-                distances.extend(nth_root(Fraction(t, scale), n, mode) for t in totals)
+                worst = pulled.max(axis=(2, 3))
+                chunks.append(_over(worst, den.tolist()) if exact else worst)
+                continue
+            n = int(n)
+            if exact:
+                scale = [wd * d**n for wd, d in zip(wden.tolist(), den.tolist())]
+                p, v = widen(max(scale) * 2**n, w, pulled)  # a pulled value is at most 2 den
+                totals = (p[:, None, None, :] @ (v if n == 1 else v**n))[:, :, 0].max(axis=2)
+                roots = np.frompyfunc(lambda v: nth_root(v, n, EXACT), 1, 1)
+                chunks.append(roots(_over(totals, scale)))
             else:
-                distances.extend((w @ pulled ** int(n)).max(axis=1) ** (1.0 / int(n)))
-    return out
+                powers = pulled if n == 1 else pulled**n
+                chunks.append((w[:, None, None, :] @ powers)[:, :, 0].max(axis=2) ** (1.0 / n))
+    return [np.concatenate(chunks, axis=1) for chunks in out]
 
 
 def operator_pointwise_distances(seq: Sequence[Kernel], limit: Kernel, n=1) -> list:
     """Per-step worst-case L^n distance of the pullbacks over indicator RVs."""
-    (distances,) = _pullback_distances(*_difference(*_stacked(seq, limit), limit), limit, (n,))
-    return distances
+    (distances,) = _pullback_distances(*_stacked_difference(seq, limit), (n,))
+    return list(distances[0])
 
 
 def homeomorphism_reports(seq: Sequence[Kernel], limit: Kernel, norms=(1,), tol=None) -> tuple:
     """The one-sided metric report and one operator report per norm index,
-    from one stacked difference and one shared pullback product. The two
-    notions of convergence agree when the verdicts do."""
-    return _stack_reports(*_stacked(seq, limit), limit, norms, tol)
-
-
-def _stack_reports(data: np.ndarray, dens, limit: Kernel, norms, tol) -> tuple:
-    """`homeomorphism_reports` of a sequence held as one checked stack
-    parallel to the limit (see `_stacked`), with no kernel per step."""
+    from one stacked difference and one shared pullback product: the block
+    of one sequence. The two notions of convergence agree when the verdicts
+    do."""
     tol = _tol(limit, tol)
+    reports = _block_reports(*_stacked(seq, limit), norms, tol)
+    metric, *operators = (_report(d[0], int(stable[0]), tol) for d, stable in reports)
+    return metric, tuple(operators)
+
+
+_BLOCK_ENTRIES = 1 << 12  # step-kernel entries of a block of sequences, about
+_PULLED_ENTRIES = 1 << 14  # pulled values of a block, at most
+
+
+def _sequences_per_block(horizon: int, n: int, m: int) -> int:
+    """How many sequences of `horizon` (n, m) kernels `_block_reports`
+    takes at once: near 2**12 kernel entries and at most 2**14 pulled
+    values, and at least one sequence."""
+    steps = horizon * n
+    pulled = steps * _indicator_columns(m).shape[1]
+    return max(1, min(_BLOCK_ENTRIES // (steps * m), _PULLED_ENTRIES // pulled))
+
+
+def _block_reports(data: np.ndarray, dens, limit: tuple, weights: tuple, norms, tol) -> tuple:
+    """The one-sided metric and one operator distance per norm index of a
+    block of S sequences, each against its own limit, with no kernel per
+    step: (distances, stabilization) pairs of the (S, T) distances and the
+    (S,) first indices from which every distance is within the tolerance (T
+    where the last is not). The block is (S, T, n, m) data over its (S, T)
+    denominators, the (S, n, m) limits over their (S,) denominators and the
+    (S, n) domain weights over theirs: float arrays over None, or integer
+    numerators."""
     diff, den = _difference(data, dens, limit)
-    metric = report_from_distances(_weighted_l1(diff, den, limit.domain), tol)
-    distances = _pullback_distances(diff, den, limit, norms)
-    return metric, tuple(report_from_distances(d, tol) for d in distances)
+    distances = [_weighted_l1(diff, den, weights), *_pullback_distances(diff, den, weights, norms)]
+    return tuple((d, _stabilization(d <= tol)) for d in distances)
 
 
 def homeomorphism_check(seq: Sequence[Kernel], limit: Kernel, n=1, tol=None) -> bool:

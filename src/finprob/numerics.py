@@ -96,6 +96,16 @@ class NumericMode:
             return np.equal(a, b)
         return np.abs(np.subtract(a, b)) <= self.tolerance
 
+    def value_close_mask(self, a, b) -> np.ndarray:
+        """`close_mask` for random-variable values: in float mode within the
+        tolerance times max(1, the largest magnitude of either operand),
+        since rounding grows with the size of the values. Kernel entries are
+        at most 1 and keep the absolute tolerance."""
+        if self.exact:
+            return np.equal(a, b)
+        scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+        return np.abs(np.subtract(a, b)) <= self.tolerance * scale
+
     def all_close(self, a, b) -> bool:
         """Equality of same-shape arrays at every entry under this mode."""
         a = np.asarray(a)
@@ -189,6 +199,16 @@ def as_matrix(rows: Sequence[Iterable], mode: NumericMode) -> np.ndarray:
             arr = arr.reshape(len(data), 0)
     arr.setflags(write=False)
     return arr
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first true entry of a boolean array, in row-major order."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
+def _at(index: tuple, names: tuple) -> str:
+    """"sequence s, step t, row x": each index with the name of its axis."""
+    return ", ".join(map("{} {}".format, names, index))
 
 
 _INT64_MAX = (1 << 63) - 1

@@ -163,8 +163,9 @@ def complete_partition(p: Partition, space: ProbSpace) -> Partition:
 
 
 def _constant_on_blocks(f: RandomVar, p: Partition, outcomes: np.ndarray) -> bool:
-    """True when, within each block of p, f agrees (within mode tolerance)
-    on the given outcomes: each is compared with the first of them."""
+    """True when, within each block of p, f agrees on the given outcomes
+    (within the mode's tolerance scaled by the values' size): each is
+    compared with the first of them."""
     space = f.space
     if p.parent_size != space.size:
         raise SizeMismatchError(
@@ -176,7 +177,7 @@ def _constant_on_blocks(f: RandomVar, p: Partition, outcomes: np.ndarray) -> boo
     ref = first[labels]
     if space.mode.exact:
         return bool(f._exact.take(outcomes).equal(f._exact.take(ref)).all())
-    return bool((np.abs(f.values[outcomes] - f.values[ref]) <= space.mode.tolerance).all())
+    return bool(space.mode.value_close_mask(f.values[outcomes], f.values[ref]).all())
 
 
 def measurable_wrt(f: RandomVar, p: Partition) -> bool:

@@ -13,10 +13,19 @@ from fractions import Fraction
 import numpy as np
 
 from .idempotents import IdempotentKernel, cond_exp_kernel
-from .kernels import Coupling, Kernel, _conditioned, _exact, kernel_from_coupling
+from .kernels import (
+    Kernel,
+    _checked_marginals,
+    _conditioned_rows,
+    _exact,
+    _int_rows,
+    _kernel_rows,
+    _table,
+    _views,
+)
 from .numerics import NumericMode, Rationals, int_array, mat_mul, widen
 from .partitions import Partition
-from .spaces import ProbSpace, RandomVar, VecRandomVar
+from .spaces import ProbSpace, RandomVar, VecRandomVar, _checked_weights
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -82,6 +91,54 @@ def random_joint_table(
             return raw
 
 
+def random_mp_stack(
+    rng: np.random.Generator,
+    count: int,
+    nrows: int,
+    ncols: int,
+    mode: NumericMode,
+    null_rows: int = 0,
+) -> tuple:
+    """`count` measure-preserving kernels with fresh marginal spaces, each
+    from its own random joint table, drawn one after another as
+    `random_mp_kernel` draws them, then conditioned and checked as stacks.
+
+    Returns three (array, denominators) pairs: the (S, n, m) kernels, the
+    (S, n) domain weights and the (S, m) codomain weights. Float mode holds
+    float arrays over None; rational mode holds lowest-terms integer
+    numerators over (S,) denominators. The checks are those of `ProbSpace`
+    and `Coupling` and of kernel rows, and an error names the sequence.
+    """
+    raw = np.stack([random_joint_table(rng, nrows, ncols, null_rows) for _ in range(count)])
+    lead = ("sequence",)
+    total, r, c = raw.sum(axis=(1, 2)), raw.sum(axis=2), raw.sum(axis=1)
+    if mode.exact:
+        p, q = _lowest(r, total), _lowest(c, total)
+        _checked_weights(*p, mode, lead)
+        _checked_weights(*q, mode, lead)
+        # row x is raw[x] / r[x], and the codomain weights c / total where r[x] = 0
+        row_den = np.where(r > 0, r, total[:, None])
+        den = np.lcm.reduce(row_den.astype(object), axis=1).tolist()
+        bound = max(den)  # a numerator is at most its denominator
+        den = int_array(den, bound)
+        raw, c, row_den = widen(bound, raw, c, row_den)
+        num = np.where(r[..., None] > 0, raw, c[:, None, :]) * (den[:, None] // row_den)[..., None]
+        return _int_rows(num, den, lead), p, q
+    table = raw / total[:, None, None]
+    p, q = table.sum(axis=2), table.sum(axis=1)
+    _checked_weights(p, None, mode, lead)
+    _checked_weights(q, None, mode, lead)
+    _checked_marginals(_table(table, mode, (nrows, ncols), "coupling", lead), p, q, mode, lead)
+    rows = _kernel_rows(_conditioned_rows(table, p, q), mode, (nrows, ncols), lead)
+    return (rows, None), (p, None), (q, None)
+
+
+def _lowest(num: np.ndarray, den: np.ndarray) -> tuple:
+    """(S, k) integer numerators over (S,) denominators, in lowest terms per row."""
+    g = np.gcd(np.gcd.reduce(num, axis=1), den)
+    return num // g[:, None], den // g
+
+
 def random_mp_kernel(
     rng: np.random.Generator,
     nrows: int,
@@ -90,17 +147,13 @@ def random_mp_kernel(
     null_rows: int = 0,
 ) -> Kernel:
     """Measure-preserving kernel with fresh marginal spaces, built from a
-    random joint table by conditioning."""
-    raw = random_joint_table(rng, nrows, ncols, null_rows)
-    if mode.exact:
-        total = int(raw.sum())
-        domain = ProbSpace(Rationals(raw.sum(axis=1), np.full(nrows, total)), mode)
-        codomain = ProbSpace(Rationals(raw.sum(axis=0), np.full(ncols, total)), mode)
-        return _conditioned(raw, total, domain, codomain)
-    table = raw / raw.sum()
-    domain = ProbSpace(list(table.sum(axis=1)), mode)
-    codomain = ProbSpace(list(table.sum(axis=0)), mode)
-    return kernel_from_coupling(Coupling(table, domain, codomain))
+    random joint table by conditioning: `random_mp_stack` of one."""
+    (data, den), *weights = random_mp_stack(rng, 1, nrows, ncols, mode, null_rows)
+    domain, codomain = (
+        ProbSpace(w[0] if d is None else Rationals(w[0], np.full(w.shape[1], d[0])), mode)
+        for w, d in weights
+    )
+    return _views(data, den, domain, codomain)[0]
 
 
 def random_mp_kernel_from(

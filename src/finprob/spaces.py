@@ -26,6 +26,8 @@ from .numerics import (
     Frozen,
     NumericMode,
     Rationals,
+    _at,
+    _first,
     as_matrix,
     as_number,
     as_vector,
@@ -34,6 +36,35 @@ from .numerics import (
     is_infinite,
     nth_root,
 )
+
+
+def _checked_weights(w: np.ndarray, den, mode: NumericMode, lead: tuple = ()) -> None:
+    """The checks of a weight vector, or of a stack of them along the named
+    `lead` axes: float weights over None, or integer numerators over their
+    denominators. No weight is negative, and each vector sums to one (within
+    the mode's tolerance) with a positive weight; an error names the first
+    offending vector and weight."""
+    den = None if den is None else np.asarray(den)
+
+    def value(num, at):
+        return num[at] if den is None else Fraction(int(num[at]), int(den[at[: len(lead)]]))
+
+    def where(at):
+        return f"{_at(at, lead)}: " if lead else ""
+
+    negative = w < 0
+    if negative.any():
+        at = _first(negative)
+        raise NegativeWeightError(f"{_at(at, lead + ('weight',))} is negative: {value(w, at)}")
+    totals = w.sum(axis=-1)
+    bad = ~mode.close_mask(totals, 1.0) if den is None else totals != den
+    if bad.any():
+        at = _first(bad)
+        total = value(totals, at)
+        raise SumNotOneError(f"{where(at)}weights sum to {total}, deviation {total - mode.one()}")
+    empty = ~(w > 0).any(axis=-1)
+    if empty.any():
+        raise SumNotOneError(f"{where(_first(empty))}weights have empty support")
 
 
 class ProbSpace(Frozen):
@@ -58,18 +89,11 @@ class ProbSpace(Frozen):
         w = as_vector(weights, mode)
         if w.size == 0:
             raise SizeMismatchError("a probability space needs at least one outcome")
-        for i, v in enumerate(w):
-            if v < 0:
-                raise NegativeWeightError(f"weight {i} is negative: {v}")
-        total = w.sum()
-        if not mode.close(total, mode.one()):
-            raise SumNotOneError(f"weights sum to {total}, deviation {total - mode.one()}")
-        support = tuple(i for i, v in enumerate(w) if v > 0)
-        if not support:
-            raise SumNotOneError("weights have empty support")
-        first = w[support[0]]
-        uniform = first if all(w[i] == first for i in support[1:]) else None
-        self._set(mode, int(w.size), support, uniform, w)
+        _checked_weights(w, None, mode)
+        live = np.flatnonzero(w > 0)
+        first = w[live[0]]
+        uniform = first if (w[live] == first).all() else None
+        self._set(mode, int(w.size), tuple(live.tolist()), uniform, w)
 
     def _init_exact(self, weights, mode: NumericMode) -> None:
         frac = None
@@ -82,13 +106,7 @@ class ProbSpace(Frozen):
         nums = wnum.tolist()
         if not nums:
             raise SizeMismatchError("a probability space needs at least one outcome")
-        for i, a in enumerate(nums):
-            if a < 0:
-                raise NegativeWeightError(f"weight {i} is negative: {Fraction(a, den)}")
-        total = sum(nums)
-        if total != den:
-            total = Fraction(total, den)
-            raise SumNotOneError(f"weights sum to {total}, deviation {total - 1}")
+        _checked_weights(wnum, den, mode)
         support = tuple(i for i, a in enumerate(nums) if a > 0)
         first = nums[support[0]]
         uniform = Fraction(first, den) if all(nums[i] == first for i in support[1:]) else None
@@ -282,14 +300,14 @@ class VecRandomVar(Frozen):
 
 
 def as_equal_rv(f: RandomVar, g: RandomVar) -> bool:
-    """Almost-sure equality: agreement (within mode tolerance) on the support."""
+    """Almost-sure equality: agreement on the support, within the mode's
+    tolerance scaled by the values' size (`NumericMode.value_close_mask`)."""
     _require_same_space(f, g)
     space = f.space
+    live = slice(None) if space.fully_supported else space.live_index()
     if space.mode.exact:
-        equal = f._exact.equal(g._exact)
-    else:
-        equal = np.abs(f.values - g.values) <= space.mode.tolerance
-    return bool((equal if space.fully_supported else equal[space.live_index()]).all())
+        return bool(f._exact.equal(g._exact)[live].all())
+    return bool(space.mode.value_close_mask(f.values[live], g.values[live]).all())
 
 
 def as_equal_vec_rv(f: VecRandomVar, g: VecRandomVar) -> bool:
@@ -297,7 +315,7 @@ def as_equal_vec_rv(f: VecRandomVar, g: VecRandomVar) -> bool:
     if f.dim != g.dim:
         raise DimMismatchError("vector RVs of different dimension")
     live = f.space.live_index()
-    return f.space.mode.all_close(f.values[live], g.values[live])
+    return bool(f.space.mode.value_close_mask(f.values[live], g.values[live]).all())
 
 
 def _on_support(f: RandomVar) -> Rationals:

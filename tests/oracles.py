@@ -576,3 +576,30 @@ def galois_roundtrips_by_kernels(space):
         completion_failures=completion_failures,
         monotonicity_failures=tuple(monotonicity_failures),
     )
+
+
+def kernel_block(kernels):
+    """Kernels of one shape, each with its own spaces, in the block form that
+    `sampling.random_mp_stack` returns: (array, denominators) pairs of the
+    stacked kernels, domain weights and codomain weights; float arrays over
+    None, or integer numerators over per-kernel denominators."""
+    if not kernels[0].mode.exact:
+        return tuple(
+            (np.stack(arrays), None)
+            for arrays in zip(*((k.rows, k.domain.weights, k.codomain.weights) for k in kernels))
+        )
+    parts = [((k.num, k.den), k.domain.int_weights(), k.codomain.int_weights()) for k in kernels]
+    return tuple(
+        (np.stack([num for num, _ in pairs]), np.array([den for _, den in pairs]))
+        for pairs in zip(*parts)
+    )
+
+
+def mix_weights(a, exact):
+    """Per-sequence lists of mixing weights in the form that
+    `experiments._slide_block` takes: a float array, or integer numerators
+    over denominators."""
+    if not exact:
+        return np.array(a, dtype=np.float64)
+    a = [[Fraction(t) for t in row] for row in a]
+    return tuple(np.array([[getattr(t, part) for t in row] for row in a]) for part in ("numerator", "denominator"))

@@ -9,7 +9,8 @@ single rational shows up here. The serialized inputs are rebuilt from closed
 formulas. The banach files were written when the truncation chain was n dense
 matrices and its seminorm a recursion over start indices. The homeo-audit
 files were written when every kernel of a sequence was built, validated and
-measured one step at a time.
+measured one step at a time; the two "blocks" files were written when each
+sequence was still drawn, built and measured on its own.
 """
 
 import math
@@ -90,6 +91,13 @@ HOMEO_CASES = {
         experiment="homeo-audit", size=4, count=200, horizon=40, seed=1, mode=fp.float_mode()
     ),
     "homeo-audit-rational": replace(demo_config("homeo-audit"), mode=fp.rational_mode()),
+    # counts that leave a short last block of sequences (12 and 6 per block)
+    "homeo-audit-blocks-float": ExperimentConfig(
+        experiment="homeo-audit", size=3, count=41, horizon=36, seed=11, mode=fp.float_mode()
+    ),
+    "homeo-audit-blocks-rational": ExperimentConfig(
+        experiment="homeo-audit", size=3, count=9, horizon=70, seed=12, mode=fp.rational_mode()
+    ),
 }
 
 

@@ -318,6 +318,22 @@ class TestOrderTable:
         _, table = self.check(kernels)
         assert 0 < table.sum() < table.size
 
+    @staticmethod
+    def trace_bound(forms):
+        return forms[0].shape[1] * max(forms[1].tolist()) ** 2
+
+    def test_float64_trace_path(self):
+        space = random_space(rng_for(94), 6, R, null_outcomes=1)
+        forms, _ = self.check([fp.cond_exp_kernel(space, part).kernel for part in fp.all_partitions(6)])
+        assert self.trace_bound(forms) < 2**53
+
+    def test_int64_trace_path(self):
+        d = 10**8 + 7  # a prime: block masses keep denominators near 10**8
+        a, b = 3 * 10**7, 3 * 10**7 + 1
+        space = fp.make_space([F(a, d), F(b, d), F(d - a - b, d)], R)
+        forms, _ = self.check([fp.cond_exp_kernel(space, part).kernel for part in fp.all_partitions(3)])
+        assert forms[0].dtype == np.int64 and 2**53 <= self.trace_bound(forms) < 2**63
+
     def test_python_int_path(self):
         p, q = 10**10 + 19, 10**10 + 33  # primes: block masses keep ~20-digit denominators
         space = fp.make_space([F(1, p), F(1, q), 1 - F(1, p) - F(1, q), F(0)], R)

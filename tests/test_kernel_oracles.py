@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import finprob as fp
-from finprob.experiments import _slide_stack
+from finprob.experiments import _slide_block
 from finprob.numerics import fraction_array
-from finprob.sampling import random_mp_kernel, random_mp_kernel_from, random_partition, rng_for
+from finprob import sampling
+from finprob.sampling import random_mp_kernel, random_mp_kernel_from, random_mp_stack, random_partition, rng_for
 
 from .oracles import (
     as_equal_by_rows,
@@ -27,6 +28,8 @@ from .oracles import (
     galois_roundtrips_by_kernels,
     idem_leq_by_definition,
     invariant_blocks_union_find,
+    kernel_block,
+    mix_weights,
     one_sided_distance_by_definition,
     operator_distances_by_definition,
     random_mp_kernel_by_fractions,
@@ -169,8 +172,9 @@ class TestAgainstDefinition:
             k = k_exact if exact else k_float
             one, zero = k.mode.one(), k.mode.zero()
             a = [one / 2**i if exact else 0.5**i for i in range(6)] + [one, zero]
-            data, dens = _slide_stack(k, a)
-            steps = data if dens is None else [fraction_array(num, den) for num, den in zip(data, dens)]
+            limit, _, q = kernel_block([k])
+            data, dens = _slide_block(k.mode, limit, q, mix_weights([a], exact))
+            steps = data[0] if dens is None else [fraction_array(num, den) for num, den in zip(data[0], dens[0])]
             assert len(steps) == len(a)
             for step, t in zip(steps, a):
                 assert same_entries(step, (1 - t) * k.rows + t * k.codomain.weights, exact)
@@ -321,6 +325,33 @@ class TestIntegerSampling:
             assert k.domain == expected.domain and k.codomain == expected.codomain
             assert k.rows.tolist() == expected.rows.tolist()
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mode", [R, FL], ids=["rational", "float"])
+    def test_random_mp_stack_is_a_loop_of_random_mp_kernel(self, mode):
+        # the same kernels and spaces, bit for bit, and the same RNG state after
+        for seed, (count, nrows, ncols, nulls) in enumerate(
+            [(1, 1, 1, 0), (5, 3, 4, 1), (13, 4, 4, 0), (7, 6, 2, 3), (3, 12, 12, 0), (2, 33, 20, 5)]
+        ):
+            rng, ref = rng_for(seed), rng_for(seed)
+            (data, den), (p, pden), (q, qden) = random_mp_stack(rng, count, nrows, ncols, mode, nulls)
+            for s in range(count):
+                k = random_mp_kernel(ref, nrows, ncols, mode, nulls)
+                if mode.exact:
+                    assert (data[s].tolist(), int(den[s])) == (k.num.tolist(), k.den)
+                    assert (p[s].tolist(), int(pden[s])) == (k.domain.int_weights()[0].tolist(), k.domain.int_weights()[1])
+                    assert (q[s].tolist(), int(qden[s])) == (k.codomain.int_weights()[0].tolist(), k.codomain.int_weights()[1])
+                else:
+                    assert data[s].tolist() == k.rows.tolist() and den is None
+                    assert p[s].tolist() == k.domain.weights.tolist()
+                    assert q[s].tolist() == k.codomain.weights.tolist()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mode", [R, FL], ids=["rational", "float"])
+    def test_random_mp_stack_error_names_the_sequence(self, mode, monkeypatch):
+        tables = iter([np.ones((3, 2), dtype=np.int64)] * 2 + [np.array([[-2, -2], [1, 4], [3, 3]])])
+        monkeypatch.setattr(sampling, "random_joint_table", lambda *args: next(tables))
+        with pytest.raises(fp.NegativeWeightError, match="sequence 2, weight 0 is negative"):
+            random_mp_stack(rng_for(0), 3, 3, 2, mode)
 
     def test_random_mp_kernel_from(self):
         for seed in range(20):

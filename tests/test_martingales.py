@@ -5,6 +5,7 @@ import pytest
 
 import finprob as fp
 from finprob.sampling import (
+    random_coarsening_chain,
     random_idempotent_chain,
     random_rv,
     random_space,
@@ -328,3 +329,50 @@ class TestOrderTransport:
             ba = fp.compose(b.kernel, a.kernel)
             assert fp.as_equal_kernels(ab, a.kernel)
             assert fp.as_equal_kernels(ba, a.kernel)
+
+
+class TestScaleAwareVerdicts:
+    """Float comparisons of random-variable values scale with the values, so
+    float and rational modes reach the same verdict at large values."""
+
+    @staticmethod
+    def levy_down_instance(seed, scale, mode):
+        # 64 outcomes with weights 1-9 and one null outcome, values (a/b) * scale,
+        # and a coarsening chain of length 32: the shape of the levy-down workload
+        rng = rng_for(seed)
+        raw = rng.integers(1, 10, size=64)
+        raw[int(rng.integers(0, 64))] = 0
+        values = [F(int(a), int(b)) * scale for a, b in zip(rng.integers(-8, 9, 64), rng.integers(1, 5, 64))]
+        weights = [F(int(w), int(raw.sum())) for w in raw]
+        if not mode.exact:
+            weights, values = [float(w) for w in weights], [float(v) for v in values]
+        space = fp.ProbSpace(weights, mode)
+        chain = random_coarsening_chain(rng, 64, 32)
+        return fp.martingale_from_terminal(fp.RandomVar(values, space), fp.Filtration(chain, fp.DECREASING, space))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_levy_down_at_1e9_agrees_across_modes(self, seed):
+        reports = [fp.levy_report(self.levy_down_instance(seed, 10**9, mode), 1) for mode in (R, fp.FLOAT_DEFAULT)]
+        assert [r.converged for r in reports] == [True, True]
+        assert reports[0].stabilization_index == reports[1].stabilization_index
+
+    def test_rv_equality_scales_with_the_values(self):
+        space = fp.uniform_space(3)
+        big = fp.RandomVar([1e9, -2e9, 3.0], space)
+        assert fp.as_equal_rv(big, fp.RandomVar([1e9 + 0.5, -2e9, 3.0], space))
+        assert not fp.as_equal_rv(big, fp.RandomVar([1e9 + 3.0, -2e9, 3.0], space))
+        small = fp.RandomVar([0.5, 0.25, 0.0], space)
+        assert not fp.as_equal_rv(small, fp.RandomVar([0.5 + 2e-9, 0.25, 0.0], space))
+
+    def test_vector_equality_scales_with_the_values(self):
+        space = fp.uniform_space(2)
+        f = fp.VecRandomVar([[1e9, 1.0], [2.0, 3.0]], space)
+        assert fp.as_equal_vec_rv(f, fp.VecRandomVar([[1e9 + 0.5, 1.0], [2.0, 3.0]], space))
+        assert not fp.as_equal_vec_rv(f, fp.VecRandomVar([[1e9, 1.0], [2.0, 5.0]], space))
+
+    def test_block_constancy_scales_with_the_values(self):
+        space = fp.uniform_space(4)
+        blocks = fp.Partition([(0, 1), (2, 3)], 4)
+        assert fp.as_measurable_wrt(fp.RandomVar([1e9, 1e9 + 0.5, -4e9, -4e9], space), blocks)
+        assert not fp.as_measurable_wrt(fp.RandomVar([1e9, 1e9 + 8.0, 0.0, 0.0], space), blocks)
+        assert not fp.measurable_wrt(fp.RandomVar([0.5, 0.5 + 2e-9, 0.0, 0.0], space), blocks)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import finprob as fp
-from finprob.experiments import _slide_stack
-from finprob.kernels import _checked_stack
-from finprob.metrics import _stack_reports
-from finprob.sampling import random_mp_kernel, random_partition, random_space, rng_for
+from finprob.config import ExperimentConfig
+from finprob.experiments import _slide_block, run_experiment
+from finprob.metrics import _block_reports, _report
+from finprob.sampling import random_mp_kernel, random_mp_stack, random_partition, random_space, rng_for
 
-from .oracles import setwise_distance, subsets
+from .oracles import kernel_block, mix_weights, setwise_distance, subsets
 
 R = fp.rational_mode()
 
@@ -25,6 +25,12 @@ def _mix(k, other, a):
         for x in range(k.domain.size)
     ]
     return fp.Kernel(rows, k.domain, k.codomain)
+
+
+def _to_float(k):
+    f = fp.float_mode()
+    spaces = [fp.make_space([float(w) for w in s.weights], f) for s in (k.domain, k.codomain)]
+    return fp.Kernel([[float(v) for v in row] for row in k.rows], *spaces)
 
 
 def _independent(k):
@@ -170,35 +176,98 @@ class TestHomeomorphism:
 
 
 class TestStackReports:
-    """Reports from one checked stack equal the reports of its kernels."""
+    """A block of sequences, each against its own limit, gives every
+    sequence the reports that `homeomorphism_reports` gives it alone."""
 
     NORMS = (1, 2, 3, math.inf)
 
+    @classmethod
+    def reports_of(cls, block, s, tol):
+        metric, *operators = (_report(d[s], int(stable[s]), tol) for d, stable in block)
+        return metric, tuple(operators)
+
     @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
     def test_slides_match_kernel_lists(self, mode):
-        rng = rng_for(85)
-        one = mode.one()
-        for size in (1, 2, 4):
-            k = random_mp_kernel(rng, size, size, mode)
-            for a in ([one / 2**i for i in range(12)], [one * (i % 2 or i == 11) for i in range(12)]):
-                data, dens = _slide_stack(k, a)
-                mixes = np.array([(1 - t) * k.rows + t * k.codomain.weights for t in a])
+        # sampled blocks of sizes 1-4, horizon 1 and tables with zero rows
+        one, tol = mode.one(), 0 if mode.exact else mode.tolerance
+        for seed, (size, count, horizon, nulls) in enumerate(
+            [(1, 3, 12, 0), (2, 7, 1, 1), (4, 5, 12, 0), (3, 13, 7, 2), (2, 4, 40, 0)]
+        ):
+            limit, p, q = random_mp_stack(rng_for(seed), count, size, size, mode, nulls)
+            a = [
+                [one * (i % 2 or i == horizon - 1) for i in range(horizon)]
+                if s % 3 == 2
+                else [one / 2**i for i in range(horizon)]
+                for s in range(count)
+            ]
+            block = _block_reports(*_slide_block(mode, limit, q, mix_weights(a, mode.exact)), limit, p, self.NORMS, tol)
+            rng = rng_for(seed)
+            for s in range(count):
+                k = random_mp_kernel(rng, size, size, mode, nulls)
+                mixes = np.array([(1 - t) * k.rows + t * k.codomain.weights for t in a[s]])
                 seq = fp.kernel_sequence(mixes, k.domain, k.codomain)
-                expected = fp.homeomorphism_reports(seq, k, self.NORMS)
-                assert _stack_reports(data, dens, k, self.NORMS, None) == expected
+                assert self.reports_of(block, s, tol) == fp.homeomorphism_reports(seq, k, self.NORMS)
 
     @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
     def test_mixed_denominators_match_kernel_lists(self, mode):
-        # kernels of the stack with denominators of their own, and a tolerance
+        # sequences whose steps have denominators of their own, and a tolerance
         rng = rng_for(86)
-        k = random_mp_kernel(rng, 3, 4, mode)
-        other = _independent(k)
-        seq = [_mix(k, other, mode.one() / d) for d in (3, 7, 11, 1, 5)]
-        data, den = _checked_stack(np.array([h.rows for h in seq]), k.domain, k.codomain)
-        dens = None if den is None else den.tolist()
+        limits = [random_mp_kernel(rng, 3, 4, mode) for _ in range(3)]
+        seqs = [[_mix(k, _independent(k), mode.one() / d) for d in (3, 7, 11, 1, 5)] for k in limits]
+        limit, p, _ = kernel_block(limits)
+        steps = [kernel_block(seq)[0] for seq in seqs]
+        data = np.stack([d for d, _ in steps])
+        dens = None if limit[1] is None else np.stack([den for _, den in steps])
         for tol in (None, F(1, 10) if mode.exact else 0.1):
-            expected = fp.homeomorphism_reports(seq, k, self.NORMS, tol)
-            assert _stack_reports(data, dens, k, self.NORMS, tol) == expected
+            value = tol if tol is not None else (0 if mode.exact else mode.tolerance)
+            block = _block_reports(data, dens, limit, p, self.NORMS, value)
+            for s, (seq, k) in enumerate(zip(seqs, limits)):
+                assert self.reports_of(block, s, value) == fp.homeomorphism_reports(seq, k, self.NORMS, tol)
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_bad_slide_names_sequence_and_step(self, mode):
+        limit, _, q = kernel_block([HALF if mode.exact else _to_float(HALF)] * 3)
+        a = [[mode.one() / 2**i for i in range(3)] for _ in range(3)]
+        a[2][1] = -mode.one()  # 2 k - q: row 0 gets 2 * 0 - 1/4
+        value = "-1/4" if mode.exact else "-0.25"
+        with pytest.raises(fp.NegativeWeightError, match=f"sequence 2, step 1, row 0, column 1 is negative: {value}"):
+            _slide_block(mode, limit, q, mix_weights(a, mode.exact))
+
+    def test_bad_float_slide_names_sequence_and_step(self):
+        limit, _, q = kernel_block([_to_float(HALF)] * 2)
+        a = np.full((2, 4), 0.5)
+        a[1, 3] = math.nan
+        with pytest.raises(fp.NonFiniteError, match="sequence 1, step 3, row 0, column 0 is nan"):
+            _slide_block(fp.FLOAT_DEFAULT, limit, q, a)
+
+
+def _homeo_one_by_one(cfg):
+    """homeo-audit rows as they were built before blocks: per sequence one
+    sampled kernel, one list of mixed kernels and one reports call."""
+    rng, one, rows = rng_for(cfg.seed), cfg.mode.one(), []
+    for idx in range(cfg.count):
+        k = random_mp_kernel(rng, cfg.size, cfg.size, cfg.mode)
+        oscillate = idx % 5 == 4
+        if oscillate:
+            a = [one * int(i % 2 or i == cfg.horizon - 1) for i in range(cfg.horizon)]
+        else:
+            a = [one / 2**i for i in range(cfg.horizon)]
+        mixes = np.array([(1 - t) * k.rows + t * k.codomain.weights for t in a])
+        seq = fp.kernel_sequence(mixes, k.domain, k.codomain)
+        metric, operators = fp.homeomorphism_reports(seq, k, TestStackReports.NORMS)
+        for n, operator in zip(("1", "2", "3", "inf"), operators):
+            agree = metric.converged == operator.converged
+            kind = "oscillating" if oscillate else "interpolating"
+            rows.append((idx, kind, n, metric.converged, operator.converged, agree))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+@pytest.mark.parametrize("size, count, horizon", [(1, 7, 1), (2, 23, 5), (3, 13, 40), (4, 19, 33), (5, 3, 2)])
+def test_homeo_audit_blocks_match_one_by_one(mode, size, count, horizon):
+    # counts that leave a short last block, and blocks of one sequence
+    cfg = ExperimentConfig("homeo-audit", seed=size + count, mode=mode, size=size, count=count, horizon=horizon)
+    assert run_experiment(cfg).rows == _homeo_one_by_one(cfg)
 
 
 class TestJointContinuity:

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import finprob as fp
+from finprob.kernels import _checked_marginals
+from finprob.spaces import _checked_weights
 
 R = fp.rational_mode()
 
@@ -37,6 +39,34 @@ class TestMakeSpace:
     def test_empty_support_rejected(self):
         with pytest.raises(fp.FinprobError):
             fp.make_space([])
+
+
+class TestWeightStacks:
+    """The `ProbSpace` checks on a stack of weight vectors name the vector."""
+
+    LEAD = ("sequence",)
+
+    def test_float_stack(self):
+        mode = fp.FLOAT_DEFAULT
+        _checked_weights(np.array([[0.5, 0.5], [0.25, 0.75]]), None, mode, self.LEAD)
+        with pytest.raises(fp.NegativeWeightError, match="sequence 1, weight 0 is negative: -0.5"):
+            _checked_weights(np.array([[0.5, 0.5], [-0.5, 1.5]]), None, mode, self.LEAD)
+        with pytest.raises(fp.SumNotOneError, match="sequence 1: weights sum to 1.1"):
+            _checked_weights(np.array([[0.5, 0.5], [0.5, 0.6]]), None, mode, self.LEAD)
+
+    def test_rational_stack(self):
+        num, den = np.array([[1, 2], [1, 1], [3, 1]]), np.array([3, 2, 3])
+        with pytest.raises(fp.SumNotOneError, match="sequence 2: weights sum to 4/3, deviation 1/3"):
+            _checked_weights(num, den, R, self.LEAD)
+        with pytest.raises(fp.SumNotOneError, match="sequence 0: weights have empty support"):
+            _checked_weights(np.zeros((1, 2), dtype=np.int64), np.array([0]), R, self.LEAD)
+
+    def test_coupling_marginals(self):
+        table = np.array([[[0.25, 0.25], [0.25, 0.25]]] * 2)
+        p = q = np.full((2, 2), 0.5)
+        _checked_marginals(table, p, q, fp.FLOAT_DEFAULT, self.LEAD)
+        with pytest.raises(fp.NotMeasurePreservingError, match="column marginals of sequence 1 differ from q"):
+            _checked_marginals(table, p, np.array([[0.5, 0.5], [0.4, 0.6]]), fp.FLOAT_DEFAULT, self.LEAD)
 
 
 class TestAsEqualRv:
