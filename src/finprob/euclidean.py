@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    NonFiniteError,
     NotAChainError,
     NotLipschitzError,
     NotOrthonormalError,
@@ -29,6 +30,18 @@ from .numerics import Frozen
 DEFAULT_TOL = 1e-8
 
 VectorNorm = Union[str, Callable[[np.ndarray], float]]
+
+
+def _all_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """np.allclose's rule, |a - b| <= atol + 1e-5 |b| everywhere, for a finite
+    reference b; skipping its infinity handling makes it twice as fast."""
+    return bool((np.abs(a - b) <= atol + 1e-5 * np.abs(b)).all())
+
+
+def _require_finite(m: np.ndarray, what: str) -> None:
+    if not np.isfinite(m).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
+        raise NonFiniteError(f"{what} entry at {at} is {m[at]}")
 
 
 def _vec_norm(x: np.ndarray, kind: VectorNorm) -> float:
@@ -72,8 +85,9 @@ class Subspace(Frozen):
             raise DimMismatchError(
                 f"basis vectors of length {basis.shape[0]} in ambient dim {ambient_dim}"
             )
+        _require_finite(basis, "basis")
         gram = basis.T @ basis
-        if not np.allclose(gram, np.eye(basis.shape[1]), atol=tol):
+        if not _all_close(gram, np.eye(basis.shape[1]), tol):
             raise NotOrthonormalError("basis columns are not orthonormal")
         basis = basis.copy()
         basis.setflags(write=False)
@@ -137,9 +151,10 @@ class Projector(Frozen):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimMismatchError("projector matrix must be square")
-        if not np.allclose(m, m.T, atol=tol):
+        _require_finite(m, "projector")
+        if not _all_close(m, m.T, tol):
             raise NotOrthonormalError("projector is not symmetric")
-        if not np.allclose(m @ m, m, atol=tol):
+        if not _all_close(m @ m, m, tol):
             raise NotOrthonormalError("projector is not idempotent")
         m = m.copy()
         m.setflags(write=False)
@@ -172,9 +187,9 @@ def projector_leq(p1: Projector, p2: Projector, tol: float = DEFAULT_TOL) -> boo
     if p1.ambient_dim != p2.ambient_dim:
         raise DimMismatchError("projectors of different ambient dimension")
     a, b = p1.matrix, p2.matrix
-    by_products = np.allclose(a @ b, a, atol=tol) and np.allclose(b @ a, a, atol=tol)
+    by_products = _all_close(a @ b, a, tol) and _all_close(b @ a, a, tol)
     image = projector_image(p1).basis
-    by_inclusion = bool(np.allclose(b @ image, image, atol=max(tol, 1e-7)))
+    by_inclusion = _all_close(b @ image, image, max(tol, 1e-7))
     if by_products != by_inclusion:
         raise NotOrthonormalError("product test and inclusion test disagree")
     return by_products
@@ -204,8 +219,9 @@ def _require_subspace_chain(chain: Sequence[Subspace], increasing: bool) -> None
             raise DimMismatchError("chain mixes ambient dimensions")
     for a, b in zip(chain, chain[1:]):
         small, big = (a, b) if increasing else (b, a)
-        ok = all(big.contains(small.basis[:, j]) for j in range(small.dim))
-        if not ok:
+        # Subspace.contains on every basis column of the smaller subspace
+        outside = small.basis - big.basis @ (big.basis.T @ small.basis)
+        if not (np.linalg.norm(outside, axis=0) <= DEFAULT_TOL).all():
             word = "increasing" if increasing else "decreasing"
             raise NotAChainError(f"subspaces are not {word} by inclusion")
 
@@ -240,28 +256,46 @@ class PointwiseConvergenceReport:
     norm_kind: str
 
 
+def _probe_matrix(probes: Sequence, d: int) -> np.ndarray:
+    """The probes as the columns of one finite (d, P) matrix; an error names
+    the first probe of the wrong shape or with a non-finite entry."""
+    cols = [np.asarray(x, dtype=np.float64) for x in probes]
+    for i, x in enumerate(cols):
+        if x.shape != (d,):
+            raise DimMismatchError(f"probe {i} has shape {x.shape}, expected ({d},)")
+    x = np.stack(cols, axis=1) if cols else np.zeros((d, 0))
+    bad = ~np.isfinite(x)
+    if bad.any():
+        j, i = (int(k) for k in np.argwhere(bad.T)[0])
+        raise NonFiniteError(f"probe {j} entry {i} is {x[i, j]}")
+    return x
+
+
 def _levi_demo(chain, probes, limit_space: Subspace, tol: float) -> PointwiseConvergenceReport:
-    limit = orthogonal_projector(limit_space)
-    projectors = [orthogonal_projector(s) for s in chain]
-    table = []
-    for x in probes:
-        x = np.asarray(x, dtype=np.float64)
-        table.append(tuple(float(np.linalg.norm(p(x) - limit(x))) for p in projectors))
-    converged = all(row[-1] <= tol for row in table) if table else True
-    return PointwiseConvergenceReport(tuple(table), len(table), converged, "euclidean")
+    """Residuals of every probe at every step: one product of the step's
+    validated projector with the whole probe matrix, then its column norms.
+    Only one d x d projector is held at a time."""
+    x = _probe_matrix(probes, limit_space.ambient_dim)
+    target = orthogonal_projector(limit_space).matrix @ x
+    columns = [
+        np.linalg.norm(orthogonal_projector(s).matrix @ x - target, axis=0) for s in chain
+    ]
+    table = np.stack(columns, axis=1).tolist()  # table[probe][step]
+    converged = all(row[-1] <= tol for row in table)
+    return PointwiseConvergenceReport(
+        tuple(map(tuple, table)), len(table), converged, "euclidean"
+    )
 
 
 def levi_up_demo(chain: Sequence[Subspace], probes: Sequence, tol: float = DEFAULT_TOL) -> PointwiseConvergenceReport:
     """Pointwise convergence of the projectors of an increasing chain to the
-    projector of the span of the union."""
-    _require_subspace_chain(chain, increasing=True)
+    projector of the span of the union; chain_sup checks the chain."""
     return _levi_demo(chain, probes, chain_sup(chain), tol)
 
 
 def levi_down_demo(chain: Sequence[Subspace], probes: Sequence, tol: float = DEFAULT_TOL) -> PointwiseConvergenceReport:
     """Pointwise convergence of the projectors of a decreasing chain to the
-    projector of the intersection."""
-    _require_subspace_chain(chain, increasing=False)
+    projector of the intersection; chain_inf checks the chain."""
     return _levi_demo(chain, probes, chain_inf(chain), tol)
 
 

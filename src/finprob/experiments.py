@@ -60,6 +60,13 @@ class ExperimentResult:
 
 
 def _fmt(value, cfg: ExperimentConfig) -> str:
+    # The exact built-in types first: this runs once per CSV cell, and
+    # isinstance against Fraction goes through the ABC machinery.
+    kind = type(value)
+    if kind is float:
+        return "inf" if value == math.inf else repr(value)
+    if kind is int or kind is str or kind is bool:
+        return str(value)
     if isinstance(value, (bool, int, str)):
         return str(value)
     if value == math.inf:
@@ -199,7 +206,7 @@ def _run_levi_hilbert(cfg: ExperimentConfig) -> ExperimentResult:
     steps = min(cfg.length, dim)
     basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
     chain = [Subspace(basis[:, : i + 1], dim) for i in range(steps)]
-    probes = [np.eye(dim)[:, j] for j in range(dim)]
+    probes = list(np.eye(dim))  # the unit vectors, as views of one identity matrix
     probes += [rng.normal(size=dim) for _ in range(64)]
     report = levi_up_demo(chain, probes)
     rows = []

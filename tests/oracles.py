@@ -200,6 +200,23 @@ def closest_point_sampled(basis, x, rng, samples=400, radius=4.0):
     return best
 
 
+def levi_residuals_by_loop(chain, probes, limit_space):
+    """residuals[probe][step] = ||P_step x - P_limit x||, one matrix-vector
+    product and one norm per (probe, step), with the projectors built
+    directly as sums of u u^T over each basis."""
+
+    def projector(s):
+        return s.basis @ s.basis.T
+
+    limit = projector(limit_space)
+    projectors = [projector(s) for s in chain]
+    table = []
+    for x in probes:
+        x = np.asarray(x, dtype=np.float64)
+        table.append(tuple(float(np.linalg.norm(p @ x - limit @ x)) for p in projectors))
+    return tuple(table)
+
+
 # --- exact random variables, by definition over Fractions -----------------
 # Each takes plain lists (weights, values) and partition blocks, so none of
 # the library's integer-numerator arithmetic is involved.

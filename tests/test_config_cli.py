@@ -1,12 +1,15 @@
 import math
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import finprob as fp
 from finprob.cli import main
 from finprob.config import ExperimentConfig, demo_config, load_config, resolve_output, validate_config
-from finprob.experiments import run, run_experiment
+from finprob.experiments import _fmt, run, run_experiment
+from finprob.numerics import float_mode, rational_mode
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -206,6 +209,35 @@ class TestExperiments:
         _, p2, v2 = run(cfg, outdir=str(tmp_path / "b"))
         assert v1 == v2
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCsvCells:
+    CELLS = [
+        (True, "True"),
+        (False, "False"),
+        (0, "0"),
+        (-7, "-7"),
+        (2**70, "1180591620717411303424"),
+        ("euclidean", "euclidean"),
+        ("", ""),
+        (0.1, "0.1"),
+        (-2.5e-300, "-2.5e-300"),
+        (1e16, "1e+16"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (np.float64(0.1), "0.1"),
+        (np.float64(math.inf), "inf"),
+        (np.float64(-math.inf), "-inf"),
+        (np.int64(3), "3.0"),
+        (Fraction(-2, 6), "-1/3"),
+        (Fraction(4), "4"),
+    ]
+
+    @pytest.mark.parametrize("mode", [float_mode(), rational_mode()], ids=["float", "rational"])
+    def test_cell_strings(self, mode):
+        cfg = ExperimentConfig("levi-hilbert", mode=mode)
+        assert [_fmt(v, cfg) for v, _ in self.CELLS] == [text for _, text in self.CELLS]
 
 
 class TestTerminalRvInput:

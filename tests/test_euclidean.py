@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 import finprob as fp
+from finprob.euclidean import DEFAULT_TOL, _all_close, _require_subspace_chain
 
-from .oracles import closest_point_sampled, colimit_seminorm_recursive, truncation_maps_dense
+from .oracles import (
+    closest_point_sampled,
+    colimit_seminorm_recursive,
+    levi_residuals_by_loop,
+    truncation_maps_dense,
+)
 
 
 def axes(*idx, dim=3):
@@ -35,6 +41,31 @@ class TestProjector:
     def test_projector_validation(self):
         with pytest.raises(fp.NotOrthonormalError):
             fp.Projector(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        # np.allclose counts equal infinities as close, so without the
+        # finiteness check [[inf]] passed as symmetric and idempotent
+        with pytest.raises(fp.NonFiniteError, match=r"entry at \(0, 0\)"):
+            fp.Projector(np.array([[bad]]))
+        with pytest.raises(fp.NonFiniteError, match=r"entry at \(1, 0\)"):
+            fp.Subspace(np.array([[1.0], [bad]]))
+
+    def test_closeness_rule_matches_numpy(self):
+        # perturbed projectors on both sides of the tolerance: the helper
+        # decides exactly as np.allclose(a, b, atol=tol) does
+        rng = np.random.default_rng(7)
+        base = fp.orthogonal_projector(
+            fp.Subspace(np.linalg.qr(rng.normal(size=(40, 40)))[0][:, :17])
+        ).matrix
+        decisions = set()
+        for _ in range(3000):
+            m = base + 10 ** rng.uniform(-10, -6) * rng.normal(size=base.shape)
+            for a, b in ((m, m.T), (m @ m, m)):
+                got = _all_close(a, b, DEFAULT_TOL)
+                assert got == np.allclose(a, b, atol=DEFAULT_TOL)
+                decisions.add(got)
+        assert decisions == {True, False}
 
     def test_bijection_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -226,6 +257,119 @@ class TestLeviDemos:
         distances = report.residuals[0]
         assert all(b <= a + 1e-12 for a, b in zip(distances, distances[1:]))
         assert distances[-1] < 1e-12
+
+
+class TestChainCheck:
+    @staticmethod
+    def tilted(offset):
+        # span(e1, v) with v = e0 tilted by `offset` towards e2: its second
+        # basis column sits offset / sqrt(1 + offset^2) outside span(e0, e1)
+        v = np.array([1.0, 0.0, offset]) / math.hypot(1.0, offset)
+        return fp.Subspace(np.stack([np.eye(3)[:, 1], v], axis=1), 3)
+
+    def test_column_outside_by_2e8_rejected(self):
+        small, big = self.tilted(2e-8), axes(0, 1)
+        with pytest.raises(fp.NotAChainError, match="increasing"):
+            _require_subspace_chain([small, big], increasing=True)
+        with pytest.raises(fp.NotAChainError, match="decreasing"):
+            fp.chain_inf([big, small])
+
+    def test_column_outside_by_5e9_accepted(self):
+        small, big = self.tilted(5e-9), axes(0, 1)
+        _require_subspace_chain([small, big], increasing=True)
+        assert fp.chain_sup([small, big]) is big
+
+    def test_zero_dimensional_smaller_subspace(self):
+        zero = fp.Subspace.zero(3)
+        _require_subspace_chain([zero, axes(1)], increasing=True)
+        _require_subspace_chain([axes(1), zero], increasing=False)
+        _require_subspace_chain([zero, zero], increasing=True)
+        with pytest.raises(fp.NotAChainError):
+            _require_subspace_chain([axes(1), zero], increasing=True)
+
+    def test_mixed_ambient_dimensions(self):
+        with pytest.raises(fp.DimMismatchError):
+            fp.chain_sup([axes(0, dim=2), axes(0, 1)])
+
+
+class TestStackedResiduals:
+    """The residual table of the levi demos against the per-probe loop.
+
+    The stacked pass sums in another order, so the two differ by float64
+    rounding: a few ulps of norms below 10. The bound of 1e-12 absolute was
+    set from that before comparing."""
+
+    BOUND = 1e-12
+
+    @staticmethod
+    def nested(rng, dim, dims):
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        return [fp.Subspace(basis[:, :k], dim) for k in dims]
+
+    @staticmethod
+    def probes(rng, dim, count=5):
+        return [np.zeros(dim)] + list(np.eye(dim)) + [rng.normal(size=dim) for _ in range(count)]
+
+    def check(self, report, expected):
+        assert report.probe_count == len(expected)
+        assert all(type(r) is float for row in report.residuals for r in row)
+        assert [len(row) for row in report.residuals] == [len(row) for row in expected]
+        gap = np.abs(np.array(report.residuals) - np.array(expected))
+        assert gap.max() <= self.BOUND
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_increasing_matches_loop(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        chain = self.nested(rng, dim, range(1, dim + 1))
+        probes = self.probes(rng, dim)
+        report = fp.levi_up_demo(chain, probes)
+        self.check(report, levi_residuals_by_loop(chain, probes, chain[-1]))
+        assert report.converged
+        assert report.residuals[0] == (0.0,) * dim  # the zero probe
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_decreasing_matches_loop(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        chain = self.nested(rng, dim, range(dim, dim // 3 - 1, -1))
+        probes = self.probes(rng, dim)
+        report = fp.levi_down_demo(chain, probes)
+        self.check(report, levi_residuals_by_loop(chain, probes, fp.chain_inf(chain)))
+        assert report.converged
+        assert report.residuals[0] == (0.0,) * len(chain)
+
+    def test_benchmark_size(self):
+        # the levi-hilbert experiment at size = length = 40: 104 probes
+        rng = np.random.default_rng(40)
+        chain = self.nested(rng, 40, range(1, 41))
+        probes = list(np.eye(40)) + [rng.normal(size=40) for _ in range(64)]
+        report = fp.levi_up_demo(chain, probes)
+        self.check(report, levi_residuals_by_loop(chain, probes, chain[-1]))
+        assert report.probe_count == 104 and report.converged
+
+
+class TestProbeValidation:
+    chain = [axes(0), axes(0, 1)]
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], 1.0])
+    def test_wrong_shape_names_the_probe(self, bad):
+        with pytest.raises(fp.DimMismatchError, match=r"probe 1 has shape"):
+            fp.levi_up_demo(self.chain, [[1.0, 2.0, 3.0], bad])
+        with pytest.raises(fp.DimMismatchError, match=r"probe 1 has shape"):
+            fp.levi_down_demo(self.chain[::-1], [[1.0, 2.0, 3.0], bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_names_the_probe(self, bad):
+        probes = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, bad, 0.0]]
+        with pytest.raises(fp.NonFiniteError, match=r"probe 2 entry 1 is"):
+            fp.levi_up_demo(self.chain, probes)
+        with pytest.raises(fp.NonFiniteError, match=r"probe 2 entry 1 is"):
+            fp.levi_down_demo(self.chain[::-1], probes)
+
+    def test_no_probes_converge(self):
+        for report in (fp.levi_up_demo(self.chain, []), fp.levi_down_demo(self.chain[::-1], [])):
+            assert report.converged
+            assert report.residuals == ()
+            assert report.probe_count == 0
 
 
 class TestBanachCounterexample:
