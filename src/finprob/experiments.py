@@ -101,8 +101,8 @@ def _load_terminal_rv(cfg: ExperimentConfig, expected_size: int):
         rv = serialize.load(cfg.input)
     except (FinprobError, OSError) as exc:
         raise ConfigError(f"input {cfg.input!r}: {exc}") from exc
-    if not isinstance(rv, RandomVar):
-        raise ConfigError(f"input {cfg.input!r} does not hold a random variable")
+    if not isinstance(rv, RandomVar) or rv.dim is not None:
+        raise ConfigError(f"input {cfg.input!r} does not hold a real-valued random variable")
     if rv.space.size != expected_size:
         raise ConfigError(
             f"input RV has {rv.space.size} outcomes, experiment needs {expected_size}"

@@ -38,8 +38,7 @@ from .numerics import (
     Rationals,
     _at,
     _first,
-    _in_mode_dtype,
-    as_matrix,
+    _freeze_matrix,
     block_sums,
     fraction_array,
     int_array,
@@ -50,19 +49,6 @@ from .numerics import (
 )
 from .partitions import Partition
 from .spaces import ProbSpace
-
-
-def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
-    """Read-only array in the mode's dtype: an array that already holds the
-    mode's numbers as it is, anything else like a list through `as_matrix`,
-    which converts ints and integral floats and refuses the rest."""
-    if isinstance(rows, np.ndarray):
-        if _in_mode_dtype(rows, mode):
-            m = rows.copy()
-            m.setflags(write=False)
-            return m
-        rows = rows.tolist()
-    return as_matrix(rows, mode)
 
 
 def _spaces(domain: ProbSpace, codomain: ProbSpace) -> tuple:

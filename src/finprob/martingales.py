@@ -36,7 +36,7 @@ from .idempotents import (
 from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, one_sided_distance, report_from_flags
 from .numerics import Frozen, NumericMode, Rationals, check_norm_index, rational_mode
-from .operators import VNorm, bochner_norm, cond_expectation, vector_cond_expectation
+from .operators import VNorm, cond_expectation
 from .partitions import (
     Partition,
     all_partitions,
@@ -45,7 +45,7 @@ from .partitions import (
     join_partitions,
     meet_partitions,
 )
-from .spaces import ProbSpace, RandomVar, VecRandomVar, as_equal_rv, as_equal_vec_rv, ln_norm, uniform_space
+from .spaces import ProbSpace, RandomVar, as_equal_rv, ln_norm, uniform_space
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -168,8 +168,10 @@ def _limit_rv(m: Martingale) -> RandomVar:
     return cond_expectation(base, filtration_limit(m.filtration))
 
 
-def levy_report(m: Martingale, n=1) -> ConvergenceReport:
-    """Per-step L^n distances of the martingale to its limit RV.
+def levy_report(m: Martingale, n=1, vnorm: VNorm = "euclidean") -> ConvergenceReport:
+    """Per-step L^n distances of the martingale to its limit RV; for an
+    R^d-valued martingale the Bochner L^n norm over the value-space norm
+    `vnorm` (see `ln_norm`).
 
     The limit is the conditional expectation of the generating RV on the
     limit partition. Convergence demands a.s. equality from the
@@ -181,7 +183,7 @@ def levy_report(m: Martingale, n=1) -> ConvergenceReport:
         # adjacent tower identities suffice by transitivity
         raise NotAMartingaleError("tower identities fail; not a martingale")
     f_inf = _limit_rv(m)
-    distances = tuple(ln_norm(rv - f_inf, n) for rv in m.rvs)
+    distances = tuple(ln_norm(rv - f_inf, n, vnorm) for rv in m.rvs)
     equal = [as_equal_rv(rv, f_inf) for rv in m.rvs]
     return _stabilization_report(distances, equal, m.filtration.space.mode)
 
@@ -240,12 +242,11 @@ def nonintegrable_example(levels: int, mode: NumericMode = rational_mode()):
     filtration = dyadic_filtration(levels, mode)
     space = filtration.space
     n = space.size
-    ones = np.ones(n, dtype=np.int64)
     rvs = []
     for k in range(levels + 1):
         level = np.zeros(n, dtype=np.int64)
         level[: 1 << (levels - k)] = 1 << k
-        values = Rationals(level, ones) if mode.exact else level.astype(np.float64)
+        values = Rationals.over(level, 1) if mode.exact else level.astype(np.float64)
         rvs.append(RandomVar(values, space))
     m = Martingale(filtration, rvs)
     l1 = tuple(ln_norm(rv, 1) for rv in rvs)
@@ -313,20 +314,5 @@ def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:
     return _stabilization_report(distances, equal, chain[0].space.mode)
 
 
-def bochner_levy_report(
-    g: VecRandomVar, f: Filtration, n=1, vnorm: VNorm = "euclidean"
-) -> ConvergenceReport:
-    """Vector-valued analogue of the Levy report.
-
-    Conditions the vector RV along the filtration componentwise and measures
-    distances with the Bochner L^n norm over the chosen value-space norm;
-    each coordinate's scalar report agrees with the scalar machinery.
-    """
-    check_norm_index(n)
-    if not g.space.same_as(f.space):
-        raise SpaceMismatchError("vector RV must live on the filtration's space")
-    steps = [vector_cond_expectation(g, p) for p in f.partitions]
-    g_inf = vector_cond_expectation(g, filtration_limit(f))
-    distances = tuple(bochner_norm(step - g_inf, n, vnorm) for step in steps)
-    equal = [as_equal_vec_rv(step, g_inf) for step in steps]
-    return _stabilization_report(distances, equal, f.space.mode)
+def bochner_levy_report(g: RandomVar, f: Filtration, n=1, vnorm: VNorm = "euclidean") -> ConvergenceReport:
+    return levy_report(martingale_from_terminal(g, f), n, vnorm)

@@ -6,16 +6,16 @@ theorem-shaped tests can demand bit-exact equality instead of closeness.
 
 In rational mode, random variables and space weights are held as
 `Rationals`: an integer numerator array over positive integer
-denominators. A vector whose entries share a denominator keeps one common
-value (weights always do); conditional expectations carry one denominator
-per block. A kernel holds an integer numerator matrix over one common
+denominators, of shape (n,) for real values or (n, d) for values in R^d.
+An array whose entries share a denominator keeps one common value (weights
+always do); conditional expectations carry one denominator per block and
+component. A kernel holds an integer numerator matrix over one common
 denominator, in lowest terms, and a stack of kernels one denominator per
 kernel. Each operation first bounds its results from the data; the arrays
 are int64 when that bound fits and Python-int object arrays otherwise, so
 no result ever wraps around. `fractions.Fraction` objects appear at the
 boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
-access and cached), input given as Fractions, and the text formats. Vector
-random variables still compute on Fractions.
+access and cached), input given as Fractions, and the text formats.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import FinprobError, TooLargeError
+from .errors import FinprobError, SizeMismatchError, TooLargeError
 
 Number = Union[float, Fraction]
 
@@ -184,13 +184,15 @@ def as_vector(values: Iterable, mode: NumericMode) -> np.ndarray:
 
 
 def as_matrix(rows: Sequence[Iterable], mode: NumericMode) -> np.ndarray:
-    """Read-only 2-d array in the mode's dtype; rows must be equal length."""
+    """Read-only 2-d array in the mode's dtype; a row of another length than
+    row 0 is a `SizeMismatchError` that names it."""
     data = [[as_number(v, mode) for v in row] for row in rows]
-    ncols = {len(r) for r in data}
-    if len(ncols) > 1:
-        raise FinprobError("ragged matrix rows")
+    ncols = len(data[0]) if data else 0
+    for i, row in enumerate(data):
+        if len(row) != ncols:
+            raise SizeMismatchError(f"matrix row {i} has {len(row)} entries, row 0 has {ncols}")
     if mode.exact:
-        arr = np.empty((len(data), ncols.pop() if ncols else 0), dtype=object)
+        arr = np.empty((len(data), ncols), dtype=object)
         for i, row in enumerate(data):
             arr[i, :] = row
     else:
@@ -199,6 +201,24 @@ def as_matrix(rows: Sequence[Iterable], mode: NumericMode) -> np.ndarray:
             arr = arr.reshape(len(data), 0)
     arr.setflags(write=False)
     return arr
+
+
+def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
+    """Read-only array in the mode's dtype: an array that already holds the
+    mode's numbers as it is, anything else like a list through `as_matrix`,
+    which converts ints and integral floats and refuses the rest."""
+    if isinstance(rows, np.ndarray):
+        if _in_mode_dtype(rows, mode):
+            m = rows.copy()
+            m.setflags(write=False)
+            return m
+        rows = rows.tolist()
+    return as_matrix(rows, mode)
+
+
+def per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One entry of w per outcome, shaped to broadcast along x's trailing value axes."""
+    return w.reshape(w.shape + (1,) * (x.ndim - w.ndim))
 
 
 def _first(mask: np.ndarray) -> tuple:
@@ -232,7 +252,8 @@ def int_array(values, bound: int) -> np.ndarray:
 
 
 class Rationals:
-    """Exact vector num[i] / den[i] of integer arrays with den[i] > 0.
+    """Exact array num / den of same-shape integer arrays with den > 0:
+    shape (n,) for real values, (n, d) for values in R^d.
 
     Fractions need not be in lowest terms. Every operation bounds its
     results before computing them and switches to Python ints when int64
@@ -260,9 +281,16 @@ class Rationals:
 
     @classmethod
     def of(cls, values: Iterable) -> "Rationals":
-        """From Fractions and ints."""
-        values = list(values)
-        return cls.from_ints([v.numerator for v in values], [v.denominator for v in values])
+        """From Fractions and ints: a sequence, or an object array of any shape."""
+        values = np.asarray(values, dtype=object)
+        flat = values.ravel().tolist()
+        out = cls.from_ints([v.numerator for v in flat], [v.denominator for v in flat])
+        return cls(out.num.reshape(values.shape), out.den.reshape(values.shape))
+
+    @classmethod
+    def over(cls, num: np.ndarray, den: int) -> "Rationals":
+        """Integer numerators over one denominator."""
+        return cls(num, np.full(num.shape, den, dtype=np.int64 if den <= _INT64_MAX else object))
 
     def __len__(self) -> int:
         return len(self.num)
@@ -275,25 +303,26 @@ class Rationals:
         d = self.den
         if not d.size:
             return 1
-        return int(d[0]) if (d == d[0]).all() else None
+        return int(d.flat[0]) if (d == d.flat[0]).all() else None
 
     def over_common(self) -> tuple[np.ndarray, int]:
         """(numerators, L): value[i] = numerators[i] / L, L the lcm of the denominators."""
         common = self.common_den()
         if common is not None:
             return self.num, common
-        common = math.lcm(*set(self.den.tolist()))
+        common = math.lcm(*set(self.den.ravel().tolist()))
         num, den = widen(max(magnitude(self.num), 1) * common, self.num, self.den)
         return num * (common // den), common
 
     def over_block_lcm(self, labels: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
         """(numerators, block denominators): value[i] = numerators[i] /
-        block_den[labels[i]], each block over the lcm of its members' denominators."""
-        block_den = np.ones(n_blocks, dtype=object)
+        block_den[labels[i]], each block (and value component) over the lcm
+        of its members' denominators."""
+        block_den = np.ones((n_blocks, *self.den.shape[1:]), dtype=object)
         den = self.den.astype(object)
         np.lcm.at(block_den, labels, den)
         num = self.num.astype(object) * (block_den[labels] // den)
-        if max(magnitude(num), max(block_den.tolist())) <= _INT64_MAX:
+        if max(magnitude(num), magnitude(block_den)) <= _INT64_MAX:
             return num.astype(np.int64), block_den.astype(np.int64)
         return num, block_den
 
@@ -330,13 +359,6 @@ class Rationals:
         an, ad, bn, bd = widen(bound, an, ad, bn, bd)
         return Rationals(an * bn, ad * bd)
 
-    def abs(self) -> "Rationals":
-        return Rationals(np.abs(self.num), self.den)
-
-    def power(self, n: int) -> "Rationals":
-        num, den = widen(max(magnitude(self.num), magnitude(self.den)) ** n, self.num, self.den)
-        return Rationals(num**n, den**n)
-
     def fractions(self) -> np.ndarray:
         """Read-only object array of the values as Fractions."""
         return fraction_array(self.num, self.den)
@@ -344,10 +366,15 @@ class Rationals:
 
 def fraction_array(num: np.ndarray, den) -> np.ndarray:
     """Read-only object array of the Fractions num / den, for integer arrays
-    of any shape; `den` broadcasts against `num`."""
+    of any shape; `den` broadcasts against `num`. Equal (num, den) pairs,
+    as in a block-constant random variable, share one Fraction."""
     num, den = np.broadcast_arrays(num, np.asarray(den))
     out = np.empty(num.shape, dtype=object)
-    out.reshape(-1)[:] = [Fraction(a, b) for a, b in zip(num.ravel().tolist(), den.ravel().tolist())]
+    made = {}
+    out.reshape(-1)[:] = [
+        made[p] if p in made else made.setdefault(p, Fraction(*p))
+        for p in zip(num.ravel().tolist(), den.ravel().tolist())
+    ]
     out.setflags(write=False)
     return out
 
@@ -362,17 +389,20 @@ def int_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     return int_array(nums, sum(map(abs, nums))).reshape(values.shape), den
 
 
-def int_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum of a[i] * b[i] over integer arrays, as a Python int."""
+def int_dot(a: np.ndarray, b: np.ndarray):
+    """Exact sum of a[i] * b[i] over integer arrays: a Python int, or for an
+    (n, d) array b an integer array of d sums."""
     a, b = widen(len(a) * magnitude(a) * magnitude(b), a, b)
+    if b.ndim > 1:
+        return np.dot(a, b)
     return int(np.dot(a, b)) if a.dtype != object and b.dtype != object else int((a * b).sum())
 
 
 def block_sums(x: np.ndarray, labels: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Per-block sums of x over a label array, each added up in index order
-    starting from zero; exact in int64 and object dtypes (the caller bounds
-    the sums before choosing the dtype)."""
-    out = np.zeros(n_blocks, dtype=x.dtype)
+    """Per-block sums of x along its first axis over a label array, each
+    added up in index order starting from zero; exact in int64 and object
+    dtypes (the caller bounds the sums before choosing the dtype)."""
+    out = np.zeros((n_blocks, *x.shape[1:]), dtype=x.dtype)
     np.add.at(out, labels, x)
     return out
 
@@ -447,8 +477,12 @@ def nth_root(value: Number, n: int, mode: NumericMode) -> Number:
     return v ** (1.0 / n)
 
 
-def exact_sqrt(value: Number, mode: NumericMode) -> Number:
-    return nth_root(value, 2, mode)
+def float_roots(num: np.ndarray, den: int, n: int) -> np.ndarray:
+    """Float n-th roots of the nonnegative rationals num / den, as one array
+    expression while both lie in the float range, else one `nth_root` each."""
+    if num.dtype != object and den < 1 << 1000:
+        return (num / float(den)) ** (1.0 / n)
+    return np.array([_float_root(Fraction(a, den), n) if a else 0.0 for a in num.tolist()])
 
 
 def is_infinite(n) -> bool:

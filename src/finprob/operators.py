@@ -15,6 +15,7 @@ averages and the kernel rows.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Union
 
 import numpy as np
@@ -25,18 +26,13 @@ from .numerics import (
     Rationals,
     block_sums,
     check_norm_index,
-    exact_sqrt,
-    fraction_array,
-    int_array,
-    int_numerators,
-    is_infinite,
-    mat_mul,
     magnitude,
-    nth_root,
+    mat_mul,
+    per_row,
     widen,
 )
 from .partitions import Partition
-from .spaces import RandomVar, VecRandomVar, expectation, ln_norm
+from .spaces import RandomVar, VecRandomVar, expectation, ln_norm, point_space
 
 VNorm = Union[str, Callable[[np.ndarray], float]]
 
@@ -52,18 +48,20 @@ def _int_pullback(k: Kernel, gnum: np.ndarray, common: int) -> tuple:
 
 
 def apply_pullback(k: Kernel, g: RandomVar) -> RandomVar:
-    """k*g: integrate g against each row of k; in rational mode one integer
-    product over g's common denominator (see `_int_pullback`)."""
+    """k*g: integrate g against each row of k, componentwise for an
+    R^d-valued g, so it commutes with every coordinate projection. Rational
+    mode takes one integer product over g's common denominator (see
+    `_int_pullback`)."""
     if not g.space.same_as(k.codomain):
         raise SpaceMismatchError("RV must live on the kernel's codomain")
     if k.mode.exact:
-        num, den = _int_pullback(k, *g._exact.over_common())
-        return RandomVar(Rationals(num, int_array([den] * len(num), den)), k.domain)
+        return RandomVar(Rationals.over(*_int_pullback(k, *g._exact.over_common())), k.domain)
     return RandomVar(mat_mul(k.rows, g.values), k.domain)
 
 
 def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
-    """Conditional expectation of f given the partition.
+    """Conditional expectation of f given the partition, componentwise for
+    an R^d-valued f.
 
     Each block of positive mass gets its weighted average; blocks of zero
     mass get the global mean E[f], a fixed canonical representative (any
@@ -80,7 +78,8 @@ def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
 
 
 def _block_averages(f: RandomVar, p: Partition):
-    """Block averages (sum of w_x f_x) / (mass of b) for every block b.
+    """Block averages (sum of w_x f_x) / (mass of b) for every block b, all
+    value components at once.
 
     Float mode sums both in outcome order starting from 0.0, so zero-weight
     members add exact zeros and null-set completion cannot move a bit.
@@ -93,11 +92,11 @@ def _block_averages(f: RandomVar, p: Partition):
     nb = p.n_blocks
     if not space.mode.exact:
         w = space.weights
-        sums, dens = block_sums(w * f.values, labels, nb), block_sums(w, labels, nb)
+        sums, dens = block_sums(per_row(w, f.values) * f.values, labels, nb), block_sums(w, labels, nb)
         empty = dens == 0
         if empty.any():
             sums[empty], dens[empty] = expectation(f), 1.0
-        return (sums / dens)[labels]
+        return (sums / per_row(dens, sums))[labels]
     wnum, wden = space.int_weights()
     common = f._exact.common_den()
     if common is None:
@@ -107,38 +106,33 @@ def _block_averages(f: RandomVar, p: Partition):
         num, block_den = f._exact.num, common
         top_den = common
     wnum, num = widen(wden * max(magnitude(num), 1), wnum, num)
-    sums = block_sums(wnum * num, labels, nb)
+    sums = block_sums(per_row(wnum, num) * num, labels, nb)
     masses = block_sums(wnum, labels, nb)
     (masses,) = widen(wden * top_den, masses)
-    dens = masses * block_den
+    dens = per_row(masses, sums) * block_den
+    if dens.shape != sums.shape:  # R^d values over one common denominator
+        dens = np.repeat(dens, sums.shape[1], axis=1)
     empty = masses == 0
     if empty.any():
-        mean = expectation(f)
-        sums, dens = widen(max(abs(mean.numerator), mean.denominator), sums, dens)
-        sums[empty] = mean.numerator
-        dens[empty] = mean.denominator
+        mean = Rationals.of(np.atleast_1d(expectation(f)))
+        sums, dens = widen(max(magnitude(mean.num), magnitude(mean.den)), sums, dens)
+        sums[empty], dens[empty] = mean.num, mean.den
     return Rationals(sums[labels], dens[labels])
 
 
-def vector_cond_expectation(g: VecRandomVar, p: Partition) -> VecRandomVar:
-    """Componentwise conditional expectation of a vector-valued RV."""
-    cols = [cond_expectation(g.component(j), p).values for j in range(g.dim)]
-    return VecRandomVar(np.stack(cols, axis=-1).tolist(), g.space, g.dim)
+def vector_cond_expectation(g: RandomVar, p: Partition) -> RandomVar:
+    return cond_expectation(g, p)
 
 
 def inner_product(f: RandomVar, g: RandomVar):
-    """L^2 pairing: sum_x p(x) f(x) g(x)."""
+    """L^2 pairing: sum_x p(x) <f(x), g(x)>, over the dot product of R^d values."""
     if not f.space.same_as(g.space):
         raise SpaceMismatchError("inner product needs a common space")
+    if f.dim != g.dim:
+        raise DimMismatchError(f"random variables of dimension {f.dim} and {g.dim}")
     s = f.space
-    if s.mode.exact:
-        return expectation(RandomVar(f._exact.mul(g._exact), s))
-    live = list(s.support)
-    products = f.values[live] * g.values[live]
-    w = s._uniform_weight
-    if w is not None:
-        return w * products.sum()
-    return (s.weights[live] * products).sum()
+    total = expectation(RandomVar(f._exact.mul(g._exact) if s.mode.exact else f.values * g.values, s))
+    return total if f.dim is None else total.sum()
 
 
 def adjointness_defect(k: Kernel, f: RandomVar, g: RandomVar):
@@ -166,55 +160,14 @@ def lipschitz_check(k: Kernel, g: RandomVar, n=1) -> bool:
     return float(lhs) <= float(rhs) + mode.tolerance
 
 
-def vector_pullback(k: Kernel, g: VecRandomVar) -> VecRandomVar:
-    """Componentwise pullback of a vector-valued RV; commutes with every
-    coordinate projection by construction. Rational mode takes one integer
-    product over the values' common denominator (see `_int_pullback`)."""
-    if not g.space.same_as(k.codomain):
-        raise SpaceMismatchError("vector RV must live on the kernel's codomain")
-    if k.mode.exact:
-        return VecRandomVar(fraction_array(*_int_pullback(k, *int_numerators(g.values))), k.domain, g.dim)
-    return VecRandomVar(mat_mul(k.rows, g.values), k.domain, g.dim)
+def vector_pullback(k: Kernel, g: RandomVar) -> RandomVar:
+    return apply_pullback(k, g)
 
 
 def value_norm(vec, vnorm: VNorm, mode):
-    """Norm on the value space: "euclidean" (default), "max", "sum", or a callable.
-
-    In rational mode the euclidean branch returns an exact Fraction whenever
-    the root is rational (always for the zero vector).
-    """
-    if callable(vnorm):
-        return vnorm(vec)
-    if vnorm == "euclidean":
-        total = sum(v * v for v in vec)
-        return exact_sqrt(total, mode)
-    if vnorm == "max":
-        return max((abs(v) for v in vec), default=mode.zero())
-    if vnorm == "sum":
-        return sum(abs(v) for v in vec)
-    raise DimMismatchError(f"unknown value-space norm {vnorm!r}")
+    """Norm of one value in R^d: "euclidean" (default), "max", "sum", or a callable."""
+    return ln_norm(VecRandomVar([vec], point_space(mode)), math.inf, vnorm)
 
 
-def bochner_norm(g: VecRandomVar, n=1, vnorm: VNorm = "euclidean"):
-    """Weighted L^n norm of the outcome-wise value-space norms.
-
-    For n = inf, the supremum of the value norms over the support.
-    """
-    check_norm_index(n)
-    space = g.space
-    mode = space.mode
-    if is_infinite(n):
-        sup = mode.zero()
-        for i in space.support:
-            mag = value_norm(g.values[i], vnorm, mode)
-            if mag > sup:
-                sup = mag
-        return sup
-    n = int(n)
-    total = sum(
-        space.weights[i] * value_norm(g.values[i], vnorm, mode) ** n
-        for i in space.support
-    )
-    if n == 1:
-        return total
-    return nth_root(total, n, mode)
+def bochner_norm(g: RandomVar, n=1, vnorm: VNorm = "euclidean"):
+    return ln_norm(g, n, vnorm)

@@ -8,7 +8,6 @@ draws and are therefore reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,31 +46,28 @@ def random_space(
         raw[positions] = 0
         if raw.sum() > 0:
             break
-    if mode.exact:
-        total = int(raw.sum())
-        return ProbSpace([Fraction(int(v), total) for v in raw], mode)
-    weights = raw / raw.sum()
-    return ProbSpace(weights, mode)
+    return ProbSpace(Rationals.over(raw, int(raw.sum())) if mode.exact else raw / raw.sum(), mode)
 
 
 def random_rv(rng: np.random.Generator, space: ProbSpace, span: int = 8) -> RandomVar:
-    if space.mode.exact:
-        nums = rng.integers(-span, span + 1, size=space.size)
-        dens = rng.integers(1, 5, size=space.size)
-        return RandomVar([Fraction(int(a), int(b)) for a, b in zip(nums, dens)], space)
-    return RandomVar(rng.uniform(-span, span, size=space.size), space)
+    return RandomVar(_random_values(rng, space, (space.size,), span), space)
 
 
-def random_vec_rv(rng: np.random.Generator, space: ProbSpace, dim: int, span: int = 8) -> VecRandomVar:
+def random_vec_rv(rng: np.random.Generator, space: ProbSpace, dim: int, span: int = 8) -> RandomVar:
+    return VecRandomVar(_random_values(rng, space, (space.size, dim), span), space, dim)
+
+
+def _random_values(rng: np.random.Generator, space: ProbSpace, shape: tuple, span: int):
+    """Values of the given shape in [-span, span]: in rational mode integer
+    draws num / den with den in 1..4, as `Rationals` over their common
+    denominator; uniform floats otherwise."""
     if space.mode.exact:
-        nums = rng.integers(-span, span + 1, size=(space.size, dim))
-        dens = rng.integers(1, 5, size=(space.size, dim))
-        rows = [
-            [Fraction(int(nums[i, j]), int(dens[i, j])) for j in range(dim)]
-            for i in range(space.size)
-        ]
-        return VecRandomVar(rows, space, dim)
-    return VecRandomVar(rng.uniform(-span, span, size=(space.size, dim)), space, dim)
+        nums = rng.integers(-span, span + 1, size=shape)
+        dens = rng.integers(1, 5, size=shape)
+        common = math.lcm(*set(dens.ravel().tolist()))
+        nums, dens = widen(span * common, nums, dens)
+        return Rationals.over(nums * (common // dens), common)
+    return rng.uniform(-span, span, size=shape)
 
 
 def random_joint_table(
@@ -150,7 +146,7 @@ def random_mp_kernel(
     random joint table by conditioning: `random_mp_stack` of one."""
     (data, den), *weights = random_mp_stack(rng, 1, nrows, ncols, mode, null_rows)
     domain, codomain = (
-        ProbSpace(w[0] if d is None else Rationals(w[0], np.full(w.shape[1], d[0])), mode)
+        ProbSpace(w[0] if d is None else Rationals.over(w[0], d[0]), mode)
         for w, d in weights
     )
     return _views(data, den, domain, codomain)[0]
@@ -174,7 +170,7 @@ def random_mp_kernel_from(
         # every numerator is at most den, and the pushforward's at most den * wden
         raw, scale, w = widen(den * wden, raw, int_array([den // t for t in totals], den), wnum)
         num = raw * scale[:, None]
-        q = Rationals(mat_mul(w, num), int_array([den * wden] * ncols, den * wden))
+        q = Rationals.over(mat_mul(w, num), den * wden)
         return _exact(num, den, domain, ProbSpace(q, mode))
     raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
     rows = raw / raw.sum(axis=1, keepdims=True)

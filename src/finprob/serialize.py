@@ -113,38 +113,37 @@ def loads_space(text: str) -> ProbSpace:
 
 
 def dumps_rv(rv: RandomVar) -> str:
+    """The "rv" document of a real-valued RV, or the "vecrv" one of an R^d-valued RV."""
     mode = rv.space.mode
     weights = " ".join(fmt_number(w, mode) for w in rv.space.weights)
-    values = " ".join(fmt_number(v, mode) for v in rv.values)
-    return f"rv\n{_fmt_mode(mode)}\nweights {weights}\nvalues {values}\n"
+    if rv.dim is None:
+        values = " ".join(fmt_number(v, mode) for v in rv.values)
+        return f"rv\n{_fmt_mode(mode)}\nweights {weights}\nvalues {values}\n"
+    body = "".join("vec " + " ".join(fmt_number(v, mode) for v in row) + "\n" for row in rv.values)
+    return f"vecrv\n{_fmt_mode(mode)}\nweights {weights}\n{body}"
 
 
 def loads_rv(text: str) -> RandomVar:
+    """An "rv" or a "vecrv" document."""
     lines = _lines(text)
-    _take(lines, "rv")
+    kind = "vecrv" if lines and lines[0][0] == "vecrv" else "rv"
+    _take(lines, kind)
     mode = _parse_mode(_take(lines, "mode"))
     space = ProbSpace(_parse_vector(_take(lines, "weights"), mode), mode)
-    return RandomVar(_parse_vector(_take(lines, "values"), mode), space)
-
-
-def dumps_vec_rv(rv: VecRandomVar) -> str:
-    mode = rv.space.mode
-    weights = " ".join(fmt_number(w, mode) for w in rv.space.weights)
-    body = "\n".join(
-        "vec " + " ".join(fmt_number(v, mode) for v in row) for row in rv.values
-    )
-    return f"vecrv\n{_fmt_mode(mode)}\nweights {weights}\n{body}\n"
-
-
-def loads_vec_rv(text: str) -> VecRandomVar:
-    lines = _lines(text)
-    _take(lines, "vecrv")
-    mode = _parse_mode(_take(lines, "mode"))
-    weights = [parse_number(t, mode) for t in _take(lines, "weights")]
+    if kind == "rv":
+        return RandomVar(_parse_vector(_take(lines, "values"), mode), space)
     rows = []
     while lines and lines[0][0] == "vec":
         rows.append([parse_number(t, mode) for t in _take(lines, "vec")])
-    return VecRandomVar(rows, ProbSpace(weights, mode))
+    return VecRandomVar(rows, space)
+
+
+def dumps_vec_rv(rv: RandomVar) -> str:
+    return dumps_rv(rv)
+
+
+def loads_vec_rv(text: str) -> RandomVar:
+    return loads_rv(text)
 
 
 def dumps_kernel(k: Kernel) -> str:
@@ -178,8 +177,6 @@ def dump(obj, path) -> None:
 def dumps(obj) -> str:
     if isinstance(obj, Kernel):
         return dumps_kernel(obj)
-    if isinstance(obj, VecRandomVar):
-        return dumps_vec_rv(obj)
     if isinstance(obj, RandomVar):
         return dumps_rv(obj)
     if isinstance(obj, ProbSpace):
@@ -195,7 +192,7 @@ def loads(text: str):
     loader = {
         "space": loads_space,
         "rv": loads_rv,
-        "vecrv": loads_vec_rv,
+        "vecrv": loads_rv,
         "kernel": loads_kernel,
     }.get(kind)
     if loader is None:

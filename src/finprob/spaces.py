@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,13 +28,19 @@ from .numerics import (
     Rationals,
     _at,
     _first,
+    _freeze_matrix,
     as_matrix,
-    as_number,
     as_vector,
     check_norm_index,
+    float_roots,
+    fraction_array,
+    int_array,
     int_dot,
     is_infinite,
+    magnitude,
     nth_root,
+    per_row,
+    widen,
 )
 
 
@@ -125,7 +131,7 @@ class ProbSpace(Frozen):
         """Read-only weight vector in the mode's number type."""
         if self._weights is None:
             wnum, den = self.int_weights()
-            weights = Rationals(wnum, np.full_like(wnum, den)).fractions()
+            weights = Rationals.over(wnum, den).fractions()
             object.__setattr__(self, "_weights", weights)
         return self._weights
 
@@ -184,8 +190,7 @@ def make_space(weights: Iterable, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpac
 
 def uniform_space(n: int, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:
     if mode.exact:
-        ones = np.ones(n, dtype=np.int64)
-        return ProbSpace(Rationals(ones, ones * n), mode)
+        return ProbSpace(Rationals.over(np.ones(n, dtype=np.int64), n), mode)
     return ProbSpace([1.0 / n] * n, mode)
 
 
@@ -194,13 +199,9 @@ def point_space(mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:
     return ProbSpace([mode.one()], mode)
 
 
-def _require_same_space(a, b):
-    if not a.space.same_as(b.space):
-        raise SpaceMismatchError("operands live on different probability spaces")
-
-
 class RandomVar(Frozen):
-    """Real-valued function on the outcomes of a space.
+    """Function on the outcomes of a space with real values, shape (n,), or
+    with values in R^d, shape (n, d).
 
     In rational mode the values are held as `Rationals`; `.values` is the
     read-only `Fraction` array, built on first access.
@@ -214,13 +215,14 @@ class RandomVar(Frozen):
         if isinstance(values, Rationals) and mode.exact:
             exact = values
         else:
-            v = as_vector(values, mode)
+            two_d = isinstance(values, np.ndarray) and values.ndim == 2
+            v = _freeze_matrix(values, mode) if two_d else as_vector(values, mode)
             if mode.exact:
                 exact = Rationals.of(v)
             elif not np.isfinite(v).all():
-                bad = int(np.flatnonzero(~np.isfinite(v))[0])
-                raise NonFiniteError(f"random variable value at outcome {bad} is {v[bad]}")
-        size = len(exact) if exact is not None else v.size
+                at = _first(~np.isfinite(v))
+                raise NonFiniteError(f"random variable value at {_at(at, ('outcome', 'component'))} is {v[at]}")
+        size = len(exact) if exact is not None else len(v)
         if size != space.size:
             raise SizeMismatchError(
                 f"random variable has {size} values for a {space.size}-outcome space"
@@ -231,15 +233,29 @@ class RandomVar(Frozen):
 
     @property
     def values(self) -> np.ndarray:
-        """Read-only value vector in the mode's number type."""
+        """Read-only value array in the mode's number type."""
         if self._values is None:
             object.__setattr__(self, "_values", self._exact.fractions())
         return self._values
 
+    @property
+    def dim(self):
+        """d for values in R^d, None for real values."""
+        shape = (self._values if self._exact is None else self._exact.num).shape
+        return shape[1] if len(shape) == 2 else None
+
+    def component(self, j: int) -> "RandomVar":
+        """Coordinate projection onto component j, as a real-valued RV."""
+        if self.dim is None or not 0 <= j < self.dim:
+            raise DimMismatchError(f"component {j} out of range for dim {self.dim}")
+        if self._exact is not None:
+            return RandomVar(self._exact.take((slice(None), j)), self.space)
+        return RandomVar(self._values[:, j], self.space)
+
     def _combine(self, other, sign: int):
         if not isinstance(other, RandomVar):
             return NotImplemented
-        _require_same_space(self, other)
+        _require_same_shape(self, other)
         if self._exact is not None:
             return RandomVar(self._exact.add(other._exact, sign), self.space)
         a, b = self._values, other._values
@@ -251,136 +267,153 @@ class RandomVar(Frozen):
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def scaled(self, c) -> "RandomVar":
-        c = as_number(c, self.space.mode)
-        return RandomVar([c * v for v in self.values], self.space)
-
     def __repr__(self):
+        if self.dim is not None:
+            return f"VecRandomVar(dim={self.dim}, size={self.space.size})"
         return f"RandomVar({list(self.values)!r})"
 
 
-class VecRandomVar(Frozen):
-    """Vector-valued function on the outcomes: one d-dimensional value per outcome."""
+def VecRandomVar(values, space: ProbSpace, dim: int | None = None) -> RandomVar:
+    """An R^d-valued `RandomVar` from one row of d numbers per outcome, or
+    from an (n, d) array or `Rationals`; `dim`, when given, is d."""
+    if not isinstance(values, (np.ndarray, Rationals)):
+        values = [list(row) for row in values]
+        width = dim if dim is not None or not values else len(values[0])
+        for x, row in enumerate(values):
+            if len(row) != width:
+                raise DimMismatchError(
+                    f"vector value at outcome {x} has {len(row)} components, expected {width}"
+                )
+        values = as_matrix(values, space.mode)
+    f = RandomVar(values, space)
+    if f.dim is None or dim not in (None, f.dim):
+        raise DimMismatchError(f"expected vectors of length {dim}, got values of dimension {f.dim}")
+    if f.dim == 0:
+        raise DimMismatchError("a vector random variable needs at least one component")
+    return f
 
-    __slots__ = ("values", "dim", "space")
 
-    def __init__(self, values: Sequence[Iterable], space: ProbSpace, dim: int | None = None):
-        m = as_matrix([list(row) for row in values], space.mode)
-        if m.shape[0] != space.size:
-            raise SizeMismatchError(
-                f"vector RV has {m.shape[0]} rows for a {space.size}-outcome space"
-            )
-        if dim is None:
-            dim = m.shape[1]
-        if m.shape[1] != dim or dim < 1:
-            raise DimMismatchError(f"expected vectors of length {dim}, got {m.shape[1]}")
-        if not space.mode.exact and not np.isfinite(m).all():
-            x, j = (int(i) for i in np.argwhere(~np.isfinite(m))[0])
-            raise NonFiniteError(f"vector value at outcome {x}, component {j} is {m[x, j]}")
-        object.__setattr__(self, "values", m)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "space", space)
-
-    def component(self, j: int) -> RandomVar:
-        """Coordinate projection onto component j, as a scalar RV."""
-        if not 0 <= j < self.dim:
-            raise DimMismatchError(f"component {j} out of range for dim {self.dim}")
-        return RandomVar(self.values[:, j], self.space)
-
-    def __sub__(self, other):
-        if isinstance(other, VecRandomVar):
-            _require_same_space(self, other)
-            if self.dim != other.dim:
-                raise DimMismatchError("vector RVs of different dimension")
-            return VecRandomVar(self.values - other.values, self.space, self.dim)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"VecRandomVar(dim={self.dim}, size={self.space.size})"
+def _require_same_shape(f: RandomVar, g: RandomVar) -> None:
+    if not f.space.same_as(g.space):
+        raise SpaceMismatchError("operands live on different probability spaces")
+    if f.dim != g.dim:
+        raise DimMismatchError(f"random variables of dimension {f.dim} and {g.dim}")
 
 
 def as_equal_rv(f: RandomVar, g: RandomVar) -> bool:
     """Almost-sure equality: agreement on the support, within the mode's
     tolerance scaled by the values' size (`NumericMode.value_close_mask`)."""
-    _require_same_space(f, g)
+    _require_same_shape(f, g)
     space = f.space
-    live = slice(None) if space.fully_supported else space.live_index()
+    live = _live(space)
     if space.mode.exact:
         return bool(f._exact.equal(g._exact)[live].all())
     return bool(space.mode.value_close_mask(f.values[live], g.values[live]).all())
 
 
-def as_equal_vec_rv(f: VecRandomVar, g: VecRandomVar) -> bool:
-    _require_same_space(f, g)
-    if f.dim != g.dim:
-        raise DimMismatchError("vector RVs of different dimension")
-    live = f.space.live_index()
-    return bool(f.space.mode.value_close_mask(f.values[live], g.values[live]).all())
+def as_equal_vec_rv(f: RandomVar, g: RandomVar) -> bool:
+    return as_equal_rv(f, g)
 
 
-def _on_support(f: RandomVar) -> Rationals:
-    space = f.space
-    return f._exact if space.fully_supported else f._exact.take(space.live_index())
-
-
-def _weighted_total(space: ProbSpace, r: Rationals) -> Fraction:
-    """Exact sum over the support of weight times value, one Fraction."""
-    wnum, wden = space.int_weights()
-    if not space.fully_supported:
-        wnum = wnum[space.live_index()]
-    scaled, den = r.over_common()
-    return Fraction(int_dot(wnum, scaled), wden * den)
+def _live(space: ProbSpace):
+    """Index of the support: all outcomes, or the array of those of positive weight."""
+    return slice(None) if space.fully_supported else space.live_index()
 
 
 def expectation(f: RandomVar):
-    """E[f] under the space's weights."""
+    """E[f] under the space's weights: a number, or for an R^d-valued f an
+    array of d numbers."""
     space = f.space
+    live = _live(space)
     if space.mode.exact:
-        return _weighted_total(space, _on_support(f))
+        wnum, wden = space.int_weights()
+        scaled, den = f._exact.take(live).over_common()
+        total = int_dot(wnum[live], scaled)
+        return Fraction(total, wden * den) if f.dim is None else fraction_array(total, wden * den)
+    x = f.values[live]
     w = space._uniform_weight
     if w is not None:
-        return w * sum(f.values[i] for i in space.support)
-    return sum(space.weights[i] * f.values[i] for i in space.support)
+        return w * x.sum(axis=0)
+    return (per_row(space.weights[live], x) * x).sum(axis=0)
 
 
-def ln_norm(f: RandomVar, n=1):
+def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
+    """(m, den, k) with |f(x)|^k = m[x] / den^k over the support: integer m
+    in rational mode, float m over den None otherwise (k = 1). Every norm of
+    a real value is its absolute value. For values in R^d, "euclidean" gives
+    the integer sums of squares (k = 2), "max" and "sum" the norms, and a
+    callable `vnorm` runs once per outcome."""
+    space, dim = f.space, f.dim
+    if dim is not None and callable(vnorm):
+        norms = [vnorm(row) for row in f.values[live]]
+        if space.mode.exact and all(isinstance(m, (int, Fraction)) for m in norms):
+            return (*Rationals.of(norms).over_common(), 1)
+        return np.array(norms, dtype=np.float64), None, 1
+    if dim is not None and vnorm not in ("euclidean", "max", "sum"):
+        raise DimMismatchError(f"unknown value-space norm {vnorm!r}")
+    if space.mode.exact:
+        x, den = f._exact.take(live).over_common()
+        if dim is not None:  # a sum of d squares or magnitudes
+            (x,) = widen(dim * max(magnitude(x), 1) ** 2, x)
+    else:
+        x, den = f.values[live], None
+    x = np.abs(x)
+    if dim is None:
+        return x, den, 1
+    if vnorm != "euclidean":
+        return (x.max(axis=-1) if vnorm == "max" else x.sum(axis=-1)), den, 1
+    squares = (x * x).sum(axis=-1)
+    return (squares, den, 2) if den is not None else (np.sqrt(squares), None, 1)
+
+
+def ln_norm(f: RandomVar, n=1, vnorm="euclidean"):
     """Weighted L^n norm: (sum_x p(x) |f(x)|^n)^(1/n); ess-sup for n = inf.
+    For an R^d-valued f this is the Bochner norm over the value-space norm
+    `vnorm`: "euclidean", "max", "sum" or a callable on one value.
 
     The essential supremum only sees the support. In rational mode the
     result is exact whenever the root is rational (always for n = 1, inf,
-    and zero norms): the sum is one exact Fraction, and `nth_root` takes
-    its root.
+    and zero norms of real values): the sum is one exact Fraction, and
+    `nth_root` takes its root. Euclidean value norms are taken from exact
+    integer sums of squares: for even n, |f(x)|^n is a power of that sum,
+    and for n = inf the root of the largest one; only an odd n takes a root
+    per outcome, exact when each is rational and in floats otherwise.
     """
     check_norm_index(n)
     space = f.space
-    if space.mode.exact:
-        mags = _on_support(f).abs()
-        if is_infinite(n):
-            scaled, den = mags.over_common()
-            return Fraction(int(scaled.max()), den)
-        n = int(n)
-        total = _weighted_total(space, mags if n == 1 else mags.power(n))
-        return total if n == 1 else nth_root(total, n, space.mode)
+    live = _live(space)
+    m, den, k = _magnitudes(f, live, vnorm)
+    if k == 2 and not is_infinite(n) and n % 2:
+        sums = m.tolist()
+        roots = [math.isqrt(s) for s in sums]
+        if all(r * r == s for r, s in zip(roots, sums)):
+            m, k = int_array(roots, max(roots)), 1
+        else:
+            m, den, k = float_roots(m, den * den, 2), None, 1
+    if den is None:
+        return _float_norm(space, live, m, n)
     if is_infinite(n):
-        sup = space.mode.zero()
-        for i in space.support:
-            mag = abs(f.values[i])
-            if mag > sup:
-                sup = mag
-        return sup
+        top = Fraction(int(m.max()), den**k)
+        return top if k == 1 else nth_root(top, k, space.mode)
     n = int(n)
-    live = list(space.support)
-    mags = np.abs(f.values[live])
+    if n > k:
+        (m,) = widen(magnitude(m) ** (n // k), m)
+        m = m ** (n // k)
+    wnum, wden = space.int_weights()
+    total = Fraction(int_dot(wnum[live], m), wden * den**n)
+    return total if n == 1 else nth_root(total, n, space.mode)
+
+
+def _float_norm(space: ProbSpace, live, mags: np.ndarray, n):
+    """`ln_norm` from float magnitudes over the support, in either mode."""
+    if is_infinite(n):
+        return mags.max()
+    n = int(n)
     if n > 1:
         mags = mags**n
     w = space._uniform_weight
-    if w is not None:
-        total = w * mags.sum()
-    else:
-        total = (space.weights[live] * mags).sum()
-    if n == 1:
-        return total
-    return nth_root(total, n, space.mode)
+    total = w * mags.sum() if w is not None else (space.weights[live].astype(np.float64) * mags).sum()
+    return total if n == 1 else float(total) ** (1.0 / n)
 
 
 def indicator(space: ProbSpace, outcomes: Iterable[int]) -> RandomVar:

@@ -620,3 +620,53 @@ def mix_weights(a, exact):
         return np.array(a, dtype=np.float64)
     a = [[Fraction(t) for t in row] for row in a]
     return tuple(np.array([[getattr(t, part) for t in row] for row in a]) for part in ("numerator", "denominator"))
+
+
+# --- vector random variables: the per-component and per-outcome bodies that
+# preceded the (n, d) value core, kept as references -----------------------
+
+
+def vector_cond_expectation_by_components(g, p):
+    """Rows of E[g | p]: one real-valued conditional expectation per component."""
+    cols = [fp.cond_expectation(g.component(j), p).values for j in range(g.dim)]
+    return np.stack(cols, axis=-1).tolist()
+
+
+def vector_pullback_by_fractions(k, g):
+    """Rows of k*g: every entry a Python sum of the kernel's row entries
+    times g's values (Fractions in rational mode)."""
+    rows, values = k.rows, g.values
+    return [
+        [sum(rows[x][y] * values[y][j] for y in range(len(values))) for j in range(g.dim)]
+        for x in range(len(rows))
+    ]
+
+
+def bochner_norm_by_outcome(g, n=1, vnorm="euclidean"):
+    """The Bochner L^n norm from one value norm per supported outcome, added
+    up in Python. A euclidean norm is the root of the sum of squares, so an
+    even power of it is a power of that sum and the ess-sup is the root of
+    the largest sum; an odd n takes one root per outcome. The result is exact
+    when every term is rational, a float otherwise."""
+    space = g.space
+    mode = space.mode
+    live = [x for x in range(space.size) if space.weights[x] > 0]
+    rows = [list(g.values[x]) for x in live]
+    if vnorm == "euclidean":
+        squares = [sum(v * v for v in row) for row in rows]
+        if n == float("inf"):
+            return fp.nth_root(max(squares), 2, mode)
+        if n % 2 == 0:
+            terms = [s ** (n // 2) for s in squares]
+        else:
+            terms = [fp.nth_root(s, 2, mode) ** n for s in squares]
+    else:
+        norms = [max(map(abs, row)) if vnorm == "max" else sum(map(abs, row)) for row in rows]
+        if n == float("inf"):
+            return max(norms)
+        terms = [m**n for m in norms]
+    if all(isinstance(t, Fraction) for t in terms):
+        total = sum(space.weights[x] * t for x, t in zip(live, terms))
+        return total if n == 1 else fp.nth_root(total, n, mode)
+    total = sum(float(space.weights[x]) * float(t) for x, t in zip(live, terms))
+    return total if n == 1 else total ** (1.0 / n)

@@ -303,6 +303,24 @@ class TestTerminalRvInput:
         assert err.startswith("config error: ") and name in err and message in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, sizes", [("levy-up", "levels = 1"), ("levy-down", "size = 2\nlength = 2")]
+    )
+    def test_vector_input_file_is_a_config_error(self, tmp_path, capsys, experiment, sizes):
+        from finprob import serialize
+
+        rv_path = tmp_path / "vec.txt"
+        serialize.dump(fp.VecRandomVar([[1, 2], [3, 4]], fp.uniform_space(2, rational_mode())), rv_path)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(
+            f"[experiment]\nname = {experiment}\nmode = rational\noutput = out.csv\n"
+            f"input = {rv_path}\n[sizes]\n{sizes}\n"
+        )
+        assert main(["run", str(cfg_path), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "vec.txt" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_input_only_for_levy(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text("[experiment]\nname = galois-audit\ninput = rv.txt\n")

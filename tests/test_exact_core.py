@@ -1,22 +1,37 @@
 """The integer-numerator core of rational mode against Fraction-by-definition
 sums (tests/oracles.py), over uniform and weighted spaces with null
-outcomes, including the Python-int path for denominators beyond int64."""
+outcomes, including the Python-int path for denominators beyond int64.
+R^d-valued random variables are checked against the per-component and
+per-outcome references, and their float images against the exact results."""
 
 import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import finprob as fp
+from finprob.sampling import (
+    random_coarsening_chain,
+    random_mp_kernel_from,
+    random_partition,
+    random_refining_chain,
+    random_space,
+    random_vec_rv,
+    rng_for,
+)
 
 from .oracles import (
     as_equal_by_definition,
     as_measurable_by_definition,
+    bochner_norm_by_outcome,
     completion_by_definition,
     cond_expectation_by_definition,
     ln_total_by_definition,
+    vector_cond_expectation_by_components,
+    vector_pullback_by_fractions,
     weighted_total,
 )
 
@@ -136,3 +151,110 @@ class TestBoundary:
         rv = serialize.loads_rv("rv\nmode rational\nweights 1/2 2/4 0\nvalues -3/6 7 1.25\n")
         assert list(rv.space.weights) == [F(1, 2), F(1, 2), F(0)]
         assert list(rv.values) == [F(-1, 2), F(7), F(5, 4)]
+
+
+VNORMS = ("euclidean", "max", "sum")
+SIZES = (1, 2, 3, 5, 8, 13, 32, 64)
+
+
+def vector_instances(seed, count=24):
+    """(g, p): R^d-valued RVs with d in 1..4 on 1 to 2^6 outcomes, most with
+    null outcomes, and a partition in which the null outcomes form a block
+    of zero mass of their own; every other instance has values over
+    denominators beyond int64."""
+    rng = rng_for(seed)
+    for i in range(count):
+        n = SIZES[i % len(SIZES)]
+        nulls = int(rng.integers(0, n)) if n > 1 and i % 3 else 0
+        space = random_space(rng, n, R, null_outcomes=nulls)
+        g = random_vec_rv(rng, space, 1 + i % 4)
+        if i % 2:
+            g = fp.VecRandomVar(g.values * F(3**40 + 1, 3**40), space)
+        labels = random_partition(rng, n).labels.copy()
+        labels[[x for x in range(n) if space.is_null(x)]] = n
+        yield g, fp.Partition.from_labels(labels.tolist())
+
+
+def assert_norms_match(got, expected):
+    """Exact and equal when the reference is exact; otherwise both floats, close."""
+    assert type(got) is F if isinstance(expected, F) else isinstance(got, float)
+    assert got == expected if isinstance(expected, F) else math.isclose(got, expected, rel_tol=1e-12)
+
+
+def float_image(g, scale=1):
+    """The float-mode RV of the same weights and values, times `scale`."""
+    space = fp.make_space([float(w) for w in g.space.weights], fp.FLOAT_DEFAULT)
+    return fp.VecRandomVar(np.array(g.values, dtype=np.float64) * scale, space)
+
+
+def assert_close_to_exact(got, exact):
+    """A float result within the tolerance, scaled by the values' size, of an exact one."""
+    exact = np.array(exact, dtype=np.float64)
+    scale = max(1.0, float(np.abs(exact).max(initial=0.0)))
+    assert np.abs(np.asarray(got, dtype=np.float64) - exact).max(initial=0.0) <= 1e-9 * scale
+
+
+class TestVectorAgainstReferences:
+    def test_conditioning_expectation_and_equality(self):
+        for g, p in vector_instances(301):
+            cond = fp.cond_expectation(g, p)
+            rows = cond.values.tolist()
+            assert rows == vector_cond_expectation_by_components(g, p)
+            weights, columns = list(g.space.weights), g.values.T.tolist()
+            by_definition = [cond_expectation_by_definition(weights, c, p.blocks) for c in columns]
+            assert rows == [list(r) for r in zip(*by_definition)]
+            assert list(fp.expectation(g)) == [weighted_total(weights, c) for c in columns]
+            assert fp.as_equal_rv(g, cond) == as_equal_by_definition(weights, g.values.tolist(), rows)
+            assert fp.as_equal_rv(fp.cond_expectation(cond, p), cond)
+
+    def test_pullback(self):
+        rng = rng_for(302)
+        for i, n in enumerate(SIZES):
+            domain = random_space(rng, n, R, null_outcomes=n // 3)
+            k = random_mp_kernel_from(rng, domain, SIZES[-1 - i])
+            g = random_vec_rv(rng, k.codomain, 1 + i % 4)
+            assert fp.apply_pullback(k, g).values.tolist() == vector_pullback_by_fractions(k, g)
+
+    def test_norms(self):
+        for g, _ in vector_instances(303):
+            for vnorm in VNORMS:
+                for n in (1, 2, 3, 4, math.inf):
+                    assert_norms_match(fp.ln_norm(g, n, vnorm), bochner_norm_by_outcome(g, n, vnorm))
+
+
+class TestVectorModeAgreement:
+    def test_float_images_agree_within_the_scaled_tolerance(self):
+        rng = rng_for(304)
+        for g, p in vector_instances(305):
+            h = float_image(g)
+            assert_close_to_exact(fp.cond_expectation(h, p).values, fp.cond_expectation(g, p).values)
+            assert_close_to_exact(fp.expectation(h), fp.expectation(g))
+            for vnorm in VNORMS:
+                for n in (1, 2, 3, math.inf):
+                    assert_close_to_exact(fp.ln_norm(h, n, vnorm), fp.ln_norm(g, n, vnorm))
+            k = random_mp_kernel_from(rng, g.space, 5)
+            k_float = fp.Kernel(
+                np.array(k.rows, dtype=np.float64), h.space,
+                fp.make_space([float(w) for w in k.codomain.weights], fp.FLOAT_DEFAULT),
+            )
+            values = random_vec_rv(rng, k.codomain, g.dim)
+            pulled = fp.apply_pullback(k_float, fp.VecRandomVar(np.array(values.values, dtype=np.float64), k_float.codomain))
+            assert_close_to_exact(pulled.values, fp.apply_pullback(k, values).values)
+
+    @pytest.mark.parametrize("scale", [1, 1e3, 1e6, 1e9, 1e12])
+    def test_bochner_levy_verdicts_agree_at_every_value_scale(self, scale):
+        rng = rng_for(306)
+        for i, (g, _) in enumerate(vector_instances(307, count=16)):
+            n = g.space.size
+            chain = (random_refining_chain if i % 2 else random_coarsening_chain)(rng, n, 5)
+            direction = "increasing" if i % 2 else "decreasing"
+            exact_f = fp.Filtration(chain, direction, g.space)
+            h = float_image(g, scale)
+            float_f = fp.Filtration(chain, direction, h.space)
+            for vnorm in VNORMS:
+                for norm_index in (1, 2, math.inf):
+                    exact = fp.bochner_levy_report(g, exact_f, norm_index, vnorm)
+                    got = fp.bochner_levy_report(h, float_f, norm_index, vnorm)
+                    assert (got.converged, got.stabilization_index) == (
+                        exact.converged, exact.stabilization_index
+                    )

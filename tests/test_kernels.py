@@ -41,6 +41,12 @@ class TestConstruction:
         with pytest.raises(fp.SpaceMismatchError):
             fp.Kernel([[1.0, 0.0]], fp.uniform_space(1), U2)
 
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_ragged_rows_are_size_errors(self, mode):
+        space = fp.uniform_space(2, mode)
+        with pytest.raises(fp.SizeMismatchError, match="row 1 has 1 entries, row 0 has 2"):
+            fp.Kernel([[1, 0], [1]], space, space)
+
 
 class TestKernelSequence:
     SPACE = fp.uniform_space(2)

@@ -7,6 +7,7 @@ import finprob as fp
 from finprob.sampling import (
     random_coarsening_chain,
     random_idempotent_chain,
+    random_refining_chain,
     random_rv,
     random_space,
     random_vec_rv,
@@ -281,6 +282,19 @@ class TestBochnerLevy:
         vector = fp.bochner_levy_report(g, UP4, 1)
         assert vector.step_distances == scalar.step_distances
         assert vector.converged == scalar.converged
+
+    @pytest.mark.parametrize("vnorm", ["euclidean", "max", "sum"])
+    @pytest.mark.parametrize("n", [1, 2, 3, math.inf])
+    def test_dim_one_matches_scalar_report_for_every_value_norm(self, vnorm, n):
+        rng = rng_for(95)
+        space = random_space(rng, 8, R, null_outcomes=2)
+        filtration = fp.Filtration(random_refining_chain(rng, 8, 4), fp.INCREASING, space)
+        f = random_rv(rng, space)
+        g = fp.VecRandomVar([[v] for v in f.values], space)
+        scalar = fp.levy_report(fp.martingale_from_terminal(f, filtration), n)
+        vector = fp.bochner_levy_report(g, filtration, n, vnorm)
+        assert vector.step_distances == scalar.step_distances
+        assert (vector.converged, vector.stabilization_index) == (scalar.converged, scalar.stabilization_index)
 
     def test_random_walk_standard_example(self):
         levels = 8

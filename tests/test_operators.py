@@ -14,7 +14,7 @@ from finprob.sampling import (
     rng_for,
 )
 
-from .oracles import cond_expectation_by_definition, verify_cond_exp_defining
+from .oracles import bochner_norm_by_outcome, cond_expectation_by_definition, verify_cond_exp_defining
 
 R = fp.rational_mode()
 
@@ -150,6 +150,15 @@ class TestInnerProduct:
     def test_normalization(self):
         one = fp.constant_rv(U4, 1)
         assert fp.inner_product(one, one) == 1
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_vector_values_pair_by_their_dot_product(self, mode):
+        space = fp.uniform_space(2, mode)
+        g = fp.VecRandomVar([[1, 2], [3, 4]], space)
+        assert fp.inner_product(g, g) == 15  # (1 + 4 + 9 + 16) / 2
+        assert fp.inner_product(g, fp.VecRandomVar([[1, 0], [0, 1]], space)) == F(5, 2)
+        with pytest.raises(fp.DimMismatchError):
+            fp.inner_product(g, fp.VecRandomVar([[1], [2]], space))
 
     def test_disjoint_indicators_orthogonal(self):
         a = fp.indicator(U4, [0, 1])
@@ -332,6 +341,30 @@ class TestBochnerNorm:
         assert fp.bochner_norm(g, 1, "max") == 2
         assert fp.bochner_norm(g, 1, "sum") == F(7, 2)
         assert fp.bochner_norm(g, 1, lambda v: 2 * abs(v[0])) == 3
+
+    def test_rational_norm_is_exact_when_the_root_is_rational(self):
+        # E|g|^2 = 9 and 1: a root of the exact sum of squares, not a power of per-outcome float roots
+        for rows, expected in (([[0, 0], [3, 3]], 3), ([[0, 0], [1, 1]], 1)):
+            norm = fp.bochner_norm(fp.VecRandomVar(rows, U2), 2)
+            assert type(norm) is F and norm == expected
+
+    def test_every_small_rational_instance_matches_the_reference(self):
+        # all 2x2 instances with entries 0..7: exact exactly when the reference is
+        exact = 0
+        for entries in np.ndindex(8, 8, 8, 8):
+            g = fp.VecRandomVar([entries[:2], entries[2:]], U2)
+            for n in (2, 4, math.inf):
+                expected = bochner_norm_by_outcome(g, n)
+                norm = fp.bochner_norm(g, n)
+                assert type(norm) is type(expected) and norm == expected
+                exact += n == 2 and type(norm) is F
+        assert exact == 181  # the instances whose E|g|^2 is a rational square
+
+    def test_odd_norm_beyond_the_float_range(self):
+        # sums of squares over 10**400: the per-outcome roots cannot go through one float division
+        g = fp.VecRandomVar([[F(1, 10**200), F(1, 10**200)]], fp.point_space(R))
+        assert math.isclose(fp.bochner_norm(g, 1), 2**0.5 * 1e-200, rel_tol=1e-12)
+        assert fp.bochner_norm(g, 2) == fp.nth_root(F(2, 10**400), 2, R)
 
     def test_norm_monotone_in_index(self):
         rng = rng_for(71)

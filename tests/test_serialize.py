@@ -7,7 +7,7 @@ import pytest
 
 import finprob as fp
 from finprob import serialize
-from finprob.sampling import random_mp_kernel, rng_for
+from finprob.sampling import random_mp_kernel, random_vec_rv, rng_for
 
 R = fp.rational_mode()
 
@@ -51,6 +51,13 @@ class TestRoundtrips:
         g = fp.VecRandomVar([[1, F(1, 3)], [2, F(2, 3)]], space)
         again = serialize.loads(serialize.dumps(g))
         assert [list(r) for r in again.values] == [list(r) for r in g.values]
+
+    def test_vec_rv_float_roundtrip_exact_doubles(self):
+        g = random_vec_rv(rng_for(101), fp.make_space([0.25, 0.5, 0.0, 0.25]), 3)
+        text = serialize.dumps(g)
+        again = serialize.loads(text)
+        assert text.startswith("vecrv\nmode float") and serialize.dumps(again) == text
+        assert again.values.tolist() == g.values.tolist()
 
     def test_file_roundtrip(self, tmp_path):
         space = fp.make_space([F(1, 4), F(3, 4)], R)

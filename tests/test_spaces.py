@@ -236,6 +236,16 @@ class TestVecRandomVar:
         with pytest.raises(fp.FinprobError):
             fp.VecRandomVar([[1, 0], [0]], space)
 
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_malformed_rows_are_dimension_errors(self, mode):
+        space = fp.uniform_space(3, mode)
+        with pytest.raises(fp.DimMismatchError, match="outcome 2 has 1 components, expected 2"):
+            fp.VecRandomVar([[1, 0], [0, 1], [0]], space)
+        with pytest.raises(fp.DimMismatchError, match="outcome 0 has 2 components, expected 3"):
+            fp.VecRandomVar([[1, 0], [0, 1], [0, 1]], space, 3)
+        with pytest.raises(fp.DimMismatchError, match="at least one component"):
+            fp.VecRandomVar([[], [], []], space)
+
     def test_as_equal_vec(self):
         space = fp.make_space([F(1, 2), F(0), F(1, 2)], R)
         g = fp.VecRandomVar([[1, 2], [9, 9], [3, 4]], space)
