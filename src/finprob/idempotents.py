@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -234,15 +234,15 @@ def _int_form(kernels: Sequence[Kernel]) -> tuple[np.ndarray, np.ndarray]:
     return nums, dens
 
 
-def _order_forms(kernels: Sequence[Kernel]) -> tuple:
-    """Endo-kernels of one space, stacked once for `_leq_against` and
-    `_same_forms`: (numerators, denominators, mode), from `_int_form` in
+def _order_forms(kernels: Sequence[Kernel], out: Optional[np.ndarray] = None) -> tuple:
+    """Endo-kernels of one space, stacked once for the composite test
+    (`_leq_forms`): (numerators, denominators, mode), from `_int_form` in
     exact mode; in float mode the rows, null rows zeroed likewise, over
-    denominators of 1.0."""
+    denominators of 1.0, stacked into `out` when it is given."""
     mode = kernels[0].mode
     if mode.exact:
         return (*_int_form(kernels), mode)
-    rows = np.stack([k.rows for k in kernels])
+    rows = np.stack([k.rows for k in kernels], out=out)
     rows[:, kernels[0].domain.weights == 0] = 0.0
     return rows, np.ones(len(kernels)), mode
 
@@ -250,46 +250,66 @@ def _order_forms(kernels: Sequence[Kernel]) -> tuple:
 def _same_forms(forms, twin) -> np.ndarray:
     """Per prepared form i, whether it is a.s. equal to form twin[i]."""
     nums, dens, mode = forms
-    scaled = mode.close_mask(nums * dens[twin, None, None], nums[twin] * dens[:, None, None])
-    return scaled.all(axis=(1, 2))
+    scaled = nums * dens[twin, None, None]
+    return mode.close_mask(scaled, nums[twin] * dens[:, None, None], out=scaled).all(axis=(1, 2))
 
 
-def _leq_against(forms, i: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(e_i <= e_j, e_j <= e_i) for every j in lo..hi-1 of prepared forms.
+def _leq_forms(mode, a: np.ndarray, b: np.ndarray, lb, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The composite test: e_a <= e_b, for stacks of prepared forms a and b
+    that broadcast over their leading axes, when both composites a.b and
+    b.a are a.s. equal to a.
 
-    e <= f when both composites e.f and f.e are a.s. equal to e. The
-    composites of forms a and b carry the denominator la * lb, so they are
-    compared with a scaled by lb and with b scaled by la: exactly in
-    rational mode, within the tolerance in float mode.
+    A composite carries the denominator la * lb, so it is compared with a
+    scaled by lb (b's denominators, shaped to broadcast against a): exactly
+    in rational mode; in float mode, where every denominator is 1.0, within
+    the tolerance, the difference taken in the composite's own buffer. The
+    second composite is formed only where the first agrees somewhere. `out`
+    may take the float composites.
     """
+    target = a * lb if mode.exact else a
+
+    def agrees(composite):
+        return mode.close_mask(composite, target, out=composite).all(axis=(-2, -1))
+
+    ok = agrees(np.matmul(a, b, out=out))
+    if ok.any():
+        ok &= agrees(np.matmul(b, a, out=out))
+    return ok
+
+
+def _leq_against(forms, i: int, lo: int, hi: int, above: bool = False) -> np.ndarray:
+    """e_i <= e_j for every j in lo..hi-1 of prepared forms, or e_j <= e_i
+    when `above`: the composite test in one direction."""
     nums, dens, mode = forms
-    a, la = nums[i], dens[i]
-    b, lb = nums[lo:hi], dens[lo:hi]
-    ab, ba = np.matmul(a, b), np.matmul(b, a)
-    a_scaled, b_scaled = a * lb[:, None, None], b * la
-
-    def same(x, y):
-        return mode.close_mask(x, y).all(axis=(1, 2))
-
-    return same(ab, a_scaled) & same(ba, a_scaled), same(ab, b_scaled) & same(ba, b_scaled)
+    if above:
+        return _leq_forms(mode, nums[lo:hi], nums[i], dens[i])
+    return _leq_forms(mode, nums[i], nums[lo:hi], dens[lo:hi, None, None])
 
 
-_BLOCK = 1 << 12  # entries of a table, or of a stack of composites, held at once
+_BLOCK = 1 << 12  # entries of a stack of composites held at once
+_TABLE_BLOCK = 1 << 15  # entries of a block of table rows held at once
+
+
+def _table_rows(width: int) -> int:
+    """Rows of `width` entries in one block: near `_TABLE_BLOCK` entries, at
+    least one row."""
+    return max(1, _TABLE_BLOCK // width)
 
 
 def _order_table(forms) -> np.ndarray:
     """(m, m) table of e_i <= e_j over prepared forms, built in blocks.
 
-    A pair is decided by its two composites, as `_leq_against` decides it,
-    only when it survives a trace screen: if a.b and b.a equal a scaled by
-    lb, then tr(a.b) = lb * tr(a). In rational mode the screen asks for
-    equality. In float mode a composite within the tolerance of a moves its
-    trace by at most n * tolerance, and the screen allows twice that plus
-    the rounding of two sums taken in different orders, which needs far
-    less. The traces of a block of rows come from one product of flattened
-    forms, since tr(a.b) = sum over x, y of a[y, x] * b[x, y]; the pairs
-    that survive are composed in chunks. The diagonal is true untested.
-    In rational mode the traces are integers of at most n * la * lb: below
+    A pair is decided by the composite test (`_leq_forms`) only when it
+    survives a trace screen: if a.b and b.a equal a scaled by lb, then
+    tr(a.b) = lb * tr(a). In rational mode the screen asks for equality. In
+    float mode a composite within the tolerance of a moves its trace by at
+    most n * tolerance, and the screen allows twice that plus the rounding
+    of two sums taken in different orders, which needs far less. The traces
+    of a block of rows come from one product of flattened forms, since
+    tr(a.b) = sum over x, y of a[y, x] * b[x, y]; a block holds its rows of
+    the trace table and of the turned forms (`_table_rows`), and the pairs
+    that survive are composed in chunks. The diagonal is true untested. In
+    rational mode the traces are integers of at most n * la * lb: below
     2**53 the product runs on float64, where every partial sum of these
     nonnegative terms is an exact integer, and on int64 or Python ints above.
     """
@@ -304,34 +324,38 @@ def _order_table(forms) -> np.ndarray:
         slack = 2 * n * (mode.tolerance + n * n * np.finfo(np.float64).eps)
     flat, traces = wide.reshape(m, n * n), np.trace(wide, axis1=1, axis2=2)
     leq = np.eye(m, dtype=bool)
-    rows, pairs = max(1, _BLOCK // m), max(1, _BLOCK // (n * n))
+    rows, pairs = _table_rows(m + n * n), max(1, _BLOCK // (n * n))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         turned = wide[lo:hi].swapaxes(1, 2).reshape(hi - lo, n * n)
-        screen = np.abs(turned @ flat.T - traces[lo:hi, None] * scale) <= slack
+        screen = turned @ flat.T
+        screen -= traces[lo:hi, None] * scale
+        screen = np.abs(screen, out=screen) <= slack
         screen[np.arange(hi - lo), np.arange(lo, hi)] = False
         first, second = np.nonzero(screen)
         for start in range(0, len(first), pairs):
             i, j = first[start : start + pairs] + lo, second[start : start + pairs]
-            a, b = nums[i], nums[j]
-            a_scaled = a * dens[j, None, None]
-            agree = mode.close_mask(np.matmul(a, b), a_scaled).all(axis=(1, 2))
-            leq[i, j] = agree & mode.close_mask(np.matmul(b, a), a_scaled).all(axis=(1, 2))
+            leq[i, j] = _leq_forms(mode, nums[i], nums[j], dens[j, None, None])
     return leq
 
 
-def _leq_pair_exact(e1: Kernel, e2: Kernel) -> tuple[bool, bool]:
-    """(e1 <= e2, e2 <= e1) for idempotents in either mode: the batched
-    test on a stack of two."""
-    le, ge = _leq_against(_order_forms([e1, e2]), 0, 1, 2)
-    return bool(le[0]), bool(ge[0])
+def _leq_pair_exact(a: tuple, b: tuple, out: Optional[np.ndarray] = None) -> bool:
+    """e_a <= e_b for the prepared forms of two kernels (`_order_forms` of
+    one kernel each), in either mode: the composite test on stacks of one.
+    Exact forms are widened to Python ints when the composites' denominator
+    does not fit int64; `out`, a (1, n, n) float array, may take the float
+    composites."""
+    (x, lx, mode), (y, ly, _) = a, b
+    if mode.exact:
+        x, y, ly = widen(int(lx[0]) * int(ly[0]), x, y, ly)
+    return bool(_leq_forms(mode, x, y, ly[:, None, None], out)[0])
 
 
 def idem_leq(e1: IdempotentKernel, e2: IdempotentKernel) -> bool:
     """Idempotent order: true when both composites of e1 and e2 a.s. equal e1."""
     if not e1.space.same_as(e2.space):
         raise SpaceMismatchError("idempotents on different spaces")
-    return _leq_pair_exact(e1.kernel, e2.kernel)[0]
+    return _leq_pair_exact(_order_forms([e1.kernel]), _order_forms([e2.kernel]))
 
 
 def order_witnesses(
@@ -361,18 +385,55 @@ def order_witnesses(
     return f, g
 
 
-def _require_chain(chain: Sequence[IdempotentKernel], increasing: bool) -> None:
+def _chain_optimum(chain: Sequence[IdempotentKernel], increasing: bool, start: int = 0) -> IdempotentKernel:
+    """Supremum of an increasing chain or infimum of a decreasing one (see
+    `sup_idempotents` and `inf_idempotents`), checked in one walk.
+
+    The walk forms each element once and decides, in the one direction the
+    chain needs, each adjacent pair from pair `start` (chain[start],
+    chain[start + 1]) on, and each element against the optimum. It holds
+    two element forms, the optimum's form and the composites: in float mode
+    four (n, n) buffers, whatever the length. A pair out of order raises
+    `NotAChainError` before a failed bound is reported.
+    """
     if not chain:
         raise NotAChainError("empty chain")
     space = chain[0].space
     for e in chain[1:]:
         if not e.space.same_as(space):
             raise SpaceMismatchError("chain elements on different spaces")
-    for a, b in zip(chain, chain[1:]):
-        lo, hi = (a, b) if increasing else (b, a)
-        if not idem_leq(lo, hi):
+    if increasing:
+        part = invariant_partition(chain[0])
+        for e in chain[1:]:
+            part = join_partitions(part, invariant_partition(e))
+    else:
+        part = complete_partition(invariant_partition(chain[0]), space)
+        for e in chain[1:]:
+            part = meet_partitions(part, complete_partition(invariant_partition(e), space))
+    out = cond_exp_kernel(space, part)
+
+    n = space.size
+    slots = [None] * 4 if space.mode.exact else np.empty((4, 1, n, n))
+    optimum = _order_forms([out.kernel], slots[2])
+
+    def below(lo, hi):  # lo <= hi in the chain's direction
+        return _leq_pair_exact(lo, hi, slots[3]) if increasing else _leq_pair_exact(hi, lo, slots[3])
+
+    bounded, prev = True, None
+    for i, e in enumerate(chain):
+        form = _order_forms([e.kernel], slots[i % 2])
+        if i > start and not below(prev, form):
             word = "increasing" if increasing else "decreasing"
             raise NotAChainError(f"chain is not {word} in the idempotent order")
+        bounded = bounded and below(form, optimum)
+        prev = form
+    if not bounded:
+        raise FinprobError(
+            "join kernel is not an upper bound of the chain"
+            if increasing
+            else "meet kernel is not a lower bound of the chain"
+        )
+    return out
 
 
 def sup_idempotents(chain: Sequence[IdempotentKernel]) -> IdempotentKernel:
@@ -383,15 +444,7 @@ def sup_idempotents(chain: Sequence[IdempotentKernel]) -> IdempotentKernel:
     partition-induced idempotents is exhaustive work and lives in the
     filtration optimality check.
     """
-    _require_chain(chain, increasing=True)
-    space = chain[0].space
-    part = invariant_partition(chain[0])
-    for e in chain[1:]:
-        part = join_partitions(part, invariant_partition(e))
-    out = cond_exp_kernel(space, part)
-    if not all(idem_leq(e, out) for e in chain):
-        raise FinprobError("join kernel is not an upper bound of the chain")
-    return out
+    return _chain_optimum(chain, increasing=True)
 
 
 def inf_idempotents(chain: Sequence[IdempotentKernel]) -> IdempotentKernel:
@@ -400,17 +453,10 @@ def inf_idempotents(chain: Sequence[IdempotentKernel]) -> IdempotentKernel:
 
     Invariant partitions are already null-complete, and completion happens
     before meeting; meeting the raw partitions instead would be wrong
-    whenever null outcomes glue supported blocks together.
+    whenever null outcomes glue supported blocks together. The bound
+    property is re-verified on return.
     """
-    _require_chain(chain, increasing=False)
-    space = chain[0].space
-    part = complete_partition(invariant_partition(chain[0]), space)
-    for e in chain[1:]:
-        part = meet_partitions(part, complete_partition(invariant_partition(e), space))
-    out = cond_exp_kernel(space, part)
-    if not all(idem_leq(out, e) for e in chain):
-        raise FinprobError("meet kernel is not a lower bound of the chain")
-    return out
+    return _chain_optimum(chain, increasing=False)
 
 
 # -- exhaustive Galois audit -------------------------------------------------
@@ -481,7 +527,7 @@ def galois_roundtrips(space: ProbSpace, max_size: int = 8) -> GaloisReport:
     part_bits, inv_bits = _packed_same_block(parts), _packed_same_block(invariants)
     adjunction_failures = []
     monotonicity_failures = []
-    step = max(1, _BLOCK // m)
+    step = _table_rows(m)
     for lo in range(0, m, step):
         rows = leq[lo : lo + step]
         contained = _subset_table(inv_bits, part_bits[lo : lo + step])

@@ -26,12 +26,11 @@ from .errors import (
 )
 from .idempotents import (
     IdempotentKernel,
+    _chain_optimum,
     _conditioning,
     _leq_against,
-    _leq_pair_exact,
     _order_forms,
-    inf_idempotents,
-    sup_idempotents,
+    idem_leq,
 )
 from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, one_sided_distance, report_from_flags
@@ -274,16 +273,13 @@ def preserves_optima_check(f: Filtration, n=2, max_size: int = 8) -> bool:
     increasing = f.direction == INCREASING
 
     # Bound: each level lies below (increasing) or above (decreasing) the limit.
-    limit_le, limit_ge = _leq_against(forms, 0, 1, first)
-    if not (limit_ge if increasing else limit_le).all():
+    if not _leq_against(forms, 0, 1, first, above=increasing).all():
         return False
     # Optimality: every candidate bound of all levels is bounded by the limit.
     bounds = np.ones(end - first, dtype=bool)
     for level in range(1, first):
-        le, ge = _leq_against(forms, level, first, end)
-        bounds &= le if increasing else ge
-    limit_le, limit_ge = _leq_against(forms, 0, first, end)
-    return not (bounds & ~(limit_le if increasing else limit_ge)).any()
+        bounds &= _leq_against(forms, level, first, end, above=not increasing)
+    return not (bounds & ~_leq_against(forms, 0, first, end, above=not increasing)).any()
 
 
 def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:
@@ -295,20 +291,16 @@ def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:
     """
     if not chain:
         raise NotMonotoneError("empty chain")
-    increasing = None
-    for a, b in zip(chain, chain[1:]):
-        if not a.space.same_as(b.space):
-            raise SpaceMismatchError("idempotents on different spaces")
-        up, down = _leq_pair_exact(a.kernel, b.kernel)
+    increasing, start = True, len(chain) - 1  # a constant chain: every pair is decided
+    for k, (a, b) in enumerate(zip(chain, chain[1:])):
+        up, down = idem_leq(a, b), idem_leq(b, a)
         if up and down:
-            continue  # a.s.-equal step decides nothing
-        if up or down:
-            increasing = up
-            break
-        raise NotMonotoneError("adjacent chain elements are incomparable")
-    if increasing is None:
-        increasing = True  # constant chain
-    target = sup_idempotents(chain) if increasing else inf_idempotents(chain)
+            continue  # an a.s.-equal step decides nothing
+        if not (up or down):
+            raise NotMonotoneError("adjacent chain elements are incomparable")
+        increasing, start = up, k + 1  # pairs 0..k are in order either way
+        break
+    target = _chain_optimum(chain, increasing, start)
     distances = tuple(one_sided_distance(e.kernel, target.kernel) for e in chain)
     equal = [as_equal_kernels(e.kernel, target.kernel) for e in chain]
     return _stabilization_report(distances, equal, chain[0].space.mode)

@@ -90,11 +90,13 @@ class NumericMode:
             return a == b
         return abs(a - b) <= self.tolerance
 
-    def close_mask(self, a, b) -> np.ndarray:
-        """Elementwise equality of broadcastable arrays under this mode, as a boolean array."""
+    def close_mask(self, a, b, out=None) -> np.ndarray:
+        """Elementwise equality of broadcastable arrays under this mode, as a
+        boolean array. In float mode the difference is taken in `out` when
+        it is given (a float array of the broadcast shape, overwritten)."""
         if self.exact:
             return np.equal(a, b)
-        return np.abs(np.subtract(a, b)) <= self.tolerance
+        return _at_most(np.subtract(a, b, out=out), self.tolerance)
 
     def value_close_mask(self, a, b) -> np.ndarray:
         """`close_mask` for random-variable values: in float mode within the
@@ -104,7 +106,7 @@ class NumericMode:
         if self.exact:
             return np.equal(a, b)
         scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-        return np.abs(np.subtract(a, b)) <= self.tolerance * scale
+        return _at_most(np.subtract(a, b), self.tolerance * scale)
 
     def all_close(self, a, b) -> bool:
         """Equality of same-shape arrays at every entry under this mode."""
@@ -119,6 +121,14 @@ class NumericMode:
 
     def one(self) -> Number:
         return Fraction(1) if self.exact else 1.0
+
+
+def _at_most(diff, bound) -> np.ndarray:
+    """|diff| <= bound elementwise. An array diff is a difference made for
+    this test, so its absolute value is taken in place."""
+    if isinstance(diff, np.ndarray):
+        return np.abs(diff, out=diff) <= bound
+    return np.abs(diff) <= bound
 
 
 def float_mode(tolerance: float = 1e-9) -> NumericMode:

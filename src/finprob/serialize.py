@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import ConfigParseError
 from .kernels import Kernel
 from .numerics import NumericMode, Rationals, float_mode, rational_mode
-from .spaces import ProbSpace, RandomVar, VecRandomVar
+from .spaces import ProbSpace, RandomVar, VecRandomVar, _row_width
 
 
 def fmt_number(x, mode: NumericMode) -> str:
@@ -134,8 +134,12 @@ def loads_rv(text: str) -> RandomVar:
         return RandomVar(_parse_vector(_take(lines, "values"), mode), space)
     rows = []
     while lines and lines[0][0] == "vec":
-        rows.append([parse_number(t, mode) for t in _take(lines, "vec")])
-    return VecRandomVar(rows, space)
+        rows.append(_take(lines, "vec"))
+    if not (mode.exact and rows):
+        return VecRandomVar([[parse_number(t, mode) for t in row] for row in rows], space)
+    flat = _parse_vector([t for row in rows for t in row], mode)  # every token is read before the shape
+    shape = (len(rows), _row_width(rows))
+    return VecRandomVar(Rationals(flat.num.reshape(shape), flat.den.reshape(shape)), space)
 
 
 def dumps_vec_rv(rv: RandomVar) -> str:

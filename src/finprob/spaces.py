@@ -273,17 +273,23 @@ class RandomVar(Frozen):
         return f"RandomVar({list(self.values)!r})"
 
 
+def _row_width(rows: list, dim: int | None = None):
+    """The common length of rows of numbers, one row per outcome: `dim` when
+    given, else the first row's (None for no rows); a row of another length
+    raises, naming its outcome."""
+    width = dim if dim is not None or not rows else len(rows[0])
+    for x, row in enumerate(rows):
+        if len(row) != width:
+            raise DimMismatchError(f"vector value at outcome {x} has {len(row)} components, expected {width}")
+    return width
+
+
 def VecRandomVar(values, space: ProbSpace, dim: int | None = None) -> RandomVar:
     """An R^d-valued `RandomVar` from one row of d numbers per outcome, or
     from an (n, d) array or `Rationals`; `dim`, when given, is d."""
     if not isinstance(values, (np.ndarray, Rationals)):
         values = [list(row) for row in values]
-        width = dim if dim is not None or not values else len(values[0])
-        for x, row in enumerate(values):
-            if len(row) != width:
-                raise DimMismatchError(
-                    f"vector value at outcome {x} has {len(row)} components, expected {width}"
-                )
+        _row_width(values, dim)
         values = as_matrix(values, space.mode)
     f = RandomVar(values, space)
     if f.dim is None or dim not in (None, f.dim):

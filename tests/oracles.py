@@ -13,7 +13,7 @@ from math import lcm
 import numpy as np
 
 import finprob as fp
-from finprob.errors import NotAChainError, NotLipschitzError, TooLargeError
+from finprob.errors import NotAChainError, NotLipschitzError, NotMonotoneError, TooLargeError
 from finprob.idempotents import _same_block
 from finprob.partitions import Partition
 
@@ -488,6 +488,51 @@ def idem_leq_by_definition(e1, e2):
     return as_equal_by_rows(k1.domain, compose_by_definition(k1, k2), rows) and as_equal_by_rows(
         k1.domain, compose_by_definition(k2, k1), rows
     )
+
+
+def order_table_by_definition(kernels):
+    """(m, m) table of e_i <= e_j for endo-kernels of one space, from public
+    `compose` and `as_equal_kernels`: both composites of every pair are
+    formed once, and each decides both directions of the pair."""
+    m = len(kernels)
+    table = np.eye(m, dtype=bool)
+    for i in range(m):
+        for j in range(i + 1, m):
+            ij = fp.compose(kernels[i], kernels[j])
+            ji = fp.compose(kernels[j], kernels[i])
+            table[i, j] = fp.as_equal_kernels(ij, kernels[i]) and fp.as_equal_kernels(ji, kernels[i])
+            table[j, i] = fp.as_equal_kernels(ij, kernels[j]) and fp.as_equal_kernels(ji, kernels[j])
+    return table
+
+
+def chain_bound_by_definition(chain, increasing=None):
+    """What the chain checks must find for idempotents of one space, read off
+    the order table by definition (`order_table_by_definition`).
+
+    With `increasing` None the direction is found as `levi_property_check`
+    finds it: from the first adjacent pair that is not a.s. equal
+    (increasing for a constant chain); an incomparable such pair raises
+    NotMonotoneError. A pair out of order in the direction raises
+    NotAChainError. Returns (increasing, k): chain[k] lies above
+    (increasing) or below every element, so it is the chain's optimum up to
+    a.s. equality. The messages are the library's."""
+    leq = order_table_by_definition([e.kernel for e in chain])
+    m = len(chain)
+    if increasing is None:
+        increasing = True
+        for i in range(m - 1):
+            up, down = leq[i, i + 1], leq[i + 1, i]
+            if up != down:
+                increasing = bool(up)
+                break
+            if not up:
+                raise NotMonotoneError("adjacent chain elements are incomparable")
+    order = leq if increasing else leq.T
+    for i in range(m - 1):
+        if not order[i, i + 1]:
+            word = "increasing" if increasing else "decreasing"
+            raise NotAChainError(f"chain is not {word} in the idempotent order")
+    return increasing, next(k for k in range(m) if order[:, k].all())
 
 
 def random_mp_kernel_by_fractions(rng, nrows, ncols, null_rows=0):

@@ -258,3 +258,71 @@ class TestVectorModeAgreement:
                     assert (got.converged, got.stabilization_index) == (
                         exact.converged, exact.stabilization_index
                     )
+
+
+class TestFloatCloseMasks:
+    """Float `close_mask` and `value_close_mask` against the expression they
+    replaced, np.abs(np.subtract(a, b)) <= bound: same values, shape, dtype
+    and type, and inputs left untouched."""
+
+    TOL = 2.0**-30  # a power of two: differences land exactly on it
+    CASES = {
+        "scalars": (0.25, 0.25 + 2.0**-31),
+        "python-ints": (3, 4),
+        "scalar-at-tolerance": (1.0, 1.0 - 2.0**-30),
+        "scalar-beyond-tolerance": (1.0, 1.0 - 2.0**-29),
+        "zero-d-arrays": (np.array(0.5), np.array(0.5 + 2.0**-30)),
+        "zero-d-and-scalar": (np.array(2.0), 2.0 + 2.0**-20),
+        "broadcast-column-row": (np.linspace(0, 1, 3)[:, None], np.linspace(0, 1, 4)[None, :]),
+        "broadcast-matrix-scalar": (np.full((2, 3), 0.5), 0.5 - 2.0**-30),
+        "broadcast-matrix-row": (np.eye(3), np.array([1.0, 2.0**-30, 2.0**-29])),
+        "integer-arrays": (np.arange(6), np.arange(6) + np.array([0, 1, 0, -1, 0, 0])),
+        "integer-and-float": (np.arange(4), np.arange(4) + 2.0**-30),
+        "at-the-tolerance": (np.array([1.0, 0.5, 0.0, -0.25]), np.array([1.0, 0.5, 0.0, -0.25]) + 2.0**-30),
+        "non-finite": (np.array([np.inf, np.nan, 1.0, -np.inf]), np.array([np.inf, 1.0, np.inf, -np.inf])),
+    }
+
+    @staticmethod
+    def same(new, old):
+        assert type(new) is type(old)
+        assert np.shape(new) == np.shape(old) and np.asarray(new).dtype == np.asarray(old).dtype
+        assert (np.asarray(new) == np.asarray(old)).all()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_close_mask(self, case):
+        a, b = self.CASES[case]
+        before = np.copy(a), np.copy(b)
+        mode = fp.float_mode(self.TOL)
+        with np.errstate(invalid="ignore"):
+            old = np.abs(np.subtract(a, b)) <= self.TOL
+            self.same(mode.close_mask(a, b), old)
+            self.same(mode.close_mask(b, a), old)
+            if isinstance(old, np.ndarray):
+                out = np.empty(old.shape)
+                self.same(mode.close_mask(a, b, out=out), old)
+        assert np.array_equal(a, before[0], equal_nan=True) and np.array_equal(b, before[1], equal_nan=True)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_value_close_mask(self, case):
+        a, b = self.CASES[case]
+        before = np.copy(a), np.copy(b)
+        mode = fp.float_mode(self.TOL)
+        with np.errstate(invalid="ignore"):
+            scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+            old = np.abs(np.subtract(a, b)) <= self.TOL * scale
+            self.same(mode.value_close_mask(a, b), old)
+        assert np.array_equal(a, before[0], equal_nan=True) and np.array_equal(b, before[1], equal_nan=True)
+
+    def test_differences_at_the_scaled_tolerance(self):
+        mode = fp.float_mode(self.TOL)
+        a = np.array([4.0, -4.0, 8.0])
+        on = a - np.sign(a) * 8 * self.TOL  # scale 8: exactly 8 * TOL apart
+        beyond = a - np.sign(a) * 16 * self.TOL
+        assert mode.value_close_mask(a, on).all()
+        assert not mode.value_close_mask(a, beyond)[2]
+        assert mode.close_mask(np.array([self.TOL]), 0.0).all()
+        assert not mode.close_mask(np.array([2 * self.TOL]), 0.0).any()
+
+    def test_default_tolerance_at_its_edge(self):
+        mode = fp.FLOAT_DEFAULT
+        assert mode.close_mask(mode.tolerance, 0.0) and not mode.close_mask(np.nextafter(mode.tolerance, 1.0), 0.0)

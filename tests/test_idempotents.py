@@ -16,6 +16,7 @@ from .oracles import (
     invariant_partition_bruteforce,
     invariant_sets_direct,
     kernel_mass,
+    order_table_by_definition,
 )
 
 R = fp.rational_mode()
@@ -212,24 +213,13 @@ class TestBatchedOrder:
     """The batched integer order test against the definition of the order:
     e1 <= e2 when both composites are a.s. equal to e1."""
 
-    @staticmethod
-    def definition_table(kernels):
-        m = len(kernels)
-        table = np.eye(m, dtype=bool)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ij = fp.compose(kernels[i], kernels[j])
-                ji = fp.compose(kernels[j], kernels[i])
-                table[i, j] = fp.as_equal_kernels(ij, kernels[i]) and fp.as_equal_kernels(ji, kernels[i])
-                table[j, i] = fp.as_equal_kernels(ij, kernels[j]) and fp.as_equal_kernels(ji, kernels[j])
-        return table
-
     def check_space(self, space):
         kernels = [fp.cond_exp_kernel(space, p).kernel for p in fp.all_partitions(space.size)]
-        expected = self.definition_table(kernels)
+        expected = order_table_by_definition(kernels)
         forms = _order_forms(kernels)
         for i in range(len(kernels)):
-            le, ge = _leq_against(forms, i, 0, len(kernels))
+            le = _leq_against(forms, i, 0, len(kernels))
+            ge = _leq_against(forms, i, 0, len(kernels), above=True)
             assert (le == expected[i]).all() and (ge == expected[:, i]).all()
         return forms
 
@@ -259,7 +249,7 @@ class TestOrderTable:
     def check(kernels):
         forms = _order_forms(kernels)
         m = len(kernels)
-        expected = np.array([_leq_against(forms, i, 0, m)[0] for i in range(m)])
+        expected = np.array([_leq_against(forms, i, 0, m) for i in range(m)])
         table = _order_table(forms)
         off = ~np.eye(m, dtype=bool)
         assert table.diagonal().all()
@@ -315,6 +305,16 @@ class TestOrderTable:
             kernels.append(e)
             for eps in (1e-11, 3e-10, 1e-9, 3e-9):
                 kernels.append(fp.Kernel((1 - eps) * e.rows + eps * independent.rows, space, space))
+        _, table = self.check(kernels)
+        assert 0 < table.sum() < table.size
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_blocks_of_several_rows_at_seven_outcomes(self, mode):
+        # Bell(7) = 877 partitions: the screen takes its rows in blocks of
+        # several, sized by the entries a block holds
+        space = random_space(rng_for(95), 7, mode, null_outcomes=1)
+        kernels = [fp.cond_exp_kernel(space, part).kernel for part in fp.all_partitions(7)]
+        assert 1 < idempotents._table_rows(len(kernels) + 49) < len(kernels)
         _, table = self.check(kernels)
         assert 0 < table.sum() < table.size
 

@@ -7,12 +7,15 @@ import finprob as fp
 from finprob.sampling import (
     random_coarsening_chain,
     random_idempotent_chain,
+    random_partition,
     random_refining_chain,
     random_rv,
     random_space,
     random_vec_rv,
     rng_for,
 )
+
+from .oracles import chain_bound_by_definition
 
 R = fp.rational_mode()
 
@@ -271,6 +274,137 @@ class TestLeviProperty:
             report = fp.levi_property_check(chain)
             assert report.converged
             assert report.step_distances[-1] == 0.0
+
+
+class TestChainChecksAgainstDefinition:
+    """`levi_property_check`, `sup_idempotents` and `inf_idempotents` against
+    the order by definition (`chain_bound_by_definition`) on random chains
+    of 1 to 12 outcomes, in both modes, with null outcomes: monotone chains
+    both ways, a.s.-equal middle steps, shuffled chains and chains with an
+    unrelated element, which are mostly not chains. Errors keep their types
+    and messages."""
+
+    @staticmethod
+    def outcome(call, *args):
+        try:
+            return call(*args), None
+        except fp.FinprobError as exc:
+            return None, exc
+
+    def check(self, chain):
+        mode = chain[0].space.mode
+        for check, increasing in ((fp.sup_idempotents, True), (fp.inf_idempotents, False), (None, None)):
+            expected, error = self.outcome(chain_bound_by_definition, chain, increasing)
+            if check is None:
+                got, got_error = self.outcome(fp.levi_property_check, chain)
+            else:
+                got, got_error = self.outcome(check, chain)
+            assert type(got_error) is type(error) and str(got_error) == str(error)
+            if error is not None:
+                continue
+            bound = chain[expected[1]].kernel
+            if check is not None:
+                assert fp.as_equal_kernels(got.kernel, bound)
+                continue
+            equal = [fp.as_equal_kernels(e.kernel, bound) for e in chain]
+            stable = next(i for i in range(len(chain)) if all(equal[i:]))
+            assert got.converged and got.stabilization_index == stable
+            for d, e in zip(got.step_distances, chain):
+                reference = fp.one_sided_distance(e.kernel, bound)  # the optimum is one up to a.s. equality
+                assert d == reference if mode.exact else abs(d - reference) <= mode.tolerance
+
+    @staticmethod
+    def null_variant(space, part):
+        """The partition with its first null outcome moved into the block of
+        outcome 0 (or of outcome 1): a.s. equal, and a new object."""
+        nulls = [x for x in range(space.size) if space.is_null(x)]
+        if not nulls or space.size < 2:
+            return part
+        labels = list(part.labels)
+        z = nulls[0]
+        labels[z] = labels[0 if z else 1]
+        return fp.Partition.from_labels(labels)
+
+    def chains(self, rng, space):
+        n = space.size
+        parts = random_refining_chain(rng, n, int(rng.integers(1, 7)))
+        middle = len(parts) // 2
+        with_equal = parts[: middle + 1] + [self.null_variant(space, parts[middle])] + parts[middle + 1 :]
+        shuffled = [parts[i] for i in rng.permutation(len(parts))]
+        crossed = parts[:middle] + [random_partition(rng, n)] + parts[middle:]
+        for chain in (parts, parts[::-1], with_equal, with_equal[::-1], shuffled, crossed):
+            yield [fp.cond_exp_kernel(space, p) for p in chain]
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_random_chains(self, mode):
+        rng = rng_for(131)
+        for size in range(1, 13):
+            for nulls in range(min(size, 3)):
+                space = random_space(rng, size, mode, null_outcomes=nulls)
+                for chain in self.chains(rng, space):
+                    self.check(chain)
+
+    @pytest.mark.parametrize("scale, ordered", [(0.5, True), (2.0, False)])
+    def test_float_perturbation_around_the_tolerance(self, scale, ordered):
+        # the middle element moves mass delta between outcomes 0 and 1 of
+        # row 0: its composites with the finer element miss it by delta, and
+        # so does the conditioning kernel on its invariant partition
+        mode = fp.FLOAT_DEFAULT
+        space = fp.make_space([0.25, 0.25, 0.25, 0.25, 0.0], mode)
+        coarse, middle, fine = (
+            fp.cond_exp_kernel(space, fp.Partition.from_labels(labels))
+            for labels in ([0, 0, 0, 0, 0], [0, 0, 1, 1, 1], [0, 0, 1, 2, 2])
+        )
+        rows = middle.kernel.rows.copy()
+        delta = scale * mode.tolerance
+        rows[0, :2] += (delta, -delta)
+        middle = fp.IdempotentKernel(fp.Kernel(rows, space, space), validate=False)
+        assert fp.idem_leq(middle, fine) is ordered and fp.idem_leq(coarse, middle)
+        for chain in ([coarse, middle, fine], [fine, middle, coarse], [middle, fine]):
+            self.check(chain)
+        if ordered:
+            self.check([coarse, middle])
+            return
+        with pytest.raises(fp.NotAChainError, match="^chain is not increasing in the idempotent order$"):
+            fp.levi_property_check([coarse, middle, fine])
+        with pytest.raises(fp.NotMonotoneError, match="^adjacent chain elements are incomparable$"):
+            fp.levi_property_check([middle, fine])
+        # the supremum, conditioning on the join, is more than the tolerance
+        # away from the top element, which fails the re-verified bound
+        for check in (fp.sup_idempotents, fp.levi_property_check):
+            with pytest.raises(fp.FinprobError) as info:
+                check([coarse, middle])
+            assert type(info.value) is fp.FinprobError
+            assert str(info.value) == "join kernel is not an upper bound of the chain"
+
+    def test_errors_keep_types_and_messages(self):
+        other = fp.make_space([F(1, 2), F(1, 4), F(1, 8), F(1, 8)], R)
+        coarse, blocks, fine = (fp.cond_exp_kernel(U4, p) for p in (fp.Partition.trivial(4), BLOCKS, fp.Partition.discrete(4)))
+        crossed = fp.cond_exp_kernel(U4, fp.Partition([(0, 2), (1, 3)], 4))
+        stranger = fp.cond_exp_kernel(other, BLOCKS)
+        cases = [
+            (fp.levi_property_check, [], fp.NotMonotoneError, "empty chain"),
+            (fp.sup_idempotents, [], fp.NotAChainError, "empty chain"),
+            (fp.inf_idempotents, [], fp.NotAChainError, "empty chain"),
+            (fp.levi_property_check, [blocks, crossed], fp.NotMonotoneError, "adjacent chain elements are incomparable"),
+            (fp.levi_property_check, [blocks, blocks, crossed], fp.NotMonotoneError, "adjacent chain elements are incomparable"),
+            (fp.levi_property_check, [coarse, blocks, crossed], fp.NotAChainError, "chain is not increasing in the idempotent order"),
+            (fp.levi_property_check, [fine, blocks, fine], fp.NotAChainError, "chain is not decreasing in the idempotent order"),
+            (fp.sup_idempotents, [fine, blocks], fp.NotAChainError, "chain is not increasing in the idempotent order"),
+            (fp.inf_idempotents, [blocks, fine], fp.NotAChainError, "chain is not decreasing in the idempotent order"),
+            (fp.levi_property_check, [blocks, stranger], fp.SpaceMismatchError, "idempotents on different spaces"),
+            (fp.levi_property_check, [blocks, blocks, stranger], fp.SpaceMismatchError, "idempotents on different spaces"),
+            (fp.levi_property_check, [coarse, blocks, stranger], fp.SpaceMismatchError, "chain elements on different spaces"),
+            (fp.levi_property_check, [coarse, blocks, crossed, stranger], fp.SpaceMismatchError, "chain elements on different spaces"),
+            (fp.sup_idempotents, [fine, blocks, stranger], fp.SpaceMismatchError, "chain elements on different spaces"),
+            (fp.inf_idempotents, [blocks, stranger], fp.SpaceMismatchError, "chain elements on different spaces"),
+        ]
+        for call, chain, error, message in cases:
+            with pytest.raises(error) as info:
+                call(chain)
+            assert type(info.value) is error and str(info.value) == message
+        with pytest.raises(fp.SpaceMismatchError, match="^idempotents on different spaces$"):
+            fp.idem_leq(blocks, stranger)
 
 
 class TestBochnerLevy:

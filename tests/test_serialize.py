@@ -52,6 +52,28 @@ class TestRoundtrips:
         again = serialize.loads(serialize.dumps(g))
         assert [list(r) for r in again.values] == [list(r) for r in g.values]
 
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 4)])
+    def test_vec_rv_rational_roundtrip(self, shape):
+        # integer, num/den and decimal tokens, values over mixed denominators
+        n, d = shape
+        rng = np.random.default_rng(102 + n)
+        space = fp.uniform_space(n, R)
+        rows = [[F(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(d)] for _ in range(n)]
+        g = fp.VecRandomVar(rows, space)
+        text = serialize.dumps(g)
+        again = serialize.loads(text)
+        assert again.dim == d and again.values.tolist() == rows
+        assert serialize.dumps(again) == text
+        spelled = text.replace("\nvec ", "\nvec 1/2 ").replace("vec 1/2 ", "vec 0.5 ", 1)
+        wide = serialize.loads(spelled)
+        assert wide.dim == d + 1 and wide.values[:, 0].tolist() == [F(1, 2)] * n
+
+    def test_vec_rv_rational_huge_entries(self):
+        text = "vecrv\nmode rational\nweights 1/2 1/2\nvec 99999999999999999999999/7 2\nvec 1/3 -4\n"
+        g = serialize.loads(text)
+        assert g.values.tolist() == [[F(99999999999999999999999, 7), 2], [F(1, 3), -4]]
+        assert serialize.dumps(g) == text
+
     def test_vec_rv_float_roundtrip_exact_doubles(self):
         g = random_vec_rv(rng_for(101), fp.make_space([0.25, 0.5, 0.0, 0.25]), 3)
         text = serialize.dumps(g)
@@ -79,6 +101,25 @@ class TestErrors:
     def test_bad_number(self):
         with pytest.raises(fp.ConfigParseError):
             serialize.loads("space\nmode rational\nweights 1/0\n")
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            ("vec 1 2\nvec 1\nvec 1 2 3\n", fp.DimMismatchError, "vector value at outcome 1 has 1 components, expected 2"),
+            ("vec 1 2\nvec 1\nvec 1 x\n", fp.ConfigParseError, "bad number 'x': Invalid literal for Fraction: 'x'"),
+            ("vec 1 2/0\nvec 3 4\nvec 5 6\n", fp.ConfigParseError, "bad number '2/0': Fraction(2, 0)"),
+            ("vec 1 2/-3\nvec 3 4\nvec 5 6\n", fp.ConfigParseError, "bad number '2/-3': Invalid literal for Fraction: '2/-3'"),
+            ("vec\nvec\nvec\n", fp.DimMismatchError, "a vector random variable needs at least one component"),
+            ("vec 1 2\n", fp.SizeMismatchError, "random variable has 1 values for a 3-outcome space"),
+            ("", fp.SizeMismatchError, "random variable has 0 values for a 3-outcome space"),
+        ],
+        ids=["ragged", "bad-token-after-ragged", "zero-denominator", "signed-denominator", "no-components", "too-few-rows", "no-rows"],
+    )
+    def test_vec_rv_rational_errors(self, body, error, message):
+        text = "vecrv\nmode rational\nweights 1/2 1/4 1/4\n" + body
+        with pytest.raises(error) as info:
+            serialize.loads(text)
+        assert str(info.value) == message
 
     def test_missing_field(self):
         with pytest.raises(fp.ConfigParseError):
