@@ -254,7 +254,7 @@ def _same_forms(forms, twin) -> np.ndarray:
     return mode.close_mask(scaled, nums[twin] * dens[:, None, None], out=scaled).all(axis=(1, 2))
 
 
-def _leq_forms(mode, a: np.ndarray, b: np.ndarray, lb, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _leq_forms(mode, a: np.ndarray, b: np.ndarray, lb) -> np.ndarray:
     """The composite test: e_a <= e_b, for stacks of prepared forms a and b
     that broadcast over their leading axes, when both composites a.b and
     b.a are a.s. equal to a.
@@ -263,17 +263,16 @@ def _leq_forms(mode, a: np.ndarray, b: np.ndarray, lb, out: Optional[np.ndarray]
     scaled by lb (b's denominators, shaped to broadcast against a): exactly
     in rational mode; in float mode, where every denominator is 1.0, within
     the tolerance, the difference taken in the composite's own buffer. The
-    second composite is formed only where the first agrees somewhere. `out`
-    may take the float composites.
+    second composite is formed only where the first agrees somewhere.
     """
     target = a * lb if mode.exact else a
 
     def agrees(composite):
         return mode.close_mask(composite, target, out=composite).all(axis=(-2, -1))
 
-    ok = agrees(np.matmul(a, b, out=out))
+    ok = agrees(np.matmul(a, b))
     if ok.any():
-        ok &= agrees(np.matmul(b, a, out=out))
+        ok &= agrees(np.matmul(b, a))
     return ok
 
 
@@ -286,14 +285,12 @@ def _leq_against(forms, i: int, lo: int, hi: int, above: bool = False) -> np.nda
     return _leq_forms(mode, nums[i], nums[lo:hi], dens[lo:hi, None, None])
 
 
-_BLOCK = 1 << 12  # entries of a stack of composites held at once
-_TABLE_BLOCK = 1 << 15  # entries of a block of table rows held at once
-
-
-def _table_rows(width: int) -> int:
-    """Rows of `width` entries in one block: near `_TABLE_BLOCK` entries, at
-    least one row."""
-    return max(1, _TABLE_BLOCK // width)
+_BLOCK = 1 << 12  # entries of a table, or of a stack of composites, held at once
+# Entries of a block of trace-screen rows (`_order_table`). A row holds m + n*n
+# entries, 4,204 at n = 8, where 2**12 would screen one row per product and
+# 2**15 screens seven: the rational n = 8 order table took 1.55 s against
+# 1.93 s (median of 9; 2 cores, one BLAS thread, numpy 2.4).
+_SCREEN_BLOCK = 1 << 15
 
 
 def _order_table(forms) -> np.ndarray:
@@ -307,11 +304,12 @@ def _order_table(forms) -> np.ndarray:
     of two sums taken in different orders, which needs far less. The traces
     of a block of rows come from one product of flattened forms, since
     tr(a.b) = sum over x, y of a[y, x] * b[x, y]; a block holds its rows of
-    the trace table and of the turned forms (`_table_rows`), and the pairs
-    that survive are composed in chunks. The diagonal is true untested. In
-    rational mode the traces are integers of at most n * la * lb: below
-    2**53 the product runs on float64, where every partial sum of these
-    nonnegative terms is an exact integer, and on int64 or Python ints above.
+    the trace table and of the turned forms, near `_SCREEN_BLOCK` entries
+    and at least one row, and the pairs that survive are composed in
+    chunks. The diagonal is true untested. In rational mode the traces are
+    integers of at most n * la * lb: below 2**53 the product runs on
+    float64, where every partial sum of these nonnegative terms is an exact
+    integer, and on int64 or Python ints above.
     """
     nums, dens, mode = forms
     m, n = nums.shape[:2]
@@ -324,7 +322,7 @@ def _order_table(forms) -> np.ndarray:
         slack = 2 * n * (mode.tolerance + n * n * np.finfo(np.float64).eps)
     flat, traces = wide.reshape(m, n * n), np.trace(wide, axis1=1, axis2=2)
     leq = np.eye(m, dtype=bool)
-    rows, pairs = _table_rows(m + n * n), max(1, _BLOCK // (n * n))
+    rows, pairs = max(1, _SCREEN_BLOCK // (m + n * n)), max(1, _BLOCK // (n * n))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         turned = wide[lo:hi].swapaxes(1, 2).reshape(hi - lo, n * n)
@@ -339,16 +337,15 @@ def _order_table(forms) -> np.ndarray:
     return leq
 
 
-def _leq_pair_exact(a: tuple, b: tuple, out: Optional[np.ndarray] = None) -> bool:
+def _leq_pair_exact(a: tuple, b: tuple) -> bool:
     """e_a <= e_b for the prepared forms of two kernels (`_order_forms` of
     one kernel each), in either mode: the composite test on stacks of one.
     Exact forms are widened to Python ints when the composites' denominator
-    does not fit int64; `out`, a (1, n, n) float array, may take the float
-    composites."""
+    does not fit int64."""
     (x, lx, mode), (y, ly, _) = a, b
     if mode.exact:
         x, y, ly = widen(int(lx[0]) * int(ly[0]), x, y, ly)
-    return bool(_leq_forms(mode, x, y, ly[:, None, None], out)[0])
+    return bool(_leq_forms(mode, x, y, ly[:, None, None])[0])
 
 
 def idem_leq(e1: IdempotentKernel, e2: IdempotentKernel) -> bool:
@@ -392,9 +389,11 @@ def _chain_optimum(chain: Sequence[IdempotentKernel], increasing: bool, start: i
     The walk forms each element once and decides, in the one direction the
     chain needs, each adjacent pair from pair `start` (chain[start],
     chain[start + 1]) on, and each element against the optimum. It holds
-    two element forms, the optimum's form and the composites: in float mode
-    four (n, n) buffers, whatever the length. A pair out of order raises
-    `NotAChainError` before a failed bound is reported.
+    two element forms and the optimum's form, whatever the length: in float
+    mode three (n, n) buffers, filled in turn, since with fresh forms for
+    each element float chains at n = 96 and 160 took about a sixth longer.
+    A pair out of order raises `NotAChainError` before a failed bound is
+    reported.
     """
     if not chain:
         raise NotAChainError("empty chain")
@@ -413,11 +412,11 @@ def _chain_optimum(chain: Sequence[IdempotentKernel], increasing: bool, start: i
     out = cond_exp_kernel(space, part)
 
     n = space.size
-    slots = [None] * 4 if space.mode.exact else np.empty((4, 1, n, n))
+    slots = [None] * 3 if space.mode.exact else np.empty((3, 1, n, n))
     optimum = _order_forms([out.kernel], slots[2])
 
     def below(lo, hi):  # lo <= hi in the chain's direction
-        return _leq_pair_exact(lo, hi, slots[3]) if increasing else _leq_pair_exact(hi, lo, slots[3])
+        return _leq_pair_exact(lo, hi) if increasing else _leq_pair_exact(hi, lo)
 
     bounded, prev = True, None
     for i, e in enumerate(chain):
@@ -527,7 +526,7 @@ def galois_roundtrips(space: ProbSpace, max_size: int = 8) -> GaloisReport:
     part_bits, inv_bits = _packed_same_block(parts), _packed_same_block(invariants)
     adjunction_failures = []
     monotonicity_failures = []
-    step = _table_rows(m)
+    step = max(1, _BLOCK // m)
     for lo in range(0, m, step):
         rows = leq[lo : lo + step]
         contained = _subset_table(inv_bits, part_bits[lo : lo + step])

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConfigParseError
 from .kernels import Kernel
 from .numerics import NumericMode, Rationals, float_mode, rational_mode
@@ -135,11 +137,11 @@ def loads_rv(text: str) -> RandomVar:
     rows = []
     while lines and lines[0][0] == "vec":
         rows.append(_take(lines, "vec"))
-    if not (mode.exact and rows):
-        return VecRandomVar([[parse_number(t, mode) for t in row] for row in rows], space)
     flat = _parse_vector([t for row in rows for t in row], mode)  # every token is read before the shape
-    shape = (len(rows), _row_width(rows))
-    return VecRandomVar(Rationals(flat.num.reshape(shape), flat.den.reshape(shape)), space)
+    shape = (len(rows), _row_width(rows) or 0)
+    if mode.exact:
+        return VecRandomVar(Rationals(flat.num.reshape(shape), flat.den.reshape(shape)), space)
+    return VecRandomVar(np.reshape(flat, shape), space)
 
 
 def dumps_vec_rv(rv: RandomVar) -> str:

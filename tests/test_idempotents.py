@@ -314,7 +314,7 @@ class TestOrderTable:
         # several, sized by the entries a block holds
         space = random_space(rng_for(95), 7, mode, null_outcomes=1)
         kernels = [fp.cond_exp_kernel(space, part).kernel for part in fp.all_partitions(7)]
-        assert 1 < idempotents._table_rows(len(kernels) + 49) < len(kernels)
+        assert 1 < idempotents._SCREEN_BLOCK // (len(kernels) + 49) < len(kernels)
         _, table = self.check(kernels)
         assert 0 < table.sum() < table.size
 
