@@ -10,7 +10,10 @@ formulas. The banach files were written when the truncation chain was n dense
 matrices and its seminorm a recursion over start indices. The homeo-audit
 files were written when every kernel of a sequence was built, validated and
 measured one step at a time; the two "blocks" files were written when each
-sequence was still drawn, built and measured on its own.
+sequence was still drawn, built and measured on its own. The levi-kernel
+files, float at the benchmark's shapes and one rational case, were written
+when a float kernel held its rows over no denominator and every kernel
+operation had a float body and a rational one.
 """
 
 import math
@@ -101,6 +104,19 @@ HOMEO_CASES = {
 }
 
 
+LEVI_CASES = {
+    "levi-kernel-float-160": ExperimentConfig(
+        experiment="levi-kernel", size=160, length=12, seed=1, mode=fp.float_mode()
+    ),
+    "levi-kernel-float-96": ExperimentConfig(
+        experiment="levi-kernel", size=96, length=24, seed=2, mode=fp.float_mode()
+    ),
+    "levi-kernel-rational": ExperimentConfig(
+        experiment="levi-kernel", size=40, length=12, seed=5, mode=fp.rational_mode()
+    ),
+}
+
+
 def produce(cfg: ExperimentConfig, name: str, tmp_path: Path) -> bytes:
     _, path, _ = run(replace(cfg, output=f"{name}.csv"), outdir=str(tmp_path))
     return path.read_bytes()
@@ -121,4 +137,10 @@ def test_banach_csv_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(HOMEO_CASES))
 def test_homeo_csv_matches_golden(name, tmp_path):
     produced = produce(HOMEO_CASES[name], name, tmp_path)
+    assert produced == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LEVI_CASES))
+def test_levi_kernel_csv_matches_golden(name, tmp_path):
+    produced = produce(LEVI_CASES[name], name, tmp_path)
     assert produced == (GOLDEN / f"{name}.csv").read_bytes()
