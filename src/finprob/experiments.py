@@ -22,7 +22,7 @@ from .errors import ConfigError, FinprobError
 from .numerics import int_array, rational_mode, widen
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
-from .kernels import _int_rows, _kernel_rows
+from .kernels import _rows
 from .martingales import (
     DECREASING,
     Filtration,
@@ -305,13 +305,14 @@ def _slide_block(mode, limit: tuple, q: tuple, a) -> tuple:
     its independent kernel i_s, whose every row is its codomain weights q_s,
     built with one expression and checked as one (S, T, n, m) stack, in the
     form `metrics._block_reports` takes; an error names the sequence, step,
-    row and column. In rational mode `a` is a pair of integer arrays,
-    numerators over denominators, and each step is over a * lcm(k, q)."""
+    row and column. In float mode `a` is a float array and each step is
+    over 1; in rational mode it is a pair of integer arrays, numerators over
+    denominators, and each step is over a * lcm(k, q)."""
     (k, kden), (w, qden) = limit, q
     lead = ("sequence", "step")
-    if kden is None:
+    if not mode.exact:
         a = a[..., None, None]
-        return _kernel_rows((1 - a) * k[:, None] + a * w[:, None, None], mode, k.shape[1:], lead), None
+        return _rows((1 - a) * k[:, None] + a * w[:, None, None], np.ones(a.shape[:2], dtype=np.int64), mode, lead)
     an, ad = a
     common = np.lcm(kden.astype(object), qden.astype(object))
     den = (ad * common[:, None]).tolist()
@@ -319,7 +320,7 @@ def _slide_block(mode, limit: tuple, q: tuple, a) -> tuple:
     kscale, qscale, den = (int_array(x, bound) for x in ((common // kden).tolist(), (common // qden).tolist(), den))
     an, ad, k, w = widen(bound, an, ad, k, w)
     num = (ad - an)[..., None, None] * (k * kscale[:, None, None])[:, None]
-    return _int_rows(num + an[..., None, None] * (w * qscale[:, None])[:, None, None], den, lead)
+    return _rows(num + an[..., None, None] * (w * qscale[:, None])[:, None, None], den, mode, lead)
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
@@ -343,7 +344,7 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
         else:
             a = np.where(oscillate, flip, halves)
         limit, p, q = random_mp_stack(rng, len(seqs), cfg.size, cfg.size, mode)
-        reports = _block_reports(*_slide_block(mode, limit, q, a), limit, p, norms, 0 if mode.exact else mode.tolerance)
+        reports = _block_reports(*_slide_block(mode, limit, q, a), limit, p, norms, mode.tolerance)
         metric, *operators = ((stable < horizon).tolist() for _, stable in reports)
         for s, idx in enumerate(seqs.tolist()):
             kind = "oscillating" if oscillate[s, 0] else "interpolating"

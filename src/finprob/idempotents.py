@@ -27,16 +27,15 @@ from .errors import (
 )
 from .kernels import (
     Kernel,
-    _exact_stack,
+    _kernel_stack,
     as_equal_kernels,
     bayes_inverse,
     coarsening_kernel,
     compose,
     identity_kernel,
     is_measure_preserving,
-    kernel_sequence,
 )
-from .numerics import Frozen, block_sums, int_array, widen
+from .numerics import Frozen, block_sums, int_array, times, widen
 from .partitions import (
     Partition,
     all_partitions,
@@ -117,33 +116,29 @@ def _conditioning(space: ProbSpace, parts: Sequence[Partition]) -> list[Kernel]:
     """Conditioning kernels of partitions of the space, built and checked as
     one stack. Row x of a partition's kernel is w(y) / (mass of x's block)
     on x's block at a supported x, and the weights at a null x. Block masses
-    add up in outcome order; rational mode works on the weight numerators,
-    whose denominator cancels, over one denominator per kernel: the lcm of
-    its supported block masses (and of the weight denominator when null
-    outcomes take the weights)."""
+    add up in outcome order. Float mode divides, over denominators of 1;
+    rational mode works on the weight numerators, whose denominator cancels,
+    over one denominator per kernel: the lcm of its supported block masses
+    (and of the weight denominator when null outcomes take the weights)."""
     labels = np.array([p.labels for p in parts])
     m, n = labels.shape
-    same = _same_block(parts)
     bins = (labels + n * np.arange(m)[:, None]).ravel()
     null = np.ones(n, dtype=bool)
     null[space.live_index()] = False
-    if not space.mode.exact:
-        w = space.weights
-        mass = block_sums(np.tile(w, m), bins, m * n)[bins].reshape(m, n)
-        cond = np.divide(w, mass, out=np.zeros((m, n)), where=mass > 0)
-        rows = np.where(same, cond[:, None, :], 0.0)
-        rows[:, null] = w
-        return kernel_sequence(rows, space, space)
     w, wden = space.int_weights()
     mass = block_sums(np.tile(w, m), bins, m * n)[bins].reshape(m, n)
-    nulls = [wden] if null.any() else []
-    dens = [lcm(*nulls, *row) for row in mass[:, ~null].tolist()]
-    bound = max(dens)
-    w, mass, den = widen(bound, w, mass, int_array(dens, bound))
-    scale = den[:, None] // np.where(mass > 0, mass, 1)
-    num = np.where(same, (w * scale)[:, None, :], 0)
-    num[:, null] = w * (den[:, None] // wden)[:, None]
-    return _exact_stack(num, den, space, space)
+    if space.mode.exact:
+        nulls = [wden] if null.any() else []
+        dens = [lcm(*nulls, *row) for row in mass[:, ~null].tolist()]
+        bound = max(dens)
+        w, mass, den = widen(bound, w, mass, int_array(dens, bound))
+        cond = w * (den[:, None] // np.where(mass > 0, mass, 1))
+    else:
+        den = np.ones(m, dtype=np.int64)
+        cond = np.divide(w, mass, out=np.zeros((m, n)), where=mass > 0)
+    num = np.where(_same_block(parts), cond[:, None, :], 0)
+    num[:, null] = times(w, (den[:, None] // wden)[:, None])
+    return _kernel_stack(num, den, space, space)
 
 
 def cond_exp_kernel(space: ProbSpace, p: Partition, validate: bool = True) -> IdempotentKernel:
@@ -162,11 +157,10 @@ def cond_exp_kernel(space: ProbSpace, p: Partition, validate: bool = True) -> Id
 
 def _transitions(data: np.ndarray, space: ProbSpace) -> np.ndarray:
     """The positive transition relation e(y|x) > 0 between supported
-    outcomes, over the last two axes of kernel numerators (rational mode) or
-    rows (float mode, above the tolerance)."""
+    outcomes, over the last two axes of kernel numerators: above the
+    tolerance, which is 0 in rational mode."""
     live = space.live_index()
-    threshold = 0 if space.mode.exact else space.mode.tolerance
-    return data[..., live, :][..., live] > threshold
+    return data[..., live, :][..., live] > space.mode.tolerance
 
 
 def _invariant_partitions(step: np.ndarray, space: ProbSpace) -> list[Partition]:
@@ -194,8 +188,7 @@ def invariant_partition(e: IdempotentKernel) -> Partition:
     is exactly the atomic decomposition of the invariant sigma-algebra (the
     subset-enumeration oracle agrees).
     """
-    k = e.kernel
-    step = _transitions(k.num if k.mode.exact else k.rows, e.space)
+    step = _transitions(e.kernel.num, e.space)
     return _invariant_partitions(step[None], e.space)[0]
 
 
@@ -216,35 +209,29 @@ def split(e: IdempotentKernel) -> Splitting:
 
 # -- the idempotent partial order ------------------------------------------
 
-def _int_form(kernels: Sequence[Kernel]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact endo-kernels of one space as their held numerators, stacked.
+def _int_form(kernels: Sequence[Kernel], out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Endo-kernels of one space as their held numerators, stacked (into
+    `out` when it is given).
 
     Returns an (m, n, n) numerator array and the (m,) vector of the
-    kernels' denominators. Null rows are zeroed: a measure-preserving kernel
-    moves no mass from a supported outcome to a null one, so they never
-    reach a supported row of a composite. A composite of two forms has
-    nonnegative rows summing to the product of their denominators; the
-    arrays are int64 when max(denominators)**2 fits, and Python ints
-    otherwise.
+    kernels' denominators, ones for float rows. Null rows are zeroed: a
+    measure-preserving kernel moves no mass from a supported outcome to a
+    null one, so they never reach a supported row of a composite. A
+    composite of two forms has nonnegative rows summing to the product of
+    their denominators; integer arrays are int64 when max(denominators)**2
+    fits, and Python ints otherwise.
     """
     dens = [k.den for k in kernels]
     top = max(dens)
-    nums, dens = widen(top * top, np.stack([k.num for k in kernels]), int_array(dens, top))
+    nums, dens = widen(top * top, np.stack([k.num for k in kernels], out=out), int_array(dens, top))
     nums[:, kernels[0].domain.int_weights()[0] == 0] = 0
     return nums, dens
 
 
 def _order_forms(kernels: Sequence[Kernel], out: Optional[np.ndarray] = None) -> tuple:
     """Endo-kernels of one space, stacked once for the composite test
-    (`_leq_forms`): (numerators, denominators, mode), from `_int_form` in
-    exact mode; in float mode the rows, null rows zeroed likewise, over
-    denominators of 1.0, stacked into `out` when it is given."""
-    mode = kernels[0].mode
-    if mode.exact:
-        return (*_int_form(kernels), mode)
-    rows = np.stack([k.rows for k in kernels], out=out)
-    rows[:, kernels[0].domain.weights == 0] = 0.0
-    return rows, np.ones(len(kernels)), mode
+    (`_leq_forms`): (numerators, denominators, mode) from `_int_form`."""
+    return (*_int_form(kernels, out), kernels[0].mode)
 
 
 def _same_forms(forms, twin) -> np.ndarray:
@@ -261,11 +248,11 @@ def _leq_forms(mode, a: np.ndarray, b: np.ndarray, lb) -> np.ndarray:
 
     A composite carries the denominator la * lb, so it is compared with a
     scaled by lb (b's denominators, shaped to broadcast against a): exactly
-    in rational mode; in float mode, where every denominator is 1.0, within
+    in rational mode; in float mode, where every denominator is 1, within
     the tolerance, the difference taken in the composite's own buffer. The
     second composite is formed only where the first agrees somewhere.
     """
-    target = a * lb if mode.exact else a
+    target = times(a, lb)
 
     def agrees(composite):
         return mode.close_mask(composite, target, out=composite).all(axis=(-2, -1))
@@ -340,11 +327,10 @@ def _order_table(forms) -> np.ndarray:
 def _leq_pair_exact(a: tuple, b: tuple) -> bool:
     """e_a <= e_b for the prepared forms of two kernels (`_order_forms` of
     one kernel each), in either mode: the composite test on stacks of one.
-    Exact forms are widened to Python ints when the composites' denominator
-    does not fit int64."""
+    Integer forms are widened to Python ints when the composites'
+    denominator does not fit int64."""
     (x, lx, mode), (y, ly, _) = a, b
-    if mode.exact:
-        x, y, ly = widen(int(lx[0]) * int(ly[0]), x, y, ly)
+    x, y, ly = widen(int(lx[0]) * int(ly[0]), x, y, ly)
     return bool(_leq_forms(mode, x, y, ly[:, None, None])[0])
 
 

@@ -5,6 +5,12 @@ scale by the weighted entrywise L^1 distance: it dominates the per-set
 integral for every codomain subset and is dominated by a multiple of the
 worst one, so its null sequences are exactly the convergent ones. The
 two-sided variant adds the same distance between the Bayesian inverses.
+
+Every distance is one body for both numeric modes: a block of kernel
+sequences is numerators over denominators, float rows over 1 and integers
+in rational mode, and only the last step, turning totals into `Fraction`s
+and taking exact roots, depends on the mode (`numerics.quotients` and
+`numerics.nth_roots`).
 """
 
 from __future__ import annotations
@@ -16,19 +22,17 @@ import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
 from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measure_preserving
-from .numerics import EXACT, check_norm_index, fraction_array, int_array, is_infinite, nth_root, widen
+from .numerics import check_norm_index, int_array, is_infinite, nth_roots, quotients, row_lcms, times, widen
 
 
 def _stacked(seq: Sequence[Kernel], limit: Kernel) -> tuple:
     """A sequence of kernels parallel to the limit as a block of one
-    sequence, in the form `_block_reports` takes: the (1, T, n, m) data over
-    its (1, T) denominators, the limit, and the domain weights."""
+    sequence, in the form `_block_reports` takes: the (1, T, n, m)
+    numerators over their (1, T) denominators, the limit, and the domain
+    weights."""
     for k in seq:
         _require_parallel(k, limit)
     shape = (1, -1) + (limit.domain.size, limit.codomain.size)
-    if not limit.mode.exact:
-        rows = np.array([k.rows for k in seq], dtype=np.float64).reshape(shape)
-        return rows, None, (limit.rows[None], None), (limit.domain.weights[None], None)
     dens = [k.den for k in seq]
     wnum, wden = limit.domain.int_weights()
     return (
@@ -39,33 +43,28 @@ def _stacked(seq: Sequence[Kernel], limit: Kernel) -> tuple:
     )
 
 
-def _difference(data: np.ndarray, dens, limit: tuple) -> tuple:
-    """(S, T, n, m) stack of each step's rows minus its sequence's limit
-    rows, with its denominators, from a block as `_stacked` gives it: in
-    rational mode integer numerators over one denominator per sequence, the
-    lcm of its limit's and its steps' denominators, held as an (S,) vector;
-    in float mode the differences over None."""
+def _difference(data: np.ndarray, dens: np.ndarray, limit: tuple) -> tuple:
+    """(S, T, n, m) stack of each step's numerators minus its sequence's
+    limit numerators, from a block as `_stacked` gives it, over one
+    denominator per sequence: the lcm of its limit's and its steps'
+    denominators, held as an (S,) vector (ones for float rows)."""
     k, kden = limit
-    if dens is None:
-        return data - k[:, None], None
-    den = np.lcm.reduce(np.column_stack([kden, dens]).astype(object), axis=1).tolist()
+    den = row_lcms(np.column_stack([kden, dens]))
     bound = max(den)
     den = int_array(den, bound)
     nums, dens, k, kden = widen(bound, data, dens, k, kden)
-    return nums * (den[:, None] // dens)[..., None, None] - k[:, None] * (den // kden)[:, None, None, None], den
+    return times(nums, (den[:, None] // dens)[..., None, None]) - times(k[:, None], (den // kden)[:, None, None, None]), den
 
 
 def _over(totals: np.ndarray, dens: list) -> np.ndarray:
-    """(S, T) Fractions totals[s, t] / dens[s]."""
-    return fraction_array(totals, np.array(dens, dtype=object)[:, None])
+    """(S, T) numbers totals[s, t] / dens[s]: Fractions, or float totals as they are."""
+    return quotients(totals, np.array(dens, dtype=object)[:, None])
 
 
-def _weighted_l1(diff: np.ndarray, den, weights: tuple) -> np.ndarray:
+def _weighted_l1(diff: np.ndarray, den: np.ndarray, weights: tuple) -> np.ndarray:
     """(S, T) distances sum_x p(x) sum_y |diff[s, t, x, y]|, each sequence
     with its own domain weights p; a null row carries weight zero."""
     w, wden = weights
-    if den is None:
-        return (abs(diff).sum(axis=3) * w[:, None, :]).sum(axis=2)
     scale = [d * wd for d, wd in zip(den.tolist(), wden.tolist())]
     diff, w = widen(2 * max(scale), diff, w)  # a row of |diff| sums to at most 2 den
     return _over((abs(diff).sum(axis=3) * w[:, None, :]).sum(axis=2), scale)
@@ -186,21 +185,20 @@ def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
     return np.eye(size, dtype=bool)
 
 
-def _pullback_distances(diff: np.ndarray, den, weights: tuple, norms: Sequence) -> list:
+def _pullback_distances(diff: np.ndarray, den: np.ndarray, weights: tuple, norms: Sequence) -> list:
     """Per norm index, the (S, T) worst-case L^n distances of the pullbacks
     over indicator RVs, pulled back at once as the columns of a 0/1 matrix;
     every norm reads the same product. The n-th root is monotone, so the
-    worst distance is the root of the largest weighted total. In rational
-    mode `diff` holds integer numerators over the (S,) `den` and so do the
-    pulled values; a total of n-th powers is over wden * den**n.
+    worst distance is the root of the largest weighted total. `diff` holds
+    numerators over the (S,) `den` and so do the pulled values; a total of
+    n-th powers is over wden * den**n, and exact totals take exact roots.
     """
     for n in norms:
         check_norm_index(n)
     w, wden = weights
-    exact = den is not None
-    masks = _indicator_columns(diff.shape[3]).astype(diff.dtype if exact else np.float64)
+    masks = _indicator_columns(diff.shape[3]).astype(diff.dtype)
     live = (w > 0)[:, None, :, None]
-    out = [[np.empty((len(diff), 0), dtype=object if exact else np.float64)] for _ in norms]
+    out = [[np.empty((len(diff), 0), dtype=diff.dtype)] for _ in norms]
     block = max(1, (1 << 16) // (len(diff) * diff.shape[2] * masks.shape[1]))  # bounds the pulled values held
     for start in range(0, diff.shape[1], block):
         pulled = diff[:, start : start + block] @ masks
@@ -208,19 +206,13 @@ def _pullback_distances(diff: np.ndarray, den, weights: tuple, norms: Sequence) 
         pulled *= live  # null rows: weight zero in every total, and out of the sup
         for chunks, n in zip(out, norms):
             if is_infinite(n):
-                worst = pulled.max(axis=(2, 3))
-                chunks.append(_over(worst, den.tolist()) if exact else worst)
+                chunks.append(_over(pulled.max(axis=(2, 3)), den.tolist()))
                 continue
             n = int(n)
-            if exact:
-                scale = [wd * d**n for wd, d in zip(wden.tolist(), den.tolist())]
-                p, v = widen(max(scale) * 2**n, w, pulled)  # a pulled value is at most 2 den
-                totals = (p[:, None, None, :] @ (v if n == 1 else v**n))[:, :, 0].max(axis=2)
-                roots = np.frompyfunc(lambda v: nth_root(v, n, EXACT), 1, 1)
-                chunks.append(roots(_over(totals, scale)))
-            else:
-                powers = pulled if n == 1 else pulled**n
-                chunks.append((w[:, None, None, :] @ powers)[:, :, 0].max(axis=2) ** (1.0 / n))
+            scale = [wd * d**n for wd, d in zip(wden.tolist(), den.tolist())]
+            p, v = widen(max(scale) * 2**n, w, pulled)  # a pulled value is at most 2 den
+            totals = (p[:, None, None, :] @ (v if n == 1 else v**n))[:, :, 0].max(axis=2)
+            chunks.append(nth_roots(_over(totals, scale), n))
     return [np.concatenate(chunks, axis=1) for chunks in out]
 
 
@@ -259,10 +251,10 @@ def _block_reports(data: np.ndarray, dens, limit: tuple, weights: tuple, norms, 
     block of S sequences, each against its own limit, with no kernel per
     step: (distances, stabilization) pairs of the (S, T) distances and the
     (S,) first indices from which every distance is within the tolerance (T
-    where the last is not). The block is (S, T, n, m) data over its (S, T)
-    denominators, the (S, n, m) limits over their (S,) denominators and the
-    (S, n) domain weights over theirs: float arrays over None, or integer
-    numerators."""
+    where the last is not). The block is (S, T, n, m) numerators over their
+    (S, T) denominators, the (S, n, m) limits over their (S,) denominators
+    and the (S, n) domain weights over theirs: float arrays over ones, or
+    integer numerators."""
     diff, den = _difference(data, dens, limit)
     distances = [_weighted_l1(diff, den, weights), *_pullback_distances(diff, den, weights, norms)]
     return tuple((d, _stabilization(d <= tol)) for d in distances)

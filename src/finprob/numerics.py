@@ -4,6 +4,16 @@ Float mode stores values in float64 numpy arrays and compares within a
 configurable tolerance. Rational mode compares exactly; it exists so that
 theorem-shaped tests can demand bit-exact equality instead of closeness.
 
+Kernel data and space weights take one form in both modes: numerators over
+denominators. Float numerators are the float64 values themselves, over the
+integer 1; a float kernel's `num` is its `rows` and a float space's weight
+numerators are its weights. Rational numerators are integer arrays. So an
+operation on kernels is one expression in both modes, comparing through
+`NumericMode.close_mask`; the bookkeeping of this module keeps it free of
+cost in float mode: `widen` and `times` leave float arrays as they are, so
+scaling by a denominator of 1 makes no new array, and `quotients` and
+`values_over` hand float numerators back unchanged.
+
 In rational mode, random variables and space weights are held as
 `Rationals`: an integer numerator array over positive integer
 denominators, of shape (n,) for real values or (n, d) for values in R^d.
@@ -36,7 +46,8 @@ class Frozen:
     """Base of the immutable slotted classes: a constructor binds the slots
     through `object.__setattr__`, and assignment raises. Copies and pickles
     carry the slots that are set, skipping a lazily built cache not yet
-    read, and restore them the same way, their arrays read-only."""
+    read, and restore them the same way, their arrays read-only; slots that
+    share an array (a float kernel's `rows` and `num`) still share one."""
 
     __slots__ = ()
 
@@ -54,10 +65,13 @@ class Frozen:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        views = {}  # one frozen view per restored array
         for name, value in state.items():
             if isinstance(value, np.ndarray) and value.flags.writeable:
-                value = value.view()  # freezing a view leaves a shared array as it is
-                value.setflags(write=False)
+                if id(value) not in views:
+                    views[id(value)] = value.view()  # freezing a view leaves a shared array as it is
+                    views[id(value)].setflags(write=False)
+                value = views[id(value)]
             object.__setattr__(self, name, value)
 
 
@@ -108,13 +122,10 @@ class NumericMode:
         scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
         return _at_most(np.subtract(a, b), self.tolerance * scale)
 
-    def all_close(self, a, b) -> bool:
-        """Equality of same-shape arrays at every entry under this mode."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.shape != b.shape:
-            return False
-        return bool(self.close_mask(a, b).all())
+    def indicator(self, mask: np.ndarray) -> np.ndarray:
+        """0/1 numerators over the denominator 1 of a boolean array: int64 in
+        rational mode, float64 in float mode."""
+        return mask.astype(np.int64 if self.exact else np.float64)
 
     def zero(self) -> Number:
         return Fraction(0) if self.exact else 0.0
@@ -148,22 +159,24 @@ def as_number(x, mode: NumericMode) -> Number:
 
     Rational mode accepts ints, Fractions and "num/den" strings; it rejects
     non-integral floats rather than silently converting their binary expansion.
+    Anything that is not a number of the mode is a `FinprobError`.
     """
-    if mode.exact:
+    try:
+        if not mode.exact:
+            return float(x)
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
+        if isinstance(x, (int, str)):
             return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, float):
-            if x.is_integer():
-                return Fraction(int(x))
-            raise FinprobError(
-                f"refusing to coerce non-integral float {x!r} into rational mode"
-            )
-        raise FinprobError(f"cannot represent {type(x).__name__} as a rational")
-    return float(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise FinprobError(f"cannot read {x!r} as a {mode.kind} number") from None
+    if isinstance(x, float):
+        if x.is_integer():
+            return Fraction(int(x))
+        raise FinprobError(
+            f"refusing to coerce non-integral float {x!r} into rational mode"
+        )
+    raise FinprobError(f"cannot represent {type(x).__name__} as a rational")
 
 
 def _in_mode_dtype(arr: np.ndarray, mode: NumericMode) -> bool:
@@ -250,10 +263,28 @@ def magnitude(a: np.ndarray) -> int:
 
 
 def widen(bound: int, *arrays: np.ndarray) -> tuple:
-    """The arrays as they are when `bound` fits int64, else as Python ints."""
+    """The arrays as they are when `bound` fits int64, else the integer ones
+    as Python ints; float arrays always stay as they are."""
     if bound <= _INT64_MAX:
         return arrays
-    return tuple(a.astype(object) for a in arrays)
+    return tuple(a if a.dtype.kind == "f" else a.astype(object) for a in arrays)
+
+
+def times(num: np.ndarray, factor) -> np.ndarray:
+    """Numerators scaled by a factor, `factor` a ratio of denominators: a
+    new integer array, or float numerators as they are, with no new array,
+    since over the denominator 1 every such factor is 1."""
+    return num if num.dtype.kind == "f" else num * factor
+
+
+def row_lcms(dens: np.ndarray) -> list:
+    """The lcm of each row of a 2-d array of positive integer denominators,
+    as Python ints; when every row holds one value (float numerators over
+    1, or rational ones over a shared denominator) that value, with no
+    Python-int arithmetic."""
+    if (dens == dens[:, :1]).all():
+        return dens[:, 0].tolist()
+    return np.lcm.reduce(dens.astype(object), axis=1).tolist()
 
 
 def int_array(values, bound: int) -> np.ndarray:
@@ -389,10 +420,31 @@ def fraction_array(num: np.ndarray, den) -> np.ndarray:
     return out
 
 
-def int_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(numerators, L) of an object array of Fractions, of any shape:
-    values = numerators / L, L the lcm of the denominators. The numerators
-    are int64 when their absolute sum fits, so that no sum over them wraps."""
+def quotient(num, den):
+    """num / den for an entry of a numerator array at the boundary: a
+    Fraction of integers, and a float (over 1) or a Fraction as it is."""
+    return num if isinstance(num, (float, Fraction)) else Fraction(int(num), int(den))
+
+
+def quotients(num: np.ndarray, den) -> np.ndarray:
+    """The numbers num / den of a numerator array at the boundary: read-only
+    Fractions of integers (`fraction_array`), float numerators as they are."""
+    return num if num.dtype.kind == "f" else fraction_array(num, den)
+
+
+def values_over(num: np.ndarray, den: int):
+    """num / den as the values of a space or random variable take them:
+    `Rationals` of integer numerators, float numerators as they are."""
+    return num if num.dtype.kind == "f" else Rationals.over(num, den)
+
+
+def int_numerators(values: np.ndarray) -> tuple:
+    """(numerators, L) of an array of the mode's numbers, of any shape:
+    values = numerators / L. Float values are their own numerators over 1.
+    Fractions give integer numerators over the lcm L of their denominators,
+    int64 when their absolute sum fits, so that no sum over them wraps."""
+    if values.dtype.kind == "f":
+        return values, 1
     flat = values.ravel().tolist()
     den = math.lcm(*{v.denominator for v in flat})
     nums = [v.numerator * (den // v.denominator) for v in flat]
@@ -476,15 +528,20 @@ def nth_root(value: Number, n: int, mode: NumericMode) -> Number:
             return Fraction(0)
         if n == 1:
             return frac
-        num = _int_nth_root(frac.numerator, n)
-        den = _int_nth_root(frac.denominator, n)
-        if num is not None and den is not None:
-            return Fraction(num, den)
-        return _float_root(frac, n)
+        roots = (_int_nth_root(frac.numerator, n), _int_nth_root(frac.denominator, n))
+        return _float_root(frac, n) if None in roots else Fraction(*roots)
     v = float(value)
     if v < 0:
         raise FinprobError("nth_root of a negative value")
     return v ** (1.0 / n)
+
+
+def nth_roots(values: np.ndarray, n: int) -> np.ndarray:
+    """`nth_root` of each nonnegative entry at the boundary: for Fractions
+    exact whenever the root is rational, for float values one array power."""
+    if values.dtype.kind == "f":
+        return values ** (1.0 / n)
+    return np.frompyfunc(lambda v: nth_root(v, n, EXACT), 1, 1)(values)
 
 
 def float_roots(num: np.ndarray, den: int, n: int) -> np.ndarray:

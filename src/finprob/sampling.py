@@ -2,7 +2,9 @@
 
 All draws go through a numpy Generator (PCG64 via default_rng), so a seed
 pins every instance exactly; rational instances are built from integer
-draws and are therefore reproducible bit for bit.
+draws and are therefore reproducible bit for bit. Stacks of instances come
+as numerators over denominators in both modes: float arrays over ones, or
+integer numerators in lowest terms.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from .kernels import (
     Kernel,
     _checked_marginals,
     _conditioned_rows,
-    _exact,
-    _int_rows,
-    _kernel_rows,
+    _kernel,
+    _rows,
     _table,
     _views,
 )
-from .numerics import NumericMode, Rationals, int_array, mat_mul, widen
+from .numerics import NumericMode, Rationals, int_array, mat_mul, values_over, widen
 from .partitions import Partition
 from .spaces import ProbSpace, RandomVar, VecRandomVar, _checked_weights
 
@@ -99,11 +100,11 @@ def random_mp_stack(
     from its own random joint table, drawn one after another as
     `random_mp_kernel` draws them, then conditioned and checked as stacks.
 
-    Returns three (array, denominators) pairs: the (S, n, m) kernels, the
-    (S, n) domain weights and the (S, m) codomain weights. Float mode holds
-    float arrays over None; rational mode holds lowest-terms integer
-    numerators over (S,) denominators. The checks are those of `ProbSpace`
-    and `Coupling` and of kernel rows, and an error names the sequence.
+    Returns three (numerators, denominators) pairs: the (S, n, m) kernels,
+    the (S, n) domain weights and the (S, m) codomain weights, each over (S,)
+    denominators: float arrays over ones, or lowest-terms integer numerators.
+    The checks are those of `ProbSpace` and `Coupling` and of kernel rows,
+    and an error names the sequence.
     """
     raw = np.stack([random_joint_table(rng, nrows, ncols, null_rows) for _ in range(count)])
     lead = ("sequence",)
@@ -119,14 +120,14 @@ def random_mp_stack(
         den = int_array(den, bound)
         raw, c, row_den = widen(bound, raw, c, row_den)
         num = np.where(r[..., None] > 0, raw, c[:, None, :]) * (den[:, None] // row_den)[..., None]
-        return _int_rows(num, den, lead), p, q
+        return _rows(num, den, mode, lead), p, q
     table = raw / total[:, None, None]
+    ones = np.ones(count, dtype=np.int64)
     p, q = table.sum(axis=2), table.sum(axis=1)
-    _checked_weights(p, None, mode, lead)
-    _checked_weights(q, None, mode, lead)
+    _checked_weights(p, ones, mode, lead)
+    _checked_weights(q, ones, mode, lead)
     _checked_marginals(_table(table, mode, (nrows, ncols), "coupling", lead), p, q, mode, lead)
-    rows = _kernel_rows(_conditioned_rows(table, p, q), mode, (nrows, ncols), lead)
-    return (rows, None), (p, None), (q, None)
+    return _rows(_conditioned_rows(table, p, q), ones, mode, lead), (p, ones), (q, ones)
 
 
 def _lowest(num: np.ndarray, den: np.ndarray) -> tuple:
@@ -145,10 +146,7 @@ def random_mp_kernel(
     """Measure-preserving kernel with fresh marginal spaces, built from a
     random joint table by conditioning: `random_mp_stack` of one."""
     (data, den), *weights = random_mp_stack(rng, 1, nrows, ncols, mode, null_rows)
-    domain, codomain = (
-        ProbSpace(w[0] if d is None else Rationals.over(w[0], d[0]), mode)
-        for w, d in weights
-    )
+    domain, codomain = (ProbSpace(values_over(w[0], int(d[0])), mode) for w, d in weights)
     return _views(data, den, domain, codomain)[0]
 
 
@@ -171,7 +169,7 @@ def random_mp_kernel_from(
         raw, scale, w = widen(den * wden, raw, int_array([den // t for t in totals], den), wnum)
         num = raw * scale[:, None]
         q = Rationals.over(mat_mul(w, num), den * wden)
-        return _exact(num, den, domain, ProbSpace(q, mode))
+        return _kernel(num, den, domain, ProbSpace(q, mode))
     raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
     rows = raw / raw.sum(axis=1, keepdims=True)
     rows = [list(r) for r in rows]

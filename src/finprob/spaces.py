@@ -40,33 +40,34 @@ from .numerics import (
     magnitude,
     nth_root,
     per_row,
+    quotient,
     widen,
 )
 
 
 def _checked_weights(w: np.ndarray, den, mode: NumericMode, lead: tuple = ()) -> None:
     """The checks of a weight vector, or of a stack of them along the named
-    `lead` axes: float weights over None, or integer numerators over their
-    denominators. No weight is negative, and each vector sums to one (within
-    the mode's tolerance) with a positive weight; an error names the first
-    offending vector and weight."""
-    den = None if den is None else np.asarray(den)
-
-    def value(num, at):
-        return num[at] if den is None else Fraction(int(num[at]), int(den[at[: len(lead)]]))
+    `lead` axes: numerators over their denominators, float weights over 1.
+    Every weight is finite (float mode) and nonnegative, and each vector
+    sums to one (within the mode's tolerance) with a positive weight; an
+    error names the first offending vector and weight."""
+    den = np.broadcast_to(den, w.shape[: len(lead)])
 
     def where(at):
         return f"{_at(at, lead)}: " if lead else ""
 
+    if not mode.exact and not np.isfinite(w).all():
+        at = _first(~np.isfinite(w))
+        raise NonFiniteError(f"{_at(at, lead + ('weight',))} is {w[at]}")
     negative = w < 0
     if negative.any():
         at = _first(negative)
-        raise NegativeWeightError(f"{_at(at, lead + ('weight',))} is negative: {value(w, at)}")
+        raise NegativeWeightError(f"{_at(at, lead + ('weight',))} is negative: {quotient(w[at], den[at[:-1]])}")
     totals = w.sum(axis=-1)
-    bad = ~mode.close_mask(totals, 1.0) if den is None else totals != den
+    bad = ~mode.close_mask(totals, den)
     if bad.any():
         at = _first(bad)
-        total = value(totals, at)
+        total = quotient(totals[at], den[at])
         raise SumNotOneError(f"{where(at)}weights sum to {total}, deviation {total - mode.one()}")
     empty = ~(w > 0).any(axis=-1)
     if empty.any():
@@ -78,9 +79,10 @@ class ProbSpace(Frozen):
 
     Weights are validated (nonnegative, summing to one within the mode's
     tolerance, nonempty support) and never renormalized: a wrong total is a
-    modeling error and is reported, not repaired. In rational mode they are
-    kept as integer numerators over one denominator in lowest terms, which
-    is also the key of equality and hashing.
+    modeling error and is reported, not repaired. They are kept as
+    numerators over one denominator: integers in lowest terms in rational
+    mode, the float weights over 1 in float mode. The numerators and the
+    denominator are also the key of equality and hashing.
     """
 
     __slots__ = (
@@ -95,11 +97,11 @@ class ProbSpace(Frozen):
         w = as_vector(weights, mode)
         if w.size == 0:
             raise SizeMismatchError("a probability space needs at least one outcome")
-        _checked_weights(w, None, mode)
+        _checked_weights(w, 1, mode)
         live = np.flatnonzero(w > 0)
         first = w[live[0]]
         uniform = first if (w[live] == first).all() else None
-        self._set(mode, int(w.size), tuple(live.tolist()), uniform, w)
+        self._set(mode, int(w.size), tuple(live.tolist()), uniform, w, tuple(w.tolist()), 1, w)
 
     def _init_exact(self, weights, mode: NumericMode) -> None:
         frac = None
@@ -118,7 +120,7 @@ class ProbSpace(Frozen):
         uniform = Fraction(first, den) if all(nums[i] == first for i in support[1:]) else None
         self._set(mode, len(nums), support, uniform, frac, tuple(nums), den, wnum)
 
-    def _set(self, mode, size, support, uniform, weights, wkey=None, wden=None, wnum=None):
+    def _set(self, mode, size, support, uniform, weights, wkey, wden, wnum):
         for name, value in (
             ("mode", mode), ("size", size), ("support", support),
             ("_uniform_weight", uniform), ("_weights", weights),
@@ -136,7 +138,8 @@ class ProbSpace(Frozen):
         return self._weights
 
     def int_weights(self) -> tuple[np.ndarray, int]:
-        """Rational mode: (numerators, denominator) of the weights, in lowest terms."""
+        """(numerators, denominator) of the weights: in rational mode integers
+        in lowest terms, in float mode the weights themselves over 1."""
         return self._wnum, self._wden
 
     def live_index(self) -> np.ndarray:
@@ -153,9 +156,7 @@ class ProbSpace(Frozen):
         return self.weights[i]
 
     def is_null(self, i: int) -> bool:
-        if self._wkey is not None:
-            return self._wkey[i] == 0
-        return self.weights[i] == 0
+        return self._wkey[i] == 0
 
     def same_as(self, other: "ProbSpace") -> bool:
         """Structural identity: equal modes and identical weight vectors."""
@@ -163,11 +164,7 @@ class ProbSpace(Frozen):
             return True
         if not isinstance(other, ProbSpace) or self.mode != other.mode:
             return False
-        if self.mode.exact:
-            return self._wden == other._wden and self._wkey == other._wkey
-        return self._weights.shape == other._weights.shape and bool(
-            np.equal(self._weights, other._weights).all()
-        )
+        return self._wden == other._wden and self._wkey == other._wkey
 
     def __eq__(self, other):
         if not isinstance(other, ProbSpace):
@@ -175,9 +172,7 @@ class ProbSpace(Frozen):
         return self.same_as(other)
 
     def __hash__(self):
-        if self.mode.exact:
-            return hash((self.mode, self._wden, self._wkey))
-        return hash((self.mode, tuple(self._weights)))
+        return hash((self.mode, self._wden, self._wkey))
 
     def __repr__(self):
         return f"ProbSpace({list(self.weights)!r}, mode={self.mode.kind})"
@@ -345,7 +340,7 @@ def expectation(f: RandomVar):
 
 def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
     """(m, den, k) with |f(x)|^k = m[x] / den^k over the support: integer m
-    in rational mode, float m over den None otherwise (k = 1). Every norm of
+    in rational mode, float m over 1 otherwise (k = 1). Every norm of
     a real value is its absolute value. For values in R^d, "euclidean" gives
     the integer sums of squares (k = 2), "max" and "sum" the norms, and a
     callable `vnorm` runs once per outcome."""
@@ -354,7 +349,7 @@ def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
         norms = [vnorm(row) for row in f.values[live]]
         if space.mode.exact and all(isinstance(m, (int, Fraction)) for m in norms):
             return (*Rationals.of(norms).over_common(), 1)
-        return np.array(norms, dtype=np.float64), None, 1
+        return np.array(norms, dtype=np.float64), 1, 1
     if dim is not None and vnorm not in ("euclidean", "max", "sum"):
         raise DimMismatchError(f"unknown value-space norm {vnorm!r}")
     if space.mode.exact:
@@ -362,14 +357,14 @@ def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
         if dim is not None:  # a sum of d squares or magnitudes
             (x,) = widen(dim * max(magnitude(x), 1) ** 2, x)
     else:
-        x, den = f.values[live], None
+        x, den = f.values[live], 1
     x = np.abs(x)
     if dim is None:
         return x, den, 1
     if vnorm != "euclidean":
         return (x.max(axis=-1) if vnorm == "max" else x.sum(axis=-1)), den, 1
     squares = (x * x).sum(axis=-1)
-    return (squares, den, 2) if den is not None else (np.sqrt(squares), None, 1)
+    return (np.sqrt(squares), 1, 1) if squares.dtype.kind == "f" else (squares, den, 2)
 
 
 def ln_norm(f: RandomVar, n=1, vnorm="euclidean"):
@@ -395,8 +390,8 @@ def ln_norm(f: RandomVar, n=1, vnorm="euclidean"):
         if all(r * r == s for r, s in zip(roots, sums)):
             m, k = int_array(roots, max(roots)), 1
         else:
-            m, den, k = float_roots(m, den * den, 2), None, 1
-    if den is None:
+            m, den, k = float_roots(m, den * den, 2), 1, 1
+    if m.dtype.kind == "f":
         return _float_norm(space, live, m, n)
     if is_infinite(n):
         top = Fraction(int(m.max()), den**k)

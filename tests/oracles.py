@@ -609,10 +609,10 @@ def galois_roundtrips_by_kernels(space):
     roundtrip_failures = tuple(
         (i,)
         for i in range(m)
-        if not mode.all_close(
+        if not mode.close_mask(
             np.array(cond_exp_kernel_by_definition(weights, invariants[i].blocks))[live],
             np.array(rows[i])[live],
-        )
+        ).all()
     )
     leq = _order_by_composites(mode, live, rows)
 
@@ -642,14 +642,9 @@ def galois_roundtrips_by_kernels(space):
 
 def kernel_block(kernels):
     """Kernels of one shape, each with its own spaces, in the block form that
-    `sampling.random_mp_stack` returns: (array, denominators) pairs of the
-    stacked kernels, domain weights and codomain weights; float arrays over
-    None, or integer numerators over per-kernel denominators."""
-    if not kernels[0].mode.exact:
-        return tuple(
-            (np.stack(arrays), None)
-            for arrays in zip(*((k.rows, k.domain.weights, k.codomain.weights) for k in kernels))
-        )
+    `sampling.random_mp_stack` returns: (numerators, denominators) pairs of
+    the stacked kernels, domain weights and codomain weights, with one
+    denominator per kernel (1 for float rows)."""
     parts = [((k.num, k.den), k.domain.int_weights(), k.codomain.int_weights()) for k in kernels]
     return tuple(
         (np.stack([num for num, _ in pairs]), np.array([den for _, den in pairs]))

@@ -283,11 +283,12 @@ class TestTerminalRvInput:
             ("weights.txt", "rational", "rv\nmode rational\nweights 1/2 1/3\nvalues 1 2\n",
              "weights sum to 5/6"),
             ("nan.txt", "float", "rv\nmode float 1e-09\nweights 0.5 0.5\nvalues nan 1.0\n", "nan"),
+            ("nan-weight.txt", "float", "rv\nmode float 1e-09\nweights nan 1\nvalues 1.0 2.0\n", "weight 0 is nan"),
             ("absent.txt", "rational", None, "No such file"),
             ("accent.txt", "rational", "rv\nmode rational\n# caf\u00e9\nweights 1/2 1/2\nvalues 1 2\n",
              "ascii"),
         ],
-        ids=["bad-weights", "nan-value", "missing-file", "non-ascii"],
+        ids=["bad-weights", "nan-value", "nan-weight", "missing-file", "non-ascii"],
     )
     def test_bad_input_file_is_a_config_error(self, tmp_path, capsys, name, mode, text, message):
         rv_path = tmp_path / name

@@ -174,7 +174,7 @@ class TestAgainstDefinition:
             a = [one / 2**i if exact else 0.5**i for i in range(6)] + [one, zero]
             limit, _, q = kernel_block([k])
             data, dens = _slide_block(k.mode, limit, q, mix_weights([a], exact))
-            steps = data[0] if dens is None else [fraction_array(num, den) for num, den in zip(data[0], dens[0])]
+            steps = [fraction_array(num, den) for num, den in zip(data[0], dens[0])] if exact else data[0]
             assert len(steps) == len(a)
             for step, t in zip(steps, a):
                 assert same_entries(step, (1 - t) * k.rows + t * k.codomain.weights, exact)
@@ -242,6 +242,44 @@ class TestSameVerdicts:
             _, pi_float, _ = fp.coarsening_kernel(space_float, part)
             assert fp.is_as_deterministic(pi) and fp.is_as_deterministic(pi_float)
             assert same_entries(pi_float.rows, pi.rows, exact=False)
+
+    def test_constructions_agree_across_modes(self):
+        # identity, measure, composite and outcome-map kernels: the float
+        # image of the rational construction, and the same verdicts
+        rng = rng_for(10)
+        for k_exact, k_float in instances(10):
+            pairs = [
+                (fp.identity_kernel(k_exact.domain), fp.identity_kernel(k_float.domain)),
+                (fp.kernel_from_measure(k_exact.codomain), fp.kernel_from_measure(k_float.codomain)),
+                (fp.compose(fp.identity_kernel(k_exact.domain), k_exact), fp.compose(fp.identity_kernel(k_float.domain), k_float)),
+            ]
+            for exact, flt in pairs:
+                assert same_entries(flt.rows, exact.rows, exact=False)
+                assert fp.is_measure_preserving(exact) and fp.is_measure_preserving(flt)
+            roundtrip = fp.compose(k_exact, fp.bayes_inverse(k_exact))
+            roundtrip_float = fp.compose(k_float, fp.bayes_inverse(k_float))
+            assert np.abs(roundtrip_float.rows - roundtrip.rows.astype(float)).max() <= DISTANCE_TOL
+            assert fp.is_measure_preserving(roundtrip) and fp.is_measure_preserving(roundtrip_float)
+            n, m = k_exact.domain.size, k_exact.codomain.size
+            for f in (list(range(n)), rng.integers(0, m, size=n).tolist()):
+                codomains = (k_exact.domain, k_float.domain) if f == list(range(n)) else (k_exact.codomain, k_float.codomain)
+                verdicts = []
+                for domain, codomain in zip((k_exact.domain, k_float.domain), codomains):
+                    try:
+                        verdicts.append(fp.deterministic_from_function(f, domain, codomain).rows.tolist())
+                    except fp.NotMeasurePreservingError:
+                        verdicts.append("not measure-preserving")
+                assert verdicts[0] == verdicts[1]
+
+    def test_measure_preservation_agrees_across_modes(self):
+        rng = rng_for(11)
+        failures = 0
+        for k_exact, k_float in instances(11):
+            free = parallel_sequence(rng, k_exact)[-1]  # arbitrary stochastic rows
+            verdict = fp.is_measure_preserving(free)
+            assert verdict == fp.is_measure_preserving(to_float(free, k_float))
+            failures += not verdict
+        assert failures > len(SIZES)  # most such kernels do not preserve the measure
 
 
 class TestKernelErrorWitness:
@@ -334,14 +372,15 @@ class TestIntegerSampling:
         ):
             rng, ref = rng_for(seed), rng_for(seed)
             (data, den), (p, pden), (q, qden) = random_mp_stack(rng, count, nrows, ncols, mode, nulls)
+            if not mode.exact:  # float rows and weights over denominators of 1
+                assert den.tolist() == pden.tolist() == qden.tolist() == [1] * count
             for s in range(count):
                 k = random_mp_kernel(ref, nrows, ncols, mode, nulls)
-                if mode.exact:
-                    assert (data[s].tolist(), int(den[s])) == (k.num.tolist(), k.den)
-                    assert (p[s].tolist(), int(pden[s])) == (k.domain.int_weights()[0].tolist(), k.domain.int_weights()[1])
-                    assert (q[s].tolist(), int(qden[s])) == (k.codomain.int_weights()[0].tolist(), k.codomain.int_weights()[1])
-                else:
-                    assert data[s].tolist() == k.rows.tolist() and den is None
+                assert (data[s].tolist(), int(den[s])) == (k.num.tolist(), k.den)
+                assert (p[s].tolist(), int(pden[s])) == (k.domain.int_weights()[0].tolist(), k.domain.int_weights()[1])
+                assert (q[s].tolist(), int(qden[s])) == (k.codomain.int_weights()[0].tolist(), k.codomain.int_weights()[1])
+                if not mode.exact:
+                    assert data[s].tolist() == k.rows.tolist()
                     assert p[s].tolist() == k.domain.weights.tolist()
                     assert q[s].tolist() == k.codomain.weights.tolist()
             assert rng.bit_generator.state == ref.bit_generator.state

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -258,6 +259,19 @@ class TestDeterministicFromFunction:
         u4 = fp.uniform_space(4, R)
         with pytest.raises(fp.NotMeasurePreservingError):
             fp.deterministic_from_function([0, 0, 0, 1], u4, U2)
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    @pytest.mark.parametrize(
+        "f, bad",
+        [([0.0, 1.0], "f(0) = 0.0"), ([0, 1.5], "f(1) = 1.5"), ([True, False], "f(0) = True")],
+        ids=["floats", "fraction", "bools"],
+    )
+    def test_non_integer_map_names_the_outcome(self, mode, f, bad):
+        u2 = fp.uniform_space(2, mode)
+        with pytest.raises(fp.SizeMismatchError, match=rf"{re.escape(bad)} is not an integer outcome"):
+            fp.deterministic_from_function(f, u2, u2)
+        with pytest.raises(fp.SizeMismatchError, match=re.escape(bad)):
+            fp.deterministic_from_function(f.__getitem__, u2, u2)
 
 
 class TestCoarseningKernel:

@@ -217,7 +217,7 @@ class TestStackReports:
         limit, p, _ = kernel_block(limits)
         steps = [kernel_block(seq)[0] for seq in seqs]
         data = np.stack([d for d, _ in steps])
-        dens = None if limit[1] is None else np.stack([den for _, den in steps])
+        dens = np.stack([den for _, den in steps])
         for tol in (None, F(1, 10) if mode.exact else 0.1):
             value = tol if tol is not None else (0 if mode.exact else mode.tolerance)
             block = _block_reports(data, dens, limit, p, self.NORMS, value)

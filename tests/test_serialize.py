@@ -190,6 +190,21 @@ class TestCopyAndPickle:
         assert [list(r) for r in twin.rows] == [list(r) for r in k.rows]
         assert fp.as_equal_kernels(twin, k)
 
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_float_shared_slots_stay_one_array(self, how):
+        # a float kernel's rows are its numerators, and a float space's
+        # weights are its weight numerators: one array each, also in a copy
+        k = random_mp_kernel(rng_for(3), 3, 4, fp.FLOAT_DEFAULT)
+        assert k.rows is k.num and k.den == 1
+        assert k.domain.int_weights()[0] is k.domain.weights and k.domain.int_weights()[1] == 1
+        twin = self.COPIES[how](k)
+        assert twin.rows is twin.num and twin.den == 1
+        assert not twin.num.flags.writeable
+        assert twin.rows.tolist() == k.rows.tolist()
+        for space in (twin.domain, self.COPIES[how](k.codomain)):
+            num, den = space.int_weights()
+            assert num is space.weights and den == 1 and not num.flags.writeable
+
     @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
     def test_assignment_still_raises(self, mode):
         for obj in _instances(mode):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import finprob as fp
+from finprob import serialize
 from finprob.kernels import _checked_marginals
 from finprob.spaces import _checked_weights
 
@@ -47,12 +48,14 @@ class TestWeightStacks:
     LEAD = ("sequence",)
 
     def test_float_stack(self):
-        mode = fp.FLOAT_DEFAULT
-        _checked_weights(np.array([[0.5, 0.5], [0.25, 0.75]]), None, mode, self.LEAD)
+        mode, ones = fp.FLOAT_DEFAULT, np.ones(2, dtype=np.int64)  # float weights are over 1
+        _checked_weights(np.array([[0.5, 0.5], [0.25, 0.75]]), ones, mode, self.LEAD)
         with pytest.raises(fp.NegativeWeightError, match="sequence 1, weight 0 is negative: -0.5"):
-            _checked_weights(np.array([[0.5, 0.5], [-0.5, 1.5]]), None, mode, self.LEAD)
+            _checked_weights(np.array([[0.5, 0.5], [-0.5, 1.5]]), ones, mode, self.LEAD)
         with pytest.raises(fp.SumNotOneError, match="sequence 1: weights sum to 1.1"):
-            _checked_weights(np.array([[0.5, 0.5], [0.5, 0.6]]), None, mode, self.LEAD)
+            _checked_weights(np.array([[0.5, 0.5], [0.5, 0.6]]), ones, mode, self.LEAD)
+        with pytest.raises(fp.NonFiniteError, match="sequence 1, weight 1 is inf"):
+            _checked_weights(np.array([[0.5, 0.5], [0.5, math.inf]]), ones, mode, self.LEAD)
 
     def test_rational_stack(self):
         num, den = np.array([[1, 2], [1, 1], [3, 1]]), np.array([3, 2, 3])
@@ -158,11 +161,41 @@ class TestNonFinite:
             fp.VecRandomVar([[0.0, 1.0], [bad, 1.0]], fp.uniform_space(2), 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_space_rejects(self, bad):
+        # a NaN weight used to surface as "weights sum to nan, deviation nan"
+        with pytest.raises(fp.NonFiniteError, match=f"weight 0 is {bad}"):
+            fp.make_space([bad, 1.0])
+        with pytest.raises(fp.NonFiniteError, match=f"weight 1 is {bad}"):
+            serialize.loads(f"space\nmode float 1e-9\nweights 0 {bad}\n")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_float_kernel_rejects(self, bad):
         # a NaN entry used to surface as "row 0 sums to nan"
         space = fp.uniform_space(2)
         with pytest.raises(fp.NonFiniteError, match="row 0, column 1"):
             fp.Kernel([[1.0, bad], [0.0, 1.0]], space, space)
+
+
+UNREADABLE = {
+    "kernel-strings": lambda s: fp.Kernel([["a", "b"], [1, 0]], s, s),
+    "nested-weights": lambda s: fp.make_space([[0.5], [0.5]], s.mode),
+    "nested-stack": lambda s: fp.kernel_sequence([[[1, 0], [0, 1]]], s, s),
+    "zero-denominator": lambda s: fp.make_space(["1/0", "1"], s.mode),
+    "huge-int": lambda s: fp.RandomVar([10**400, 1], s),
+}
+
+
+@pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_number_is_a_finprob_error(mode, name):
+    # such input used to raise a bare ValueError, TypeError or ZeroDivisionError
+    space = fp.uniform_space(2, mode)
+    try:
+        UNREADABLE[name](space)
+    except Exception as exc:
+        assert isinstance(exc, fp.FinprobError), f"{type(exc).__name__}: {exc}"
+    else:
+        assert mode.exact and name == "huge-int"  # an integer is a rational
 
 
 class TestAsVector:
