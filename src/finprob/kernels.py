@@ -257,8 +257,10 @@ def _conditioned(table: np.ndarray, den, given: ProbSpace, other: ProbSpace) -> 
 
 def _conditioned_rows(table: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Float rows of a joint table, or of a stack of them with their weight
-    stacks, conditioned on the rows: table[x] / p(x), and q where p(x) = 0."""
-    rows = np.empty_like(table)
+    stacks, conditioned on the rows: table[x] / p(x), and q where p(x) = 0.
+    The rows are C-ordered also for a transposed table, as the later row
+    reads and products of a kernel expect."""
+    rows = np.empty_like(table, order="C")
     rows[...] = q[..., None, :]
     return np.divide(table, p[..., None], out=rows, where=p[..., None] > 0)
 

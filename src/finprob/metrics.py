@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
 from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measure_preserving
-from .numerics import check_norm_index, int_array, is_infinite, nth_roots, quotients, row_lcms, times, widen
+from .numerics import check_norm_index, int_array, is_infinite, nth_roots, quotients, widen
 
 
 def _stacked(seq: Sequence[Kernel], limit: Kernel) -> tuple:
@@ -49,11 +49,13 @@ def _difference(data: np.ndarray, dens: np.ndarray, limit: tuple) -> tuple:
     denominator per sequence: the lcm of its limit's and its steps'
     denominators, held as an (S,) vector (ones for float rows)."""
     k, kden = limit
-    den = row_lcms(np.column_stack([kden, dens]))
+    if (dens == kden[:, None]).all():  # every step over its limit's denominator, as float rows over 1 are
+        return data - k[:, None], kden
+    den = np.lcm.reduce(np.column_stack([kden, dens]).astype(object), axis=1).tolist()
     bound = max(den)
     den = int_array(den, bound)
     nums, dens, k, kden = widen(bound, data, dens, k, kden)
-    return times(nums, (den[:, None] // dens)[..., None, None]) - times(k[:, None], (den // kden)[:, None, None, None]), den
+    return nums * (den[:, None] // dens)[..., None, None] - k[:, None] * (den // kden)[:, None, None, None], den
 
 
 def _over(totals: np.ndarray, dens: list) -> np.ndarray:

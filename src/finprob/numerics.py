@@ -277,16 +277,6 @@ def times(num: np.ndarray, factor) -> np.ndarray:
     return num if num.dtype.kind == "f" else num * factor
 
 
-def row_lcms(dens: np.ndarray) -> list:
-    """The lcm of each row of a 2-d array of positive integer denominators,
-    as Python ints; when every row holds one value (float numerators over
-    1, or rational ones over a shared denominator) that value, with no
-    Python-int arithmetic."""
-    if (dens == dens[:, :1]).all():
-        return dens[:, 0].tolist()
-    return np.lcm.reduce(dens.astype(object), axis=1).tolist()
-
-
 def int_array(values, bound: int) -> np.ndarray:
     """Integers as int64 when `bound` (on every magnitude) fits, else as objects."""
     return np.array(values, dtype=np.int64 if bound <= _INT64_MAX else object)

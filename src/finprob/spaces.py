@@ -51,7 +51,8 @@ def _checked_weights(w: np.ndarray, den, mode: NumericMode, lead: tuple = ()) ->
     Every weight is finite (float mode) and nonnegative, and each vector
     sums to one (within the mode's tolerance) with a positive weight; an
     error names the first offending vector and weight."""
-    den = np.broadcast_to(den, w.shape[: len(lead)])
+    def value(num, at):
+        return quotient(num[at], np.broadcast_to(den, w.shape[: len(lead)])[at[: len(lead)]])
 
     def where(at):
         return f"{_at(at, lead)}: " if lead else ""
@@ -62,12 +63,12 @@ def _checked_weights(w: np.ndarray, den, mode: NumericMode, lead: tuple = ()) ->
     negative = w < 0
     if negative.any():
         at = _first(negative)
-        raise NegativeWeightError(f"{_at(at, lead + ('weight',))} is negative: {quotient(w[at], den[at[:-1]])}")
+        raise NegativeWeightError(f"{_at(at, lead + ('weight',))} is negative: {value(w, at)}")
     totals = w.sum(axis=-1)
     bad = ~mode.close_mask(totals, den)
     if bad.any():
         at = _first(bad)
-        total = quotient(totals[at], den[at])
+        total = value(totals, at)
         raise SumNotOneError(f"{where(at)}weights sum to {total}, deviation {total - mode.one()}")
     empty = ~(w > 0).any(axis=-1)
     if empty.any():
