@@ -1,5 +1,5 @@
-"""Golden outputs: the exact bytes of rational-mode CSVs, of the float
-banach-counterexample CSVs and of the homeo-audit CSVs.
+"""Golden outputs: the exact bytes of rational-mode CSVs, of float Levy
+CSVs, of the float banach-counterexample CSVs and of the homeo-audit CSVs.
 
 Rerun determinism (criterion 13) cannot tell a changed number from an
 unchanged one; these files pin the bytes themselves. The rational files were
@@ -13,7 +13,10 @@ measured one step at a time; the two "blocks" files were written when each
 sequence was still drawn, built and measured on its own. The levi-kernel
 files, float at the benchmark's shapes and one rational case, were written
 when a float kernel held its rows over no denominator and every kernel
-operation had a float body and a rational one.
+operation had a float body and a rational one. The float Levy files were
+written when a float random variable held its values beside an empty
+rational slot and every random-variable operation had a float body and a
+rational one.
 """
 
 import math
@@ -74,6 +77,16 @@ CASES = {
     "levy-down-null-n3": lambda tmp: _input_config(
         "levy-down", _weighted_levy_down_rv(), tmp, size=12, length=6, seed=7, norm_index=3
     ),
+    "levy-up-float-n1": lambda tmp: replace(demo_config("levy-up"), mode=fp.float_mode()),
+    "levy-up-float-inf": lambda tmp: replace(
+        demo_config("levy-up"), mode=fp.float_mode(), norm_index=math.inf
+    ),
+    # the levy-down demo space has a null outcome
+    "levy-down-float-n1": lambda tmp: replace(demo_config("levy-down"), mode=fp.float_mode()),
+    "levy-down-float-n3": lambda tmp: replace(
+        demo_config("levy-down"), mode=fp.float_mode(), norm_index=3
+    ),
+    "noncauchy-l1-float": lambda tmp: replace(demo_config("noncauchy-l1"), mode=fp.float_mode()),
 }
 
 
