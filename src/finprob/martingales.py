@@ -34,7 +34,7 @@ from .idempotents import (
 )
 from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, one_sided_distance, report_from_flags
-from .numerics import Frozen, NumericMode, Rationals, check_norm_index, rational_mode
+from .numerics import Frozen, NumericMode, Rationals, _first, check_norm_index, rational_mode
 from .operators import VNorm, cond_expectation
 from .partitions import (
     Partition,
@@ -138,12 +138,19 @@ def is_martingale(m: Martingale, all_pairs: Optional[bool] = None) -> bool:
     Adjacent pairs suffice by transitivity; in rational mode (or on request)
     every pair is checked.
     """
-    filtration = m.filtration
     if all_pairs is None:
-        all_pairs = filtration.space.mode.exact
-    for rv, p in zip(m.rvs, filtration.partitions):
+        all_pairs = m.filtration.space.mode.exact
+    return _martingale_defect(m, all_pairs) is None
+
+
+def _martingale_defect(m: Martingale, all_pairs: bool) -> Optional[str]:
+    """The first failure of adaptedness or of a tower identity, named by its
+    level, or by its step pair, first outcome and defect; None when there
+    is none."""
+    filtration = m.filtration
+    for level, (rv, p) in enumerate(zip(m.rvs, filtration.partitions)):
         if not as_measurable_wrt(rv, p):
-            return False
+            return f"level {level} is not measurable with respect to its partition"
     size = len(m.rvs)
     pairs = (
         [(i, j) for i in range(size) for j in range(i + 1, size)]
@@ -151,15 +158,18 @@ def is_martingale(m: Martingale, all_pairs: Optional[bool] = None) -> bool:
         else [(i, i + 1) for i in range(size - 1)]
     )
     for i, j in pairs:
-        if filtration.direction == INCREASING:
-            expected = cond_expectation(m.rvs[j], filtration.partitions[i])
-            if not as_equal_rv(expected, m.rvs[i]):
-                return False
-        else:
-            expected = cond_expectation(m.rvs[i], filtration.partitions[j])
-            if not as_equal_rv(expected, m.rvs[j]):
-                return False
-    return True
+        # condition the later level (increasing) or the earlier one (decreasing)
+        given, source = (i, j) if filtration.direction == INCREASING else (j, i)
+        expected, actual = cond_expectation(m.rvs[source], filtration.partitions[given]), m.rvs[given]
+        if not as_equal_rv(expected, actual):
+            live = actual.space.live_index()
+            a, b = expected.values[live], actual.values[live]
+            (row, *_) = _first(~actual.space.mode.value_close_mask(a, b))
+            return (
+                f"tower identity fails between steps {i} and {j}: at outcome {live[row]}, "
+                f"E[X{source} | F{given}] and X{given} differ by {np.max(np.abs(a[row] - b[row]))}"
+            )
+    return None
 
 
 def _limit_rv(m: Martingale) -> RandomVar:
@@ -178,9 +188,9 @@ def levy_report(m: Martingale, n=1, vnorm: VNorm = "euclidean") -> ConvergenceRe
     lattice always happens at the final step at the latest.
     """
     check_norm_index(n)
-    if not is_martingale(m, all_pairs=False):
-        # adjacent tower identities suffice by transitivity
-        raise NotAMartingaleError("tower identities fail; not a martingale")
+    defect = _martingale_defect(m, all_pairs=False)  # adjacent pairs suffice by transitivity
+    if defect is not None:
+        raise NotAMartingaleError(f"not a martingale: {defect}")
     f_inf = _limit_rv(m)
     distances = tuple(ln_norm(rv - f_inf, n, vnorm) for rv in m.rvs)
     equal = [as_equal_rv(rv, f_inf) for rv in m.rvs]
@@ -243,10 +253,8 @@ def nonintegrable_example(levels: int, mode: NumericMode = rational_mode()):
     n = space.size
     rvs = []
     for k in range(levels + 1):
-        level = np.zeros(n, dtype=np.int64)
-        level[: 1 << (levels - k)] = 1 << k
-        values = Rationals.over(level, 1) if mode.exact else level.astype(np.float64)
-        rvs.append(RandomVar(values, space))
+        level = mode.indicator(np.arange(n) < 1 << (levels - k)) * (1 << k)
+        rvs.append(RandomVar(Rationals.over(level, 1), space))
     m = Martingale(filtration, rvs)
     l1 = tuple(ln_norm(rv, 1) for rv in rvs)
     increments = tuple(ln_norm(rvs[k + 1] - rvs[k], 1) for k in range(levels))
@@ -305,6 +313,3 @@ def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:
     equal = [as_equal_kernels(e.kernel, target.kernel) for e in chain]
     return _stabilization_report(distances, equal, chain[0].space.mode)
 
-
-def bochner_levy_report(g: RandomVar, f: Filtration, n=1, vnorm: VNorm = "euclidean") -> ConvergenceReport:
-    return levy_report(martingale_from_terminal(g, f), n, vnorm)

@@ -4,28 +4,30 @@ Float mode stores values in float64 numpy arrays and compares within a
 configurable tolerance. Rational mode compares exactly; it exists so that
 theorem-shaped tests can demand bit-exact equality instead of closeness.
 
-Kernel data and space weights take one form in both modes: numerators over
-denominators. Float numerators are the float64 values themselves, over the
-integer 1; a float kernel's `num` is its `rows` and a float space's weight
-numerators are its weights. Rational numerators are integer arrays. So an
-operation on kernels is one expression in both modes, comparing through
-`NumericMode.close_mask`; the bookkeeping of this module keeps it free of
-cost in float mode: `widen` and `times` leave float arrays as they are, so
-scaling by a denominator of 1 makes no new array, and `quotients` and
-`values_over` hand float numerators back unchanged.
+Kernel data, space weights and random-variable values take one form in
+both modes: numerators over denominators. Float numerators are the float64
+values themselves, over the integer 1; a float kernel's `num` is its `rows`,
+a float space's weight numerators are its weights and a float random
+variable's `num` is its `values`. Rational numerators are integer arrays.
+So an operation on kernels or random variables is one expression in both
+modes, comparing through `NumericMode.close_mask` or `value_close_mask`;
+the bookkeeping of this module keeps it free of cost in float mode:
+`magnitude` bounds no float array, `widen` and `times` leave float arrays as
+they are, so scaling by a denominator of 1 makes no new array, and
+`quotients` and `values_over` hand float numerators back unchanged.
 
-In rational mode, random variables and space weights are held as
-`Rationals`: an integer numerator array over positive integer
-denominators, of shape (n,) for real values or (n, d) for values in R^d.
-An array whose entries share a denominator keeps one common value (weights
-always do); conditional expectations carry one denominator per block and
-component. A kernel holds an integer numerator matrix over one common
-denominator, in lowest terms, and a stack of kernels one denominator per
-kernel. Each operation first bounds its results from the data; the arrays
-are int64 when that bound fits and Python-int object arrays otherwise, so
-no result ever wraps around. `fractions.Fraction` objects appear at the
-boundary: scalar results, `.values`/`.weights`/`.rows` (built on first
-access and cached), input given as Fractions, and the text formats.
+Random-variable values are `Rationals`: a numerator array over a
+denominator array of the same shape, (n,) for real values or (n, d) for
+values in R^d, or float values over the int 1. An array whose entries share
+a denominator keeps one common value; conditional expectations carry one
+denominator per block and component. A kernel holds an integer numerator
+matrix over one common denominator, in lowest terms, and a stack of kernels
+one denominator per kernel. Each rational operation first bounds its
+results from the data; the arrays are int64 when that bound fits and
+Python-int object arrays otherwise, so no result ever wraps around.
+`fractions.Fraction` objects appear at the boundary: scalar results,
+`.values`/`.weights`/`.rows` (built on first access and cached), input
+given as Fractions, and the text formats.
 """
 
 from __future__ import annotations
@@ -257,9 +259,13 @@ def _at(index: tuple, names: tuple) -> str:
 _INT64_MAX = (1 << 63) - 1
 
 
-def magnitude(a: np.ndarray) -> int:
-    """Largest absolute value in an integer array, as a Python int (0 when empty)."""
-    return int(np.abs(a).max()) if a.size else 0
+def magnitude(a) -> int:
+    """Largest absolute value in an integer array, or of an int, as a Python
+    int (0 when empty). A float array counts 0: it needs no bound, since
+    `widen` leaves it as it is."""
+    if isinstance(a, int):
+        return abs(a)
+    return int(np.abs(a).max()) if a.size and a.dtype.kind != "f" else 0
 
 
 def widen(bound: int, *arrays: np.ndarray) -> tuple:
@@ -283,17 +289,19 @@ def int_array(values, bound: int) -> np.ndarray:
 
 
 class Rationals:
-    """Exact array num / den of same-shape integer arrays with den > 0:
-    shape (n,) for real values, (n, d) for values in R^d.
+    """Array num / den of shape (n,) for real values, (n, d) for values in
+    R^d. Rational numerators are integers over a same-shape array of
+    positive integer denominators, not necessarily in lowest terms; float
+    values are their own float64 numerators over the int 1.
 
-    Fractions need not be in lowest terms. Every operation bounds its
-    results before computing them and switches to Python ints when int64
-    could overflow (see the module docstring).
+    Every operation bounds its integer results before computing them and
+    switches to Python ints when int64 could overflow (see the module
+    docstring); on float values it is the float operation itself.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: np.ndarray, den: np.ndarray):
+    def __init__(self, num: np.ndarray, den):
         self.num = num
         self.den = den
 
@@ -312,7 +320,10 @@ class Rationals:
 
     @classmethod
     def of(cls, values: Iterable) -> "Rationals":
-        """From Fractions and ints: a sequence, or an object array of any shape."""
+        """From the mode's numbers: a float64 array over 1, or Fractions and
+        ints, a sequence or an object array of any shape."""
+        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+            return cls(values, 1)
         values = np.asarray(values, dtype=object)
         flat = values.ravel().tolist()
         out = cls.from_ints([v.numerator for v in flat], [v.denominator for v in flat])
@@ -320,18 +331,23 @@ class Rationals:
 
     @classmethod
     def over(cls, num: np.ndarray, den: int) -> "Rationals":
-        """Integer numerators over one denominator."""
+        """Numerators over one denominator: float ones over 1 as they are."""
+        if num.dtype.kind == "f":
+            return cls(num, 1)
         return cls(num, np.full(num.shape, den, dtype=np.int64 if den <= _INT64_MAX else object))
 
     def __len__(self) -> int:
         return len(self.num)
 
     def take(self, idx) -> "Rationals":
-        return Rationals(self.num[idx], self.den[idx])
+        den = self.den
+        return Rationals(self.num[idx], den[idx] if isinstance(den, np.ndarray) else den)
 
     def common_den(self) -> Union[int, None]:
         """The denominator every entry shares, or None."""
         d = self.den
+        if not isinstance(d, np.ndarray):
+            return d
         if not d.size:
             return 1
         return int(d.flat[0]) if (d == d.flat[0]).all() else None
@@ -374,14 +390,16 @@ class Rationals:
         num = an * ca + bn * cb if sign > 0 else an * ca - bn * cb
         return Rationals(num, ad * ca)
 
-    def equal(self, other: "Rationals") -> np.ndarray:
-        """Elementwise exact equality, by cross-multiplication."""
+    def pair(self, other: "Rationals") -> tuple[np.ndarray, np.ndarray]:
+        """Numerators of self and other elementwise over shared denominators,
+        by cross-multiplication where the denominators differ: equal values
+        have equal numerators, and float values are their own."""
         an, ad, bn, bd = self.num, self.den, other.num, other.den
         if self.same_den(other):
-            return an == bn
+            return an, bn
         bound = max(magnitude(an) * magnitude(bd), magnitude(bn) * magnitude(ad))
         an, ad, bn, bd = widen(bound, an, ad, bn, bd)
-        return an * bd == bn * ad
+        return an * bd, bn * ad
 
     def mul(self, other: "Rationals") -> "Rationals":
         """Elementwise product."""
@@ -389,10 +407,6 @@ class Rationals:
         bound = max(magnitude(an) * magnitude(bn), magnitude(ad) * magnitude(bd))
         an, ad, bn, bd = widen(bound, an, ad, bn, bd)
         return Rationals(an * bn, ad * bd)
-
-    def fractions(self) -> np.ndarray:
-        """Read-only object array of the values as Fractions."""
-        return fraction_array(self.num, self.den)
 
 
 def fraction_array(num: np.ndarray, den) -> np.ndarray:
@@ -439,15 +453,6 @@ def int_numerators(values: np.ndarray) -> tuple:
     den = math.lcm(*{v.denominator for v in flat})
     nums = [v.numerator * (den // v.denominator) for v in flat]
     return int_array(nums, sum(map(abs, nums))).reshape(values.shape), den
-
-
-def int_dot(a: np.ndarray, b: np.ndarray):
-    """Exact sum of a[i] * b[i] over integer arrays: a Python int, or for an
-    (n, d) array b an integer array of d sums."""
-    a, b = widen(len(a) * magnitude(a) * magnitude(b), a, b)
-    if b.ndim > 1:
-        return np.dot(a, b)
-    return int(np.dot(a, b)) if a.dtype != object and b.dtype != object else int((a * b).sum())
 
 
 def block_sums(x: np.ndarray, labels: np.ndarray, n_blocks: int) -> np.ndarray:

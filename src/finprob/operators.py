@@ -6,16 +6,17 @@ the operator, so no separate operator algebra exists here. Conditioning on a
 partition is the pullback of the partition's idempotent kernel, spelled out
 directly as block averaging.
 
-Every block sum (block averages here, the rows of `cond_exp_kernel`, the
-quotient weights of `coarsening_kernel`) goes through `numerics.block_sums`
-and follows one rule: in float mode it adds in outcome order starting from
-0.0; in rational mode it is exact, over integer numerators for the block
-averages and the kernel rows.
+Random variables and kernels are numerators over denominators in both
+modes, float ones over 1 (see `numerics`), so each operation here is one
+body. Every block sum (block averages here, the rows of `cond_exp_kernel`,
+the quotient weights of `coarsening_kernel`) goes through
+`numerics.block_sums` and follows one rule: in float mode it adds in
+outcome order starting from 0.0; in rational mode it is exact, over integer
+numerators for the block averages and the kernel rows.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Union
 
 import numpy as np
@@ -29,17 +30,18 @@ from .numerics import (
     magnitude,
     mat_mul,
     per_row,
+    times,
     widen,
 )
 from .partitions import Partition
-from .spaces import RandomVar, VecRandomVar, expectation, ln_norm, point_space
+from .spaces import RandomVar, expectation, ln_norm
 
 VNorm = Union[str, Callable[[np.ndarray], float]]
 
 
-def _int_pullback(k: Kernel, gnum: np.ndarray, common: int) -> tuple:
-    """Rational k* on values gnum / common, along the first axis: one
-    integer product of the kernel numerators with gnum, over k.den * common.
+def _pullback(k: Kernel, gnum: np.ndarray, common: int) -> tuple:
+    """k* on values gnum / common, along the first axis: one product of the
+    kernel numerators with gnum, over k.den * common (1 for float data).
     A kernel row is nonnegative and sums to k.den, so every result is at
     most k.den * max|gnum| in magnitude."""
     den = k.den * common
@@ -49,14 +51,11 @@ def _int_pullback(k: Kernel, gnum: np.ndarray, common: int) -> tuple:
 
 def apply_pullback(k: Kernel, g: RandomVar) -> RandomVar:
     """k*g: integrate g against each row of k, componentwise for an
-    R^d-valued g, so it commutes with every coordinate projection. Rational
-    mode takes one integer product over g's common denominator (see
-    `_int_pullback`)."""
+    R^d-valued g, so it commutes with every coordinate projection: one
+    product over g's common denominator (see `_pullback`)."""
     if not g.space.same_as(k.codomain):
         raise SpaceMismatchError("RV must live on the kernel's codomain")
-    if k.mode.exact:
-        return RandomVar(Rationals.over(*_int_pullback(k, *g._exact.over_common())), k.domain)
-    return RandomVar(mat_mul(k.rows, g.values), k.domain)
+    return RandomVar(Rationals.over(*_pullback(k, *g.data.over_common())), k.domain)
 
 
 def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
@@ -77,39 +76,34 @@ def cond_expectation(f: RandomVar, p: Partition) -> RandomVar:
     return RandomVar(_block_averages(f, p), space)
 
 
-def _block_averages(f: RandomVar, p: Partition):
+def _block_averages(f: RandomVar, p: Partition) -> Rationals:
     """Block averages (sum of w_x f_x) / (mass of b) for every block b, all
-    value components at once.
+    value components at once, over weight and value numerators.
 
     Float mode sums both in outcome order starting from 0.0, so zero-weight
-    members add exact zeros and null-set completion cannot move a bit.
-    Rational mode takes integer sums over the weights' numerators: members
-    of a block with different denominators are first brought to the lcm of
-    those denominators. Blocks of zero mass get the global mean.
+    members add exact zeros and null-set completion cannot move a bit, and
+    then divides. Rational mode takes integer sums and keeps them over the
+    masses: members of a block with different denominators are first
+    brought to the lcm of those denominators. Blocks of zero mass get the
+    global mean.
     """
     space = f.space
     labels = p.labels
     nb = p.n_blocks
-    if not space.mode.exact:
-        w = space.weights
-        sums, dens = block_sums(per_row(w, f.values) * f.values, labels, nb), block_sums(w, labels, nb)
-        empty = dens == 0
-        if empty.any():
-            sums[empty], dens[empty] = expectation(f), 1.0
-        return (sums / per_row(dens, sums))[labels]
     wnum, wden = space.int_weights()
-    common = f._exact.common_den()
+    data = f.data
+    common = data.common_den()
     if common is None:
-        num, block_den = f._exact.over_block_lcm(labels, nb)
+        num, block_den = data.over_block_lcm(labels, nb)
         top_den = magnitude(block_den)
     else:
-        num, block_den = f._exact.num, common
+        num, block_den = data.num, common
         top_den = common
     wnum, num = widen(wden * max(magnitude(num), 1), wnum, num)
     sums = block_sums(per_row(wnum, num) * num, labels, nb)
     masses = block_sums(wnum, labels, nb)
     (masses,) = widen(wden * top_den, masses)
-    dens = per_row(masses, sums) * block_den
+    dens = times(per_row(masses, sums), block_den)
     if dens.shape != sums.shape:  # R^d values over one common denominator
         dens = np.repeat(dens, sums.shape[1], axis=1)
     empty = masses == 0
@@ -117,11 +111,8 @@ def _block_averages(f: RandomVar, p: Partition):
         mean = Rationals.of(np.atleast_1d(expectation(f)))
         sums, dens = widen(max(magnitude(mean.num), magnitude(mean.den)), sums, dens)
         sums[empty], dens[empty] = mean.num, mean.den
-    return Rationals(sums[labels], dens[labels])
-
-
-def vector_cond_expectation(g: RandomVar, p: Partition) -> RandomVar:
-    return cond_expectation(g, p)
+    averages = Rationals(sums / dens, 1) if sums.dtype.kind == "f" else Rationals(sums, dens)
+    return averages.take(labels)
 
 
 def inner_product(f: RandomVar, g: RandomVar):
@@ -130,8 +121,7 @@ def inner_product(f: RandomVar, g: RandomVar):
         raise SpaceMismatchError("inner product needs a common space")
     if f.dim != g.dim:
         raise DimMismatchError(f"random variables of dimension {f.dim} and {g.dim}")
-    s = f.space
-    total = expectation(RandomVar(f._exact.mul(g._exact) if s.mode.exact else f.values * g.values, s))
+    total = expectation(RandomVar(f.data.mul(g.data), f.space))
     return total if f.dim is None else total.sum()
 
 
@@ -159,15 +149,3 @@ def lipschitz_check(k: Kernel, g: RandomVar, n=1) -> bool:
         return lhs <= rhs
     return float(lhs) <= float(rhs) + mode.tolerance
 
-
-def vector_pullback(k: Kernel, g: RandomVar) -> RandomVar:
-    return apply_pullback(k, g)
-
-
-def value_norm(vec, vnorm: VNorm, mode):
-    """Norm of one value in R^d: "euclidean" (default), "max", "sum", or a callable."""
-    return ln_norm(VecRandomVar([vec], point_space(mode)), math.inf, vnorm)
-
-
-def bochner_norm(g: RandomVar, n=1, vnorm: VNorm = "euclidean"):
-    return ln_norm(g, n, vnorm)

@@ -174,10 +174,8 @@ def _constant_on_blocks(f: RandomVar, p: Partition, outcomes: np.ndarray) -> boo
     labels = p.labels[outcomes]
     first = np.full(p.n_blocks, space.size, dtype=np.intp)
     np.minimum.at(first, labels, outcomes)
-    ref = first[labels]
-    if space.mode.exact:
-        return bool(f._exact.take(outcomes).equal(f._exact.take(ref)).all())
-    return bool(space.mode.value_close_mask(f.values[outcomes], f.values[ref]).all())
+    a, b = f.data.take(outcomes).pair(f.data.take(first[labels]))
+    return bool(space.mode.value_close_mask(a, b).all())
 
 
 def measurable_wrt(f: RandomVar, p: Partition) -> bool:

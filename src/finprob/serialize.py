@@ -144,14 +144,6 @@ def loads_rv(text: str) -> RandomVar:
     return VecRandomVar(np.reshape(flat, shape), space)
 
 
-def dumps_vec_rv(rv: RandomVar) -> str:
-    return dumps_rv(rv)
-
-
-def loads_vec_rv(text: str) -> RandomVar:
-    return loads_rv(text)
-
-
 def dumps_kernel(k: Kernel) -> str:
     mode = k.mode
     dom = " ".join(fmt_number(w, mode) for w in k.domain.weights)

@@ -3,6 +3,9 @@
 A space is a finite outcome set {0..size-1} with validated probability
 weights. Random variables are value vectors over the outcomes; two of them
 are almost surely equal when they agree on every outcome of positive weight.
+Weights and values are numerators over denominators in both modes, float
+ones over 1 (see `numerics`), so each operation on random variables is one
+body, comparing through `NumericMode.value_close_mask`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    FinprobError,
     NegativeWeightError,
     NonFiniteError,
     SizeMismatchError,
@@ -35,12 +39,12 @@ from .numerics import (
     float_roots,
     fraction_array,
     int_array,
-    int_dot,
     is_infinite,
     magnitude,
     nth_root,
     per_row,
     quotient,
+    quotients,
     widen,
 )
 
@@ -133,8 +137,7 @@ class ProbSpace(Frozen):
     def weights(self) -> np.ndarray:
         """Read-only weight vector in the mode's number type."""
         if self._weights is None:
-            wnum, den = self.int_weights()
-            weights = Rationals.over(wnum, den).fractions()
+            weights = fraction_array(*self.int_weights())
             object.__setattr__(self, "_weights", weights)
         return self._weights
 
@@ -199,63 +202,62 @@ class RandomVar(Frozen):
     """Function on the outcomes of a space with real values, shape (n,), or
     with values in R^d, shape (n, d).
 
-    In rational mode the values are held as `Rationals`; `.values` is the
-    read-only `Fraction` array, built on first access.
+    The values are held as the numerators `num` over the denominators `den`
+    of `Rationals` (see the module docstring): in float mode the float
+    values over 1, and `values` is `num` itself; in rational mode integers,
+    and `values` is the read-only `Fraction` array, built on first access.
     """
 
-    __slots__ = ("space", "_values", "_exact")
+    __slots__ = ("space", "num", "den", "values")
 
     def __init__(self, values: Iterable, space: ProbSpace):
         mode = space.mode
-        v = exact = None
-        if isinstance(values, Rationals) and mode.exact:
-            exact = values
-        else:
+        if not isinstance(values, Rationals):
             two_d = isinstance(values, np.ndarray) and values.ndim == 2
-            v = _freeze_matrix(values, mode) if two_d else as_vector(values, mode)
-            if mode.exact:
-                exact = Rationals.of(v)
-            elif not np.isfinite(v).all():
-                at = _first(~np.isfinite(v))
-                raise NonFiniteError(f"random variable value at {_at(at, ('outcome', 'component'))} is {v[at]}")
-        size = len(exact) if exact is not None else len(v)
-        if size != space.size:
+            values = Rationals.of(_freeze_matrix(values, mode) if two_d else as_vector(values, mode))
+        num = values.num
+        if not mode.exact and not np.isfinite(num).all():
+            at = _first(~np.isfinite(num))
+            raise NonFiniteError(f"random variable value at {_at(at, ('outcome', 'component'))} is {num[at]}")
+        if len(num) != space.size:
             raise SizeMismatchError(
-                f"random variable has {size} values for a {space.size}-outcome space"
+                f"random variable has {len(num)} values for a {space.size}-outcome space"
             )
+        num.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_values", v)
-        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", values.den)
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset: `values` is built on first
+        # access and cached in its slot (see the class docstring).
+        if name != "values":
+            raise AttributeError(name)
+        values = quotients(self.num, self.den)
+        object.__setattr__(self, "values", values)
+        return values
 
     @property
-    def values(self) -> np.ndarray:
-        """Read-only value array in the mode's number type."""
-        if self._values is None:
-            object.__setattr__(self, "_values", self._exact.fractions())
-        return self._values
+    def data(self) -> Rationals:
+        """The values as `Rationals`: `num` over `den`."""
+        return Rationals(self.num, self.den)
 
     @property
     def dim(self):
         """d for values in R^d, None for real values."""
-        shape = (self._values if self._exact is None else self._exact.num).shape
-        return shape[1] if len(shape) == 2 else None
+        return self.num.shape[1] if self.num.ndim == 2 else None
 
     def component(self, j: int) -> "RandomVar":
         """Coordinate projection onto component j, as a real-valued RV."""
         if self.dim is None or not 0 <= j < self.dim:
             raise DimMismatchError(f"component {j} out of range for dim {self.dim}")
-        if self._exact is not None:
-            return RandomVar(self._exact.take((slice(None), j)), self.space)
-        return RandomVar(self._values[:, j], self.space)
+        return RandomVar(self.data.take((slice(None), j)), self.space)
 
     def _combine(self, other, sign: int):
         if not isinstance(other, RandomVar):
             return NotImplemented
         _require_same_shape(self, other)
-        if self._exact is not None:
-            return RandomVar(self._exact.add(other._exact, sign), self.space)
-        a, b = self._values, other._values
-        return RandomVar(a + b if sign > 0 else a - b, self.space)
+        return RandomVar(self.data.add(other.data, sign), self.space)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -306,15 +308,9 @@ def as_equal_rv(f: RandomVar, g: RandomVar) -> bool:
     """Almost-sure equality: agreement on the support, within the mode's
     tolerance scaled by the values' size (`NumericMode.value_close_mask`)."""
     _require_same_shape(f, g)
-    space = f.space
-    live = _live(space)
-    if space.mode.exact:
-        return bool(f._exact.equal(g._exact)[live].all())
-    return bool(space.mode.value_close_mask(f.values[live], g.values[live]).all())
-
-
-def as_equal_vec_rv(f: RandomVar, g: RandomVar) -> bool:
-    return as_equal_rv(f, g)
+    live = _live(f.space)
+    a, b = f.data.pair(g.data)
+    return bool(f.space.mode.value_close_mask(a[live], b[live]).all())
 
 
 def _live(space: ProbSpace):
@@ -322,21 +318,30 @@ def _live(space: ProbSpace):
     return slice(None) if space.fully_supported else space.live_index()
 
 
+def _weighted_sum(space: ProbSpace, live, x: np.ndarray):
+    """Sum over the support of the weight numerators times the numerators
+    x (one row per supported outcome), along the first axis. A uniform
+    space multiplies the sum of x by its one weight numerator; otherwise the
+    products are summed in outcome order. Float sums thus keep their order,
+    and rational ones are exact integers."""
+    wnum, _ = space.int_weights()
+    if space._uniform_weight is not None:
+        w = wnum[space.support[0]].item()
+        (x,) = widen(len(x) * magnitude(x) * abs(w), x)
+        return w * x.sum(axis=0)
+    w = wnum[live]
+    w, x = widen(len(w) * magnitude(w) * magnitude(x), w, x)
+    return (per_row(w, x) * x).sum(axis=0)
+
+
 def expectation(f: RandomVar):
     """E[f] under the space's weights: a number, or for an R^d-valued f an
     array of d numbers."""
     space = f.space
     live = _live(space)
-    if space.mode.exact:
-        wnum, wden = space.int_weights()
-        scaled, den = f._exact.take(live).over_common()
-        total = int_dot(wnum[live], scaled)
-        return Fraction(total, wden * den) if f.dim is None else fraction_array(total, wden * den)
-    x = f.values[live]
-    w = space._uniform_weight
-    if w is not None:
-        return w * x.sum(axis=0)
-    return (per_row(space.weights[live], x) * x).sum(axis=0)
+    num, den = f.data.take(live).over_common()
+    total, den = _weighted_sum(space, live, num), space.int_weights()[1] * den
+    return quotient(total, den) if f.dim is None else quotients(total, den)
 
 
 def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
@@ -344,21 +349,26 @@ def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
     in rational mode, float m over 1 otherwise (k = 1). Every norm of
     a real value is its absolute value. For values in R^d, "euclidean" gives
     the integer sums of squares (k = 2), "max" and "sum" the norms, and a
-    callable `vnorm` runs once per outcome."""
-    space, dim = f.space, f.dim
+    callable `vnorm` runs once per outcome; it must give finite nonnegative
+    numbers, exact ones when all are ints or Fractions in rational mode."""
+    dim = f.dim
     if dim is not None and callable(vnorm):
         norms = [vnorm(row) for row in f.values[live]]
-        if space.mode.exact and all(isinstance(m, (int, Fraction)) for m in norms):
-            return (*Rationals.of(norms).over_common(), 1)
-        return np.array(norms, dtype=np.float64), 1, 1
+        if f.space.mode.exact and all(isinstance(m, (int, Fraction)) for m in norms):
+            m, den = Rationals.of(norms).over_common()
+        else:
+            m, den = np.array(norms, dtype=np.float64), 1
+        bad = ~((m >= 0) & (m < math.inf))  # negative, NaN or infinite
+        if bad.any():
+            (i,) = _first(bad)
+            error = FinprobError if m[i] < 0 else NonFiniteError
+            raise error(f"value norm at outcome {np.arange(f.space.size)[live][i]} is {norms[i]}")
+        return m, den, 1
     if dim is not None and vnorm not in ("euclidean", "max", "sum"):
         raise DimMismatchError(f"unknown value-space norm {vnorm!r}")
-    if space.mode.exact:
-        x, den = f._exact.take(live).over_common()
-        if dim is not None:  # a sum of d squares or magnitudes
-            (x,) = widen(dim * max(magnitude(x), 1) ** 2, x)
-    else:
-        x, den = f.values[live], 1
+    x, den = f.data.take(live).over_common()
+    if dim is not None:  # a sum of d squares or magnitudes
+        (x,) = widen(dim * max(magnitude(x), 1) ** 2, x)
     x = np.abs(x)
     if dim is None:
         return x, den, 1
@@ -401,8 +411,7 @@ def ln_norm(f: RandomVar, n=1, vnorm="euclidean"):
     if n > k:
         (m,) = widen(magnitude(m) ** (n // k), m)
         m = m ** (n // k)
-    wnum, wden = space.int_weights()
-    total = Fraction(int_dot(wnum[live], m), wden * den**n)
+    total = quotient(_weighted_sum(space, live, m), space.int_weights()[1] * den**n)
     return total if n == 1 else nth_root(total, n, space.mode)
 
 
@@ -419,10 +428,14 @@ def _float_norm(space: ProbSpace, live, mags: np.ndarray, n):
 
 
 def indicator(space: ProbSpace, outcomes: Iterable[int]) -> RandomVar:
-    """Indicator RV of a set of outcomes."""
-    chosen = set(outcomes)
-    one, zero = space.mode.one(), space.mode.zero()
-    return RandomVar([one if i in chosen else zero for i in range(space.size)], space)
+    """Indicator RV of a set of outcomes; an outcome outside the space raises."""
+    chosen = list(outcomes)
+    for x in chosen:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < space.size:
+            raise SizeMismatchError(f"indicator outcome {x!r} is not one of 0..{space.size - 1}")
+    mask = np.zeros(space.size, dtype=bool)
+    mask[chosen] = True
+    return RandomVar(Rationals.over(space.mode.indicator(mask), 1), space)
 
 
 def constant_rv(space: ProbSpace, value) -> RandomVar:

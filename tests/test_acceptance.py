@@ -278,13 +278,13 @@ def test_criterion_12_bochner_martingale():
     ok = True
     for _ in range(20):
         g = random_vec_rv(rng, space, dim)
-        rep = fp.bochner_levy_report(g, filtration, 1)
+        rep = fp.levy_report(fp.martingale_from_terminal(g, filtration), 1)
         ok = ok and rep.converged and rep.step_distances[levels] == 0
         for j in range(dim):
             scalar = fp.levy_report(
                 fp.martingale_from_terminal(g.component(j), filtration), 1
             )
-            steps = [fp.vector_cond_expectation(g, p).component(j) for p in filtration.partitions]
+            steps = [fp.cond_expectation(g, p).component(j) for p in filtration.partitions]
             expected = [fp.cond_expectation(g.component(j), p) for p in filtration.partitions]
             ok = ok and all(
                 list(a.values) == list(b.values) for a, b in zip(steps, expected)

@@ -114,17 +114,17 @@ class TestAgainstDefinition:
         p = fp.Partition([(0, 1, 2), (3, 4), (5,), (6, 7, 8, 9, 10, 11)], n)
         q = fp.Partition([(0, 5), (1, 2, 3, 4), (6, 7), (8, 9, 10, 11)], n)
         f, g = check_against_definition(weights, values, p, q)
-        assert f._exact.num.dtype == object and f._exact.den.dtype == object
-        assert g._exact.num.dtype == object
+        assert f.num.dtype == object and f.den.dtype == object
+        assert g.num.dtype == object
         assert f.space.int_weights()[0].dtype == object
 
     def test_small_values_stay_int64(self):
         space = fp.uniform_space(8, R)
         f = fp.RandomVar([F(i, 3) for i in range(8)], space)
         g = fp.cond_expectation(f, fp.Partition([(0, 1, 2), (3, 4, 5, 6, 7)], 8))
-        assert f._exact.num.dtype == g._exact.num.dtype == np.int64
-        assert f._exact.common_den() == 3  # one common denominator
-        assert g._exact.common_den() is None  # one per block: 9 and 15
+        assert f.num.dtype == g.num.dtype == np.int64
+        assert f.data.common_den() == 3  # one common denominator
+        assert g.data.common_den() is None  # one per block: 9 and 15
 
 
 class TestBoundary:
@@ -184,7 +184,7 @@ def assert_norms_match(got, expected):
 def float_image(g, scale=1):
     """The float-mode RV of the same weights and values, times `scale`."""
     space = fp.make_space([float(w) for w in g.space.weights], fp.FLOAT_DEFAULT)
-    return fp.VecRandomVar(np.array(g.values, dtype=np.float64) * scale, space)
+    return fp.RandomVar(np.array(g.values, dtype=np.float64) * scale, space)
 
 
 def assert_close_to_exact(got, exact):
@@ -243,21 +243,23 @@ class TestVectorModeAgreement:
 
     @pytest.mark.parametrize("scale", [1, 1e3, 1e6, 1e9, 1e12])
     def test_bochner_levy_verdicts_agree_at_every_value_scale(self, scale):
+        # each R^d-valued instance, and its first component as a real-valued one
         rng = rng_for(306)
-        for i, (g, _) in enumerate(vector_instances(307, count=16)):
-            n = g.space.size
+        for i, (vector, _) in enumerate(vector_instances(307, count=16)):
+            n = vector.space.size
             chain = (random_refining_chain if i % 2 else random_coarsening_chain)(rng, n, 5)
             direction = "increasing" if i % 2 else "decreasing"
-            exact_f = fp.Filtration(chain, direction, g.space)
-            h = float_image(g, scale)
-            float_f = fp.Filtration(chain, direction, h.space)
-            for vnorm in VNORMS:
-                for norm_index in (1, 2, math.inf):
-                    exact = fp.bochner_levy_report(g, exact_f, norm_index, vnorm)
-                    got = fp.bochner_levy_report(h, float_f, norm_index, vnorm)
-                    assert (got.converged, got.stabilization_index) == (
-                        exact.converged, exact.stabilization_index
-                    )
+            for g in (vector, vector.component(0)):
+                exact_f = fp.Filtration(chain, direction, g.space)
+                h = float_image(g, scale)
+                float_f = fp.Filtration(chain, direction, h.space)
+                for vnorm in VNORMS if g.dim else VNORMS[:1]:  # every norm of a real value is |value|
+                    for norm_index in (1, 2, math.inf):
+                        exact = fp.levy_report(fp.martingale_from_terminal(g, exact_f), norm_index, vnorm)
+                        got = fp.levy_report(fp.martingale_from_terminal(h, float_f), norm_index, vnorm)
+                        assert (got.converged, got.stabilization_index) == (
+                            exact.converged, exact.stabilization_index
+                        )
 
 
 class TestFloatCloseMasks:

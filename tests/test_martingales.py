@@ -145,8 +145,29 @@ class TestLevyReport:
         f = fp.RandomVar([1, 2, 3, 4], U4)
         m = fp.martingale_from_terminal(f, UP4)
         bad = fp.Martingale(m.filtration, [m.rvs[2], m.rvs[1], m.rvs[0]])
-        with pytest.raises(fp.NotAMartingaleError):
+        with pytest.raises(fp.NotAMartingaleError, match="^not a martingale: level 0 is not measurable"):
             fp.levy_report(bad)
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_rejection_names_the_failing_tower_identity(self, mode):
+        space = fp.uniform_space(4, mode)
+        shifted = fp.RandomVar([F(3, 2), F(3, 2), 4, 4] if mode.exact else [1.5, 1.5, 4.0, 4.0], space)
+        # level 1 is the block averages of (1, 2, 3, 4) with block {2, 3} raised by
+        # 1/2: adapted, but its mean moves by 1/4 (increasing), and it no longer
+        # averages level 0 on outcomes 2 and 3 (decreasing)
+        for filtration, witness in (
+            (UP4, ("0", "E\\[X1 \\| F0\\] and X0", F(1, 4))),
+            (DOWN4, ("2", "E\\[X0 \\| F1\\] and X1", F(1, 2))),
+        ):
+            filtration = fp.Filtration(filtration.partitions, filtration.direction, space)
+            m = fp.martingale_from_terminal(fp.RandomVar([1, 2, 3, 4], space), filtration)
+            bad = fp.Martingale(filtration, [m.rvs[0], shifted, m.rvs[2]])
+            assert not fp.is_martingale(bad) and not fp.is_martingale(bad, all_pairs=False)
+            outcome, pair, defect = witness
+            defect = str(defect) if mode.exact else repr(float(defect))
+            message = f"^not a martingale: tower identity fails between steps 0 and 1: at outcome {outcome}, {pair} differ by {defect}$"
+            with pytest.raises(fp.NotAMartingaleError, match=message):
+                fp.levy_report(bad)
 
     def test_contraction_along_increasing_filtration(self):
         rng = rng_for(90)
@@ -185,8 +206,8 @@ class TestLevyReport:
         fine = random_partition(rng, 6)
         coarse = fp.meet_partitions(fine, random_partition(rng, 6))
         g = random_vec_rv(rng, space, 3)
-        towered = fp.vector_cond_expectation(fp.vector_cond_expectation(g, fine), coarse)
-        assert fp.as_equal_vec_rv(towered, fp.vector_cond_expectation(g, coarse))
+        towered = fp.cond_expectation(fp.cond_expectation(g, fine), coarse)
+        assert fp.as_equal_rv(towered, fp.cond_expectation(g, coarse))
 
 
 class TestNoncauchy:
@@ -413,7 +434,7 @@ class TestBochnerLevy:
         f = random_rv(rng, U4)
         g = fp.VecRandomVar([[v] for v in f.values], U4)
         scalar = fp.levy_report(fp.martingale_from_terminal(f, UP4), 1)
-        vector = fp.bochner_levy_report(g, UP4, 1)
+        vector = fp.levy_report(fp.martingale_from_terminal(g, UP4), 1)
         assert vector.step_distances == scalar.step_distances
         assert vector.converged == scalar.converged
 
@@ -426,7 +447,7 @@ class TestBochnerLevy:
         f = random_rv(rng, space)
         g = fp.VecRandomVar([[v] for v in f.values], space)
         scalar = fp.levy_report(fp.martingale_from_terminal(f, filtration), n)
-        vector = fp.bochner_levy_report(g, filtration, n, vnorm)
+        vector = fp.levy_report(fp.martingale_from_terminal(g, filtration), n, vnorm)
         assert vector.step_distances == scalar.step_distances
         assert (vector.converged, vector.stabilization_index) == (scalar.converged, scalar.stabilization_index)
 
@@ -437,7 +458,7 @@ class TestBochnerLevy:
         increments = rng.integers(-1, 2, size=(space.size, 2))
         cumulative = increments.cumsum(axis=0)
         g = fp.VecRandomVar([[int(a), int(b)] for a, b in cumulative], space)
-        report = fp.bochner_levy_report(g, fp.dyadic_filtration(levels), 1)
+        report = fp.levy_report(fp.martingale_from_terminal(g, fp.dyadic_filtration(levels)), 1)
         assert report.converged
         assert report.step_distances[levels] == 0
         for a, b in zip(report.step_distances, report.step_distances[1:]):
@@ -445,13 +466,13 @@ class TestBochnerLevy:
 
     def test_constant_vector_all_zero(self):
         g = fp.VecRandomVar([[2, 3]] * 4, U4)
-        report = fp.bochner_levy_report(g, UP4, 2)
+        report = fp.levy_report(fp.martingale_from_terminal(g, UP4), 2)
         assert all(d == 0 for d in report.step_distances)
 
     def test_coordinatewise_agreement(self):
         rng = rng_for(94)
         g = random_vec_rv(rng, U4, 3)
-        vec_report = fp.bochner_levy_report(g, UP4, 1)
+        vec_report = fp.levy_report(fp.martingale_from_terminal(g, UP4), 1)
         for j in range(3):
             scalar = fp.levy_report(
                 fp.martingale_from_terminal(g.component(j), UP4), 1
@@ -515,8 +536,8 @@ class TestScaleAwareVerdicts:
     def test_vector_equality_scales_with_the_values(self):
         space = fp.uniform_space(2)
         f = fp.VecRandomVar([[1e9, 1.0], [2.0, 3.0]], space)
-        assert fp.as_equal_vec_rv(f, fp.VecRandomVar([[1e9 + 0.5, 1.0], [2.0, 3.0]], space))
-        assert not fp.as_equal_vec_rv(f, fp.VecRandomVar([[1e9, 1.0], [2.0, 5.0]], space))
+        assert fp.as_equal_rv(f, fp.VecRandomVar([[1e9 + 0.5, 1.0], [2.0, 3.0]], space))
+        assert not fp.as_equal_rv(f, fp.VecRandomVar([[1e9, 1.0], [2.0, 5.0]], space))
 
     def test_block_constancy_scales_with_the_values(self):
         space = fp.uniform_space(4)

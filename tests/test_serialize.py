@@ -189,6 +189,16 @@ class TestCopyAndPickle:
         assert not twin.num.flags.writeable
         assert [list(r) for r in twin.rows] == [list(r) for r in k.rows]
         assert fp.as_equal_kernels(twin, k)
+        # nor the Fraction values of a random variable
+        g = random_vec_rv(rng_for(4), fp.make_space([F(1, 2), F(1, 4), F(0), F(1, 4)], R), 3)
+        twin = self.COPIES[how](g)
+        for rv in (g, twin):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(rv, "values")
+        assert twin.num.tolist() == g.num.tolist() and twin.den.tolist() == g.den.tolist()
+        assert not twin.num.flags.writeable
+        assert twin.values.tolist() == g.values.tolist()
+        assert fp.as_equal_rv(twin, g)
 
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_float_shared_slots_stay_one_array(self, how):
@@ -204,6 +214,15 @@ class TestCopyAndPickle:
         for space in (twin.domain, self.COPIES[how](k.codomain)):
             num, den = space.int_weights()
             assert num is space.weights and den == 1 and not num.flags.writeable
+        # a float random variable's values are its numerators, read or not before the copy
+        for read in (True, False):
+            g = random_vec_rv(rng_for(4), k.domain, 3)
+            if read:
+                assert g.values is g.num and g.den == 1
+            twin = self.COPIES[how](g)
+            assert twin.values is twin.num and twin.den == 1
+            assert not twin.num.flags.writeable
+            assert twin.values.tolist() == g.values.tolist()
 
     @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
     def test_assignment_still_raises(self, mode):

@@ -156,7 +156,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_float_vector_random_var_rejects(self, bad):
-        # a NaN used to flow into bochner_norm and come back as nan
+        # a NaN used to flow into the vector norm and come back as nan
         with pytest.raises(fp.NonFiniteError, match="outcome 1, component 0"):
             fp.VecRandomVar([[0.0, 1.0], [bad, 1.0]], fp.uniform_space(2), 2)
 
@@ -174,6 +174,37 @@ class TestNonFinite:
         space = fp.uniform_space(2)
         with pytest.raises(fp.NonFiniteError, match="row 0, column 1"):
             fp.Kernel([[1.0, bad], [0.0, 1.0]], space, space)
+
+
+MODES = pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+
+
+class TestOutsideInput:
+    @MODES
+    def test_callable_value_norm_must_be_finite_and_nonnegative(self, mode):
+        # such a norm used to give a negative or nan "norm"
+        g = fp.VecRandomVar([[1, 2], [3, 4]], fp.uniform_space(2, mode))
+        with pytest.raises(fp.FinprobError, match="^value norm at outcome 0 is -1$") as info:
+            fp.ln_norm(g, 1, lambda r: -1)
+        assert type(info.value) is fp.FinprobError
+        for bad in (math.nan, math.inf):
+            with pytest.raises(fp.NonFiniteError, match=f"^value norm at outcome 1 is {bad}$"):
+                fp.ln_norm(g, 1, lambda r: 1.0 if r[0] == 1 else bad)
+        # outcomes are named in the space, past a null one
+        nulled = fp.VecRandomVar([[1, 2], [3, 4], [5, 6]], fp.make_space([0, mode.one() / 2, mode.one() / 2], mode))
+        with pytest.raises(fp.FinprobError, match="^value norm at outcome 2 is -0.5$"):
+            fp.ln_norm(nulled, 2, lambda r: 1 if r[0] == 3 else -0.5)
+        assert fp.ln_norm(nulled, 1, lambda r: 2 * abs(r[0])) == 8
+
+    @MODES
+    def test_indicator_outcome_outside_the_space(self, mode):
+        # such an outcome used to be dropped silently, giving all zeros
+        space = fp.uniform_space(2, mode)
+        for bad in (5, 2, -1, 1.0, True):
+            with pytest.raises(fp.SizeMismatchError, match=f"^indicator outcome {bad!r} is not one of 0..1$"):
+                fp.indicator(space, [0, bad])
+        assert list(fp.indicator(space, [1, 1]).values) == [0, 1]
+        assert list(fp.indicator(space, []).values) == [0, 0]
 
 
 UNREADABLE = {
@@ -283,7 +314,7 @@ class TestVecRandomVar:
         space = fp.make_space([F(1, 2), F(0), F(1, 2)], R)
         g = fp.VecRandomVar([[1, 2], [9, 9], [3, 4]], space)
         h = fp.VecRandomVar([[1, 2], [0, 0], [3, 4]], space)
-        assert fp.as_equal_vec_rv(g, h)
+        assert fp.as_equal_rv(g, h)
 
 
 class TestImmutability:
