@@ -427,7 +427,7 @@ def fraction_array(num: np.ndarray, den) -> np.ndarray:
 def quotient(num, den):
     """num / den for an entry of a numerator array at the boundary: a
     Fraction of integers, and a float (over 1) or a Fraction as it is."""
-    return num if isinstance(num, (float, Fraction)) else Fraction(int(num), int(den))
+    return num if isinstance(num, float) or type(num) is Fraction else Fraction(int(num), int(den))
 
 
 def quotients(num: np.ndarray, den) -> np.ndarray:

@@ -111,8 +111,9 @@ def _block_averages(f: RandomVar, p: Partition) -> Rationals:
         mean = Rationals.of(np.atleast_1d(expectation(f)))
         sums, dens = widen(max(magnitude(mean.num), magnitude(mean.den)), sums, dens)
         sums[empty], dens[empty] = mean.num, mean.den
-    averages = Rationals(sums / dens, 1) if sums.dtype.kind == "f" else Rationals(sums, dens)
-    return averages.take(labels)
+    if sums.dtype.kind == "f":  # float averages are divided out, over 1
+        return Rationals((sums / dens)[labels], 1)
+    return Rationals(sums[labels], dens[labels])
 
 
 def inner_product(f: RandomVar, g: RandomVar):

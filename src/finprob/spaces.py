@@ -202,13 +202,13 @@ class RandomVar(Frozen):
     """Function on the outcomes of a space with real values, shape (n,), or
     with values in R^d, shape (n, d).
 
-    The values are held as the numerators `num` over the denominators `den`
-    of `Rationals` (see the module docstring): in float mode the float
-    values over 1, and `values` is `num` itself; in rational mode integers,
+    The values are held as `data`, a `Rationals` of numerators over
+    denominators (see the module docstring): in float mode the float values
+    over 1, and `values` is `data.num` itself; in rational mode integers,
     and `values` is the read-only `Fraction` array, built on first access.
     """
 
-    __slots__ = ("space", "num", "den", "values")
+    __slots__ = ("space", "data", "values")
 
     def __init__(self, values: Iterable, space: ProbSpace):
         mode = space.mode
@@ -225,27 +225,27 @@ class RandomVar(Frozen):
             )
         num.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", values.den)
+        object.__setattr__(self, "data", values)
 
     def __getattr__(self, name):
         # Reached only while a slot is unset: `values` is built on first
         # access and cached in its slot (see the class docstring).
         if name != "values":
             raise AttributeError(name)
-        values = quotients(self.num, self.den)
+        values = quotients(self.data.num, self.data.den)
         object.__setattr__(self, "values", values)
         return values
 
-    @property
-    def data(self) -> Rationals:
-        """The values as `Rationals`: `num` over `den`."""
-        return Rationals(self.num, self.den)
+    def __reduce__(self):
+        # A copy or a pickle is rebuilt from the data, so float values stay
+        # the numerators, frozen, and Fractions not yet read stay unbuilt.
+        return RandomVar, (self.data, self.space)
 
     @property
     def dim(self):
         """d for values in R^d, None for real values."""
-        return self.num.shape[1] if self.num.ndim == 2 else None
+        num = self.data.num
+        return num.shape[1] if num.ndim == 2 else None
 
     def component(self, j: int) -> "RandomVar":
         """Coordinate projection onto component j, as a real-valued RV."""

@@ -114,15 +114,15 @@ class TestAgainstDefinition:
         p = fp.Partition([(0, 1, 2), (3, 4), (5,), (6, 7, 8, 9, 10, 11)], n)
         q = fp.Partition([(0, 5), (1, 2, 3, 4), (6, 7), (8, 9, 10, 11)], n)
         f, g = check_against_definition(weights, values, p, q)
-        assert f.num.dtype == object and f.den.dtype == object
-        assert g.num.dtype == object
+        assert f.data.num.dtype == object and f.data.den.dtype == object
+        assert g.data.num.dtype == object
         assert f.space.int_weights()[0].dtype == object
 
     def test_small_values_stay_int64(self):
         space = fp.uniform_space(8, R)
         f = fp.RandomVar([F(i, 3) for i in range(8)], space)
         g = fp.cond_expectation(f, fp.Partition([(0, 1, 2), (3, 4, 5, 6, 7)], 8))
-        assert f.num.dtype == g.num.dtype == np.int64
+        assert f.data.num.dtype == g.data.num.dtype == np.int64
         assert f.data.common_den() == 3  # one common denominator
         assert g.data.common_den() is None  # one per block: 9 and 15
 

@@ -195,8 +195,8 @@ class TestCopyAndPickle:
         for rv in (g, twin):
             with pytest.raises(AttributeError):
                 object.__getattribute__(rv, "values")
-        assert twin.num.tolist() == g.num.tolist() and twin.den.tolist() == g.den.tolist()
-        assert not twin.num.flags.writeable
+        assert twin.data.num.tolist() == g.data.num.tolist() and twin.data.den.tolist() == g.data.den.tolist()
+        assert not twin.data.num.flags.writeable
         assert twin.values.tolist() == g.values.tolist()
         assert fp.as_equal_rv(twin, g)
 
@@ -218,10 +218,10 @@ class TestCopyAndPickle:
         for read in (True, False):
             g = random_vec_rv(rng_for(4), k.domain, 3)
             if read:
-                assert g.values is g.num and g.den == 1
+                assert g.values is g.data.num and g.data.den == 1
             twin = self.COPIES[how](g)
-            assert twin.values is twin.num and twin.den == 1
-            assert not twin.num.flags.writeable
+            assert twin.values is twin.data.num and twin.data.den == 1
+            assert not twin.data.num.flags.writeable
             assert twin.values.tolist() == g.values.tolist()
 
     @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
