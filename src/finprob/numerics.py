@@ -296,7 +296,8 @@ class Rationals:
 
     Every operation bounds its integer results before computing them and
     switches to Python ints when int64 could overflow (see the module
-    docstring); on float values it is the float operation itself.
+    docstring); on float values it is the float operation itself. No
+    operation changes a `Rationals` once built; each returns a new one.
     """
 
     __slots__ = ("num", "den")
@@ -335,9 +336,6 @@ class Rationals:
         if num.dtype.kind == "f":
             return cls(num, 1)
         return cls(num, np.full(num.shape, den, dtype=np.int64 if den <= _INT64_MAX else object))
-
-    def __len__(self) -> int:
-        return len(self.num)
 
     def take(self, idx) -> "Rationals":
         den = self.den

@@ -323,14 +323,12 @@ def _weighted_sum(space: ProbSpace, live, x: np.ndarray):
     x (one row per supported outcome), along the first axis. A uniform
     space multiplies the sum of x by its one weight numerator; otherwise the
     products are summed in outcome order. Float sums thus keep their order,
-    and rational ones are exact integers."""
-    wnum, _ = space.int_weights()
+    and rational ones are exact integers: the weight numerators add up to
+    the weight denominator, which bounds every partial sum with max |x|."""
+    wnum, wden = space.int_weights()
+    w, x = widen(wden * magnitude(x), wnum[live], x)
     if space._uniform_weight is not None:
-        w = wnum[space.support[0]].item()
-        (x,) = widen(len(x) * magnitude(x) * abs(w), x)
-        return w * x.sum(axis=0)
-    w = wnum[live]
-    w, x = widen(len(w) * magnitude(w) * magnitude(x), w, x)
+        return w[0] * x.sum(axis=0)
     return (per_row(w, x) * x).sum(axis=0)
 
 
