@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig, resolve_output
 from .errors import ConfigError, FinprobError
-from .numerics import int_array, rational_mode, widen
+from .numerics import int_array, magnitude, rational_mode, widen
 from .euclidean import Subspace, banach_counterexample, levi_up_demo
 from .idempotents import galois_roundtrips
 from .kernels import _rows
@@ -300,27 +300,25 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _slide_block(mode, limit: tuple, q: tuple, a) -> tuple:
+def _slide_block(mode, limit: tuple, q: tuple, a: tuple) -> tuple:
     """Convex mixes (1 - a[s, t]) k_s + a[s, t] i_s of each limit k_s with
     its independent kernel i_s, whose every row is its codomain weights q_s,
     built with one expression and checked as one (S, T, n, m) stack, in the
     form `metrics._block_reports` takes; an error names the sequence, step,
-    row and column. In float mode `a` is a float array and each step is
-    over 1; in rational mode it is a pair of integer arrays, numerators over
-    denominators, and each step is over a * lcm(k, q)."""
-    (k, kden), (w, qden) = limit, q
-    lead = ("sequence", "step")
-    if not mode.exact:
-        a = a[..., None, None]
-        return _rows((1 - a) * k[:, None] + a * w[:, None, None], np.ones(a.shape[:2], dtype=np.int64), mode, lead)
-    an, ad = a
-    common = np.lcm(kden.astype(object), qden.astype(object))
-    den = (ad * common[:, None]).tolist()
-    bound = max(map(max, den))
-    kscale, qscale, den = (int_array(x, bound) for x in ((common // kden).tolist(), (common // qden).tolist(), den))
-    an, ad, k, w = widen(bound, an, ad, k, w)
-    num = (ad - an)[..., None, None] * (k * kscale[:, None, None])[:, None]
-    return _rows(num + an[..., None, None] * (w * qscale[:, None])[:, None, None], den, mode, lead)
+    row and column. `a` is a pair of (S, T) arrays, numerators over integer
+    denominators (float numerators over ones), and each step is over a's
+    denominator times the lcm of k's and q's, which are scaled to it only
+    where they differ."""
+    (k, kden), (w, qden), (an, ad) = limit, q, a
+    common = kden
+    if not (kden == qden).all():
+        kden, qden = widen(magnitude(kden) * magnitude(qden), kden, qden)
+        common = np.lcm(kden, qden)
+        k, w = k * (common // kden)[:, None, None], w * (common // qden)[:, None]
+    bound = (magnitude(ad) + 2 * magnitude(an)) * magnitude(common)  # a numerator, also for a outside [0, 1]
+    an, ad, common, k, w = widen(bound, an, ad, common, k, w)
+    num = (ad - an)[..., None, None] * k[:, None] + an[..., None, None] * w[:, None, None]
+    return _rows(num, ad * common[:, None], mode, ("sequence", "step"))
 
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
@@ -331,18 +329,15 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
     mode, horizon = cfg.mode, cfg.horizon
     steps = np.arange(horizon)
     flip = (steps % 2 == 1) | (steps == horizon - 1)  # ends off k, for a clean verdict
-    if mode.exact:  # a geometric slide towards k: distances halve each step
-        halves = int_array([1 << t for t in steps.tolist()], 1 << (horizon - 1))
+    if mode.exact:  # a geometric slide towards k, top / bottom: distances halve each step
+        top, bottom = 1, int_array([1 << t for t in steps.tolist()], 1 << (horizon - 1))
     else:
-        halves = np.ldexp(1.0, -steps)
+        top, bottom = np.ldexp(1.0, -steps), np.ones(horizon, dtype=np.int64)
     block = _sequences_per_block(horizon, cfg.size, cfg.size)
     for lo in range(0, cfg.count, block):
         seqs = np.arange(lo, min(lo + block, cfg.count))
         oscillate = (seqs % 5 == 4)[:, None]  # k and the independent kernel in turn
-        if mode.exact:  # numerators over denominators
-            a = np.where(oscillate, flip, 1), np.where(oscillate, 1, halves)
-        else:
-            a = np.where(oscillate, flip, halves)
+        a = np.where(oscillate, flip, top), np.where(oscillate, 1, bottom)
         limit, p, q = random_mp_stack(rng, len(seqs), cfg.size, cfg.size, mode)
         reports = _block_reports(*_slide_block(mode, limit, q, a), limit, p, norms, mode.tolerance)
         metric, *operators = ((stable < horizon).tolist() for _, stable in reports)

@@ -38,6 +38,7 @@ from .errors import (
 from .numerics import (
     Frozen,
     NumericMode,
+    Rationals,
     _at,
     _first,
     _freeze_matrix,
@@ -49,7 +50,6 @@ from .numerics import (
     quotient,
     quotients,
     times,
-    values_over,
     widen,
 )
 from .partitions import Partition
@@ -325,7 +325,7 @@ def coarsening_kernel(
             f"partition of size {p.parent_size} on a {space.size}-outcome space"
         )
     wnum, wden = space.int_weights()
-    quotient_space = ProbSpace(values_over(block_sums(wnum, p.labels, p.n_blocks), wden), space.mode)
+    quotient_space = ProbSpace(Rationals.over(block_sums(wnum, p.labels, p.n_blocks), wden), space.mode)
     pi = deterministic_from_function(p.labels, space, quotient_space)
     pi_dag = bayes_inverse(pi)
     return quotient_space, pi, pi_dag

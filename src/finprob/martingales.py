@@ -33,7 +33,7 @@ from .idempotents import (
     idem_leq,
 )
 from .kernels import as_equal_kernels
-from .metrics import ConvergenceReport, one_sided_distance, report_from_flags
+from .metrics import ConvergenceReport, _tol, one_sided_distance, report_from_flags
 from .numerics import Frozen, NumericMode, Rationals, _first, check_norm_index, rational_mode
 from .operators import VNorm, cond_expectation
 from .partitions import (
@@ -194,12 +194,7 @@ def levy_report(m: Martingale, n=1, vnorm: VNorm = "euclidean") -> ConvergenceRe
     f_inf = _limit_rv(m)
     distances = tuple(ln_norm(rv - f_inf, n, vnorm) for rv in m.rvs)
     equal = [as_equal_rv(rv, f_inf) for rv in m.rvs]
-    return _stabilization_report(distances, equal, m.filtration.space.mode)
-
-
-def _stabilization_report(distances, equal_flags, mode: NumericMode) -> ConvergenceReport:
-    """Report whose stabilization is decided by a.s. equality, not distance."""
-    return report_from_flags(distances, equal_flags, 0 if mode.exact else mode.tolerance)
+    return report_from_flags(distances, equal, _tol(m.filtration.space.mode))
 
 
 @dataclass(frozen=True)
@@ -311,5 +306,5 @@ def levi_property_check(chain: Sequence[IdempotentKernel]) -> ConvergenceReport:
     target = _chain_optimum(chain, increasing, start)
     distances = tuple(one_sided_distance(e.kernel, target.kernel) for e in chain)
     equal = [as_equal_kernels(e.kernel, target.kernel) for e in chain]
-    return _stabilization_report(distances, equal, chain[0].space.mode)
+    return report_from_flags(distances, equal, _tol(chain[0].space.mode))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FinprobError, NotMeasurePreservingError, SpaceMismatchError
 from .kernels import Kernel, _require_parallel, bayes_inverse, compose, is_measure_preserving
-from .numerics import check_norm_index, int_array, is_infinite, nth_roots, quotients, widen
+from .numerics import NumericMode, check_norm_index, int_array, is_infinite, nth_roots, quotients, widen
 
 
 def _stacked(seq: Sequence[Kernel], limit: Kernel) -> tuple:
@@ -152,8 +152,9 @@ def report_from_distances(
     return report_from_flags(distances, [d <= tolerance for d in distances], tolerance, horizon)
 
 
-def _tol(limit: Kernel, tol):  # the default is the mode's, 0 in rational mode
-    return tol if tol is not None else (0 if limit.mode.exact else limit.mode.tolerance)
+def _tol(mode: NumericMode, tol=None):
+    """A given tolerance, else the mode's: 0 (an int) in rational mode."""
+    return tol if tol is not None else (0 if mode.exact else mode.tolerance)
 
 
 def check_convergence(
@@ -176,7 +177,7 @@ def check_convergence(
         distances = _weighted_l1(*_stacked_difference(seq, limit))[0]
     else:
         distances = [two_sided_distance(k, limit) for k in seq]
-    return report_from_distances(distances, _tol(limit, tol), horizon or len(distances))
+    return report_from_distances(distances, _tol(limit.mode, tol), horizon or len(distances))
 
 
 def _indicator_columns(size: int, cap: int = 10) -> np.ndarray:
@@ -229,7 +230,7 @@ def homeomorphism_reports(seq: Sequence[Kernel], limit: Kernel, norms=(1,), tol=
     from one stacked difference and one shared pullback product: the block
     of one sequence. The two notions of convergence agree when the verdicts
     do."""
-    tol = _tol(limit, tol)
+    tol = _tol(limit.mode, tol)
     reports = _block_reports(*_stacked(seq, limit), norms, tol)
     metric, *operators = (_report(d[0], int(stable[0]), tol) for d, stable in reports)
     return metric, tuple(operators)

@@ -14,7 +14,7 @@ modes, comparing through `NumericMode.close_mask` or `value_close_mask`;
 the bookkeeping of this module keeps it free of cost in float mode:
 `magnitude` bounds no float array, `widen` and `times` leave float arrays as
 they are, so scaling by a denominator of 1 makes no new array, and
-`quotients` and `values_over` hand float numerators back unchanged.
+`quotients` hands float numerators back unchanged.
 
 Random-variable values are `Rationals`: a numerator array over a
 denominator array of the same shape, (n,) for real values or (n, d) for
@@ -341,6 +341,10 @@ class Rationals:
         den = self.den
         return Rationals(self.num[idx], den[idx] if isinstance(den, np.ndarray) else den)
 
+    def reshape(self, shape: tuple) -> "Rationals":
+        den = self.den
+        return Rationals(self.num.reshape(shape), den.reshape(shape) if isinstance(den, np.ndarray) else den)
+
     def common_den(self) -> Union[int, None]:
         """The denominator every entry shares, or None."""
         d = self.den
@@ -432,12 +436,6 @@ def quotients(num: np.ndarray, den) -> np.ndarray:
     """The numbers num / den of a numerator array at the boundary: read-only
     Fractions of integers (`fraction_array`), float numerators as they are."""
     return num if num.dtype.kind == "f" else fraction_array(num, den)
-
-
-def values_over(num: np.ndarray, den: int):
-    """num / den as the values of a space or random variable take them:
-    `Rationals` of integer numerators, float numerators as they are."""
-    return num if num.dtype.kind == "f" else Rationals.over(num, den)
 
 
 def int_numerators(values: np.ndarray) -> tuple:

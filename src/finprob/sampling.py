@@ -2,9 +2,11 @@
 
 All draws go through a numpy Generator (PCG64 via default_rng), so a seed
 pins every instance exactly; rational instances are built from integer
-draws and are therefore reproducible bit for bit. Stacks of instances come
-as numerators over denominators in both modes: float arrays over ones, or
-integer numerators in lowest terms.
+draws and are therefore reproducible bit for bit. Instances are assembled
+as numerators over denominators in both modes, float arrays over ones or
+integer numerators (in lowest terms in a stack), and only the draws differ
+by mode; a space is integer draws over their total, which float mode
+divides once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .kernels import (
     _table,
     _views,
 )
-from .numerics import NumericMode, Rationals, int_array, mat_mul, values_over, widen
+from .numerics import NumericMode, Rationals, int_array, mat_mul, widen
 from .partitions import Partition
 from .spaces import ProbSpace, RandomVar, VecRandomVar, _checked_weights
 
@@ -47,7 +49,7 @@ def random_space(
         raw[positions] = 0
         if raw.sum() > 0:
             break
-    return ProbSpace(Rationals.over(raw, int(raw.sum())) if mode.exact else raw / raw.sum(), mode)
+    return ProbSpace(Rationals.over(raw, int(raw.sum())), mode)
 
 
 def random_rv(rng: np.random.Generator, space: ProbSpace, span: int = 8) -> RandomVar:
@@ -146,7 +148,7 @@ def random_mp_kernel(
     """Measure-preserving kernel with fresh marginal spaces, built from a
     random joint table by conditioning: `random_mp_stack` of one."""
     (data, den), *weights = random_mp_stack(rng, 1, nrows, ncols, mode, null_rows)
-    domain, codomain = (ProbSpace(values_over(w[0], int(d[0])), mode) for w, d in weights)
+    domain, codomain = (ProbSpace(Rationals.over(w[0], int(d[0])), mode) for w, d in weights)
     return _views(data, den, domain, codomain)[0]
 
 
@@ -154,7 +156,9 @@ def random_mp_kernel_from(
     rng: np.random.Generator, domain: ProbSpace, ncols: int
 ) -> Kernel:
     """Measure-preserving kernel out of a fixed domain space; the codomain
-    is the pushforward of random stochastic rows."""
+    is the pushforward of random stochastic rows: integer draws over their
+    row sums in rational mode, uniform draws divided by their row sums in
+    float mode."""
     mode = domain.mode
     if mode.exact:
         raw = np.zeros((domain.size, ncols), dtype=np.int64)
@@ -164,20 +168,14 @@ def random_mp_kernel_from(
                 row[int(rng.integers(0, ncols))] = 1
         totals = raw.sum(axis=1).tolist()
         den = math.lcm(*totals)
-        wnum, wden = domain.int_weights()
-        # every numerator is at most den, and the pushforward's at most den * wden
-        raw, scale, w = widen(den * wden, raw, int_array([den // t for t in totals], den), wnum)
-        num = raw * scale[:, None]
-        q = Rationals.over(mat_mul(w, num), den * wden)
-        return _kernel(num, den, domain, ProbSpace(q, mode))
-    raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
-    rows = raw / raw.sum(axis=1, keepdims=True)
-    rows = [list(r) for r in rows]
-    q = [
-        sum(domain.weights[x] * rows[x][y] for x in range(domain.size))
-        for y in range(ncols)
-    ]
-    return Kernel(rows, domain, ProbSpace(q, mode))
+        num = raw * int_array([den // t for t in totals], den)[:, None]  # every numerator is at most den
+    else:
+        raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
+        num, den = raw / raw.sum(axis=1, keepdims=True), 1
+    wnum, wden = domain.int_weights()
+    w, num = widen(den * wden, wnum, num)  # the pushforward's numerators are at most den * wden
+    q = Rationals.over(mat_mul(w, num), den * wden)
+    return _kernel(num, den, domain, ProbSpace(q, mode))
 
 
 def random_partition(rng: np.random.Generator, n: int) -> Partition:

@@ -12,8 +12,10 @@ Line-oriented, whitespace-separated, one object per file or string:
 Kinds: "space" (mode + weights), "rv" (mode + weights + values), "vecrv"
 (mode + weights + one vec line per outcome), "kernel" (as above). Rational
 numbers are written num/den and round-trip bit-exactly; floats are written
-with repr and round-trip exactly as doubles. Lines starting with '#' and
-blank lines are ignored.
+with repr and round-trip exactly as doubles. Every weights, values, vec,
+domain and codomain line is read into `Rationals` (`_parse_vector`), in the
+form the spaces and random variables are built from. Lines starting with
+'#' and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -44,14 +46,17 @@ def parse_number(token: str, mode: NumericMode):
         raise ConfigParseError(f"bad number {token!r}: {exc}") from None
 
 
-def _parse_vector(tokens: list[str], mode: NumericMode):
-    """Numbers of one line: `Rationals` in rational mode, floats otherwise.
+def _parse_vector(tokens: list[str], mode: NumericMode) -> Rationals:
+    """Numbers of one line as `Rationals`, the form `ProbSpace` and
+    `RandomVar` take: float values over 1, or integer numerators over
+    positive denominators.
 
-    Integer and num/den tokens are read as integers; any other rational
-    spelling goes through `Fraction`.
+    Float tokens are read by `float`. Integer and num/den tokens are read
+    as integers in rational mode; any other rational spelling goes through
+    `Fraction`.
     """
     if not mode.exact:
-        return [parse_number(t, mode) for t in tokens]
+        return Rationals.of(np.array([parse_number(t, mode) for t in tokens], dtype=np.float64))
     nums, dens = [], []
     for token in tokens:
         top, slash, bottom = token.partition("/")
@@ -138,10 +143,7 @@ def loads_rv(text: str) -> RandomVar:
     while lines and lines[0][0] == "vec":
         rows.append(_take(lines, "vec"))
     flat = _parse_vector([t for row in rows for t in row], mode)  # every token is read before the shape
-    shape = (len(rows), _row_width(rows) or 0)
-    if mode.exact:
-        return VecRandomVar(Rationals(flat.num.reshape(shape), flat.den.reshape(shape)), space)
-    return VecRandomVar(np.reshape(flat, shape), space)
+    return VecRandomVar(flat.reshape((len(rows), _row_width(rows) or 0)), space)
 
 
 def dumps_kernel(k: Kernel) -> str:
@@ -158,8 +160,8 @@ def loads_kernel(text: str) -> Kernel:
     lines = _lines(text)
     _take(lines, "kernel")
     mode = _parse_mode(_take(lines, "mode"))
-    dom = ProbSpace([parse_number(t, mode) for t in _take(lines, "domain")], mode)
-    cod = ProbSpace([parse_number(t, mode) for t in _take(lines, "codomain")], mode)
+    dom = ProbSpace(_parse_vector(_take(lines, "domain"), mode), mode)
+    cod = ProbSpace(_parse_vector(_take(lines, "codomain"), mode), mode)
     rows = []
     while lines and lines[0][0] == "row":
         rows.append([parse_number(t, mode) for t in _take(lines, "row")])

@@ -4,8 +4,10 @@ A space is a finite outcome set {0..size-1} with validated probability
 weights. Random variables are value vectors over the outcomes; two of them
 are almost surely equal when they agree on every outcome of positive weight.
 Weights and values are numerators over denominators in both modes, float
-ones over 1 (see `numerics`), so each operation on random variables is one
-body, comparing through `NumericMode.value_close_mask`.
+ones over 1 (see `numerics`), and both are built from `Rationals`: a space
+by one constructor body, whose only mode branch is the arithmetic (lowest
+terms, or one float division), and each operation on random variables by
+one body, comparing through `NumericMode.value_close_mask`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .numerics import (
     as_vector,
     check_norm_index,
     float_roots,
-    fraction_array,
     int_array,
     is_infinite,
     magnitude,
@@ -85,8 +86,10 @@ class ProbSpace(Frozen):
     Weights are validated (nonnegative, summing to one within the mode's
     tolerance, nonempty support) and never renormalized: a wrong total is a
     modeling error and is reported, not repaired. They are kept as
-    numerators over one denominator: integers in lowest terms in rational
-    mode, the float weights over 1 in float mode. The numerators and the
+    numerators over one denominator, taken from a list or an array of the
+    mode's numbers, or from `Rationals`: integers in lowest terms in
+    rational mode, and in float mode the float weights over 1, integer
+    numerators divided once by their denominator. The numerators and the
     denominator are also the key of equality and hashing.
     """
 
@@ -96,40 +99,26 @@ class ProbSpace(Frozen):
     )
 
     def __init__(self, weights: Iterable, mode: NumericMode = FLOAT_DEFAULT):
-        if mode.exact:
-            self._init_exact(weights, mode)
-            return
-        w = as_vector(weights, mode)
-        if w.size == 0:
-            raise SizeMismatchError("a probability space needs at least one outcome")
-        _checked_weights(w, 1, mode)
-        live = np.flatnonzero(w > 0)
-        first = w[live[0]]
-        uniform = first if (w[live] == first).all() else None
-        self._set(mode, int(w.size), tuple(live.tolist()), uniform, w, tuple(w.tolist()), 1, w)
-
-    def _init_exact(self, weights, mode: NumericMode) -> None:
-        frac = None
         if not isinstance(weights, Rationals):
-            frac = as_vector(weights, mode)
-            weights = Rationals.of(frac)
-        scaled, den = weights.over_common()
-        g = math.gcd(den, *scaled.tolist())
-        wnum, den = scaled // g, den // g
-        nums = wnum.tolist()
-        if not nums:
+            weights = Rationals.of(as_vector(weights, mode))
+        num, den = weights.over_common()
+        if mode.exact:
+            g = math.gcd(den, *num.tolist())
+            num, den = num // g, den // g
+        elif num.dtype.kind != "f":
+            num, den = np.asarray(num / den, dtype=np.float64), 1
+        if num.size == 0:
             raise SizeMismatchError("a probability space needs at least one outcome")
-        _checked_weights(wnum, den, mode)
-        support = tuple(i for i, a in enumerate(nums) if a > 0)
-        first = nums[support[0]]
-        uniform = Fraction(first, den) if all(nums[i] == first for i in support[1:]) else None
-        self._set(mode, len(nums), support, uniform, frac, tuple(nums), den, wnum)
-
-    def _set(self, mode, size, support, uniform, weights, wkey, wden, wnum):
+        _checked_weights(num, den, mode)
+        live = np.flatnonzero(num > 0)
+        num.setflags(write=False)
+        live.setflags(write=False)
+        first = num[live[0]]
+        uniform = quotient(first, den) if (num[live] == first).all() else None
         for name, value in (
-            ("mode", mode), ("size", size), ("support", support),
-            ("_uniform_weight", uniform), ("_weights", weights),
-            ("_wkey", wkey), ("_wden", wden), ("_wnum", wnum), ("_live", None),
+            ("mode", mode), ("size", int(num.size)), ("support", tuple(live.tolist())),
+            ("_uniform_weight", uniform), ("_weights", None),
+            ("_wkey", tuple(num.tolist())), ("_wden", den), ("_wnum", num), ("_live", live),
         ):
             object.__setattr__(self, name, value)
 
@@ -137,8 +126,7 @@ class ProbSpace(Frozen):
     def weights(self) -> np.ndarray:
         """Read-only weight vector in the mode's number type."""
         if self._weights is None:
-            weights = fraction_array(*self.int_weights())
-            object.__setattr__(self, "_weights", weights)
+            object.__setattr__(self, "_weights", quotients(*self.int_weights()))
         return self._weights
 
     def int_weights(self) -> tuple[np.ndarray, int]:
@@ -148,8 +136,6 @@ class ProbSpace(Frozen):
 
     def live_index(self) -> np.ndarray:
         """Indices of the outcomes of positive weight, as an array."""
-        if self._live is None:
-            object.__setattr__(self, "_live", np.array(self.support, dtype=np.intp))
         return self._live
 
     @property
@@ -188,9 +174,7 @@ def make_space(weights: Iterable, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpac
 
 
 def uniform_space(n: int, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:
-    if mode.exact:
-        return ProbSpace(Rationals.over(np.ones(n, dtype=np.int64), n), mode)
-    return ProbSpace([1.0 / n] * n, mode)
+    return ProbSpace(Rationals.over(np.ones(n, dtype=np.int64), n), mode)
 
 
 def point_space(mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:

@@ -654,12 +654,23 @@ def kernel_block(kernels):
 
 def mix_weights(a, exact):
     """Per-sequence lists of mixing weights in the form that
-    `experiments._slide_block` takes: a float array, or integer numerators
-    over denominators."""
+    `experiments._slide_block` takes: numerators over denominators, float
+    ones over int64 ones."""
     if not exact:
-        return np.array(a, dtype=np.float64)
+        a = np.array(a, dtype=np.float64)
+        return a, np.ones(a.shape, dtype=np.int64)
     a = [[Fraction(t) for t in row] for row in a]
     return tuple(np.array([[getattr(t, part) for t in row] for row in a]) for part in ("numerator", "denominator"))
+
+
+def float_slide(limit, q, a):
+    """Float rows (1 - a[s, t]) k_s + a[s, t] q_s of a block of float
+    kernels k_s over ones, codomain weights q_s and mixing weights a, as
+    float arithmetic alone writes them: the reference for the float bytes
+    of `experiments._slide_block`."""
+    (k, _), (w, _) = limit, q
+    a = np.asarray(a, dtype=np.float64)[..., None, None]
+    return (1 - a) * k[:, None] + a * w[:, None, None]
 
 
 # --- vector random variables: the per-component and per-outcome bodies that

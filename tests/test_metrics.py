@@ -10,7 +10,7 @@ from finprob.experiments import _slide_block, run_experiment
 from finprob.metrics import _block_reports, _report
 from finprob.sampling import random_mp_kernel, random_mp_stack, random_partition, random_space, rng_for
 
-from .oracles import kernel_block, mix_weights, setwise_distance, subsets
+from .oracles import float_slide, kernel_block, mix_weights, setwise_distance, subsets
 
 R = fp.rational_mode()
 
@@ -238,7 +238,20 @@ class TestStackReports:
         a = np.full((2, 4), 0.5)
         a[1, 3] = math.nan
         with pytest.raises(fp.NonFiniteError, match="sequence 1, step 3, row 0, column 0 is nan"):
-            _slide_block(fp.FLOAT_DEFAULT, limit, q, a)
+            _slide_block(fp.FLOAT_DEFAULT, limit, q, mix_weights(a, False))
+
+    def test_float_slide_is_the_float_expression(self):
+        # float weights over ones take the shared expression, and give the
+        # bytes of the float-only expression, also on null rows and at a = 0, 1
+        for seed, (size, count, horizon, nulls) in enumerate([(1, 3, 5, 0), (3, 6, 40, 1), (4, 6, 40, 2), (5, 2, 9, 3)]):
+            limit, _, q = random_mp_stack(rng_for(seed), count, size, size, fp.FLOAT_DEFAULT, nulls)
+            a = np.random.default_rng(seed).uniform(0, 1, size=(count, horizon))
+            a[:, 0], a[:, -1] = 0.0, 1.0
+            a[0] = np.ldexp(1.0, -np.arange(horizon))
+            data, dens = _slide_block(fp.FLOAT_DEFAULT, limit, q, mix_weights(a, False))
+            expected = float_slide(limit, q, a)
+            assert data.dtype == expected.dtype and data.tobytes() == expected.tobytes()
+            assert dens.dtype == np.int64 and (dens == 1).all() and dens.shape == (count, horizon)
 
 
 def _homeo_one_by_one(cfg):

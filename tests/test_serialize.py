@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -93,6 +94,38 @@ class TestRoundtrips:
         assert again.mode == space.mode
 
 
+class TestNumberLines:
+    """Every number line is read by `_parse_vector` into `Rationals`: float
+    values over 1, or integer numerators over denominators."""
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_documents_load_through_parse_vector(self, mode, monkeypatch):
+        calls = []
+        parse = serialize._parse_vector
+        monkeypatch.setattr(serialize, "_parse_vector", lambda tokens, m: calls.append(tokens) or parse(tokens, m))
+        space = fp.make_space([mode.one() / 4, 3 * mode.one() / 4, 0 * mode.one()], mode)
+        objects = [
+            space,
+            fp.RandomVar([mode.one() / 2, -3 * mode.one(), 5 * mode.one()], space),
+            random_vec_rv(rng_for(7), space, 2),
+            fp.cond_exp_kernel(space, fp.Partition([(0, 1), (2,)], 3)).kernel,
+        ]
+        for obj, lines in zip(objects, (1, 2, 2, 2)):
+            calls.clear()
+            text = serialize.dumps(obj)
+            again = serialize.loads(text)
+            assert len(calls) == lines and serialize.dumps(again) == text
+            weights = (again.domain if isinstance(again, fp.Kernel) else getattr(again, "space", again)).int_weights()
+            assert weights[0].dtype == (np.int64 if mode.exact else np.float64)
+            assert weights[1] == (4 if mode.exact else 1)
+
+    def test_float_lines_are_floats_over_one(self):
+        data = serialize._parse_vector(["0.1", "2", "-inf", "1e-300"], fp.FLOAT_DEFAULT)
+        assert data.den == 1 and data.num.tolist() == [0.1, 2.0, -math.inf, 1e-300]
+        g = serialize.loads("vecrv\nmode float 1e-09\nweights 0.5 0.5\nvec 0.1 2\nvec 3 -4.5\n")
+        assert g.values is g.data.num and g.data.den == 1 and g.values.tolist() == [[0.1, 2.0], [3.0, -4.5]]
+
+
 class TestErrors:
     def test_unknown_kind(self):
         with pytest.raises(fp.ConfigParseError):
@@ -117,6 +150,38 @@ class TestErrors:
     )
     def test_vec_rv_rational_errors(self, body, error, message):
         text = "vecrv\nmode rational\nweights 1/2 1/4 1/4\n" + body
+        with pytest.raises(error) as info:
+            serialize.loads(text)
+        assert str(info.value) == message
+
+    FLOAT_MESSAGE = "bad number 'x': could not convert string to float: 'x'"
+    FRACTION_MESSAGE = "bad number '{}': Invalid literal for Fraction: '{}'"
+    DOCUMENTS = {
+        "weights": "space\nmode {}\nweights 0.5 {}\n",
+        "values": "rv\nmode {}\nweights 0.5 0.5\nvalues 1 {}\n",
+        "vec": "vecrv\nmode {}\nweights 0.5 0.5\nvec 1 2\nvec 3 {}\n",
+        "domain": "kernel\nmode {}\ndomain 0.5 {}\ncodomain 1\nrow 1\nrow 1\n",
+        "codomain": "kernel\nmode {}\ndomain 0.5 0.5\ncodomain 0.5 {}\nrow 0.5 0.5\nrow 0.5 0.5\n",
+    }
+    NAN = {
+        "weights": "weight 1 is nan",
+        "values": "random variable value at outcome 1 is nan",
+        "vec": "random variable value at outcome 1, component 1 is nan",
+        "domain": "weight 1 is nan",
+        "codomain": "weight 1 is nan",
+    }
+
+    @pytest.mark.parametrize("line", sorted(DOCUMENTS))
+    @pytest.mark.parametrize("token", ["x", "nan"])
+    @pytest.mark.parametrize("mode", ["rational", "float 1e-09"], ids=["rational", "float"])
+    def test_bad_token_on_a_number_line(self, mode, token, line):
+        text = self.DOCUMENTS[line].format(mode, token)
+        if mode == "rational":
+            error, message = fp.ConfigParseError, self.FRACTION_MESSAGE.format(token, token)
+        elif token == "x":
+            error, message = fp.ConfigParseError, self.FLOAT_MESSAGE
+        else:
+            error, message = fp.NonFiniteError, self.NAN[line]
         with pytest.raises(error) as info:
             serialize.loads(text)
         assert str(info.value) == message

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import finprob as fp
 from finprob import serialize
 from finprob.kernels import _checked_marginals
+from finprob.numerics import Rationals
+from finprob.sampling import random_space, rng_for
 from finprob.spaces import _checked_weights
 
 R = fp.rational_mode()
@@ -40,6 +42,57 @@ class TestMakeSpace:
     def test_empty_support_rejected(self):
         with pytest.raises(fp.FinprobError):
             fp.make_space([])
+
+
+class TestOneConstructor:
+    """A float space takes its weights from a list, from float `Rationals`
+    or from integer numerators over denominators, divided once."""
+
+    FLOAT = fp.FLOAT_DEFAULT
+
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [([1, 2, 1], [4, 4, 4]), ([2, 4, 2], [8, 8, 8]), ([1, 1, 1], [4, 2, 4]), ([1, 1, 1], [3, 3, 3]),
+         ([2, 2, 2], [6, 6, 6]), ([3, 0, 7], [10, 1, 10]), ([6, 0, 14], [20, 20, 20])],
+        ids=["quarters", "not-lowest", "mixed-dens", "thirds", "thirds-not-lowest", "null", "null-not-lowest"],
+    )
+    def test_float_forms_agree(self, nums, dens):
+        listed = [n / d for n, d in zip(nums, dens)]
+        spaces = [
+            fp.ProbSpace(listed, self.FLOAT),
+            fp.ProbSpace(np.array(listed), self.FLOAT),
+            fp.ProbSpace(Rationals.over(np.array(listed), 1), self.FLOAT),
+            fp.ProbSpace(Rationals.from_ints(nums, dens), self.FLOAT),
+            fp.ProbSpace(Rationals(np.array(nums), np.array(dens)), self.FLOAT),
+        ]
+        for space in spaces:
+            num, den = space.int_weights()
+            assert space == spaces[0] and hash(space) == hash(spaces[0])
+            assert num is space.weights and den == 1 and num.dtype == np.float64
+            assert not num.flags.writeable and num.tobytes() == np.array(listed).tobytes()
+            assert space.support == spaces[0].support
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_space_divides_its_draws_once(self, seed):
+        size, nulls = 1 + seed % 7, seed % 3 if seed % 7 > 2 else 0
+        rng = rng_for(seed)
+        while True:  # the draws of `random_space`, one after another
+            raw = rng.integers(1, 10, size=size)
+            raw[rng.permutation(size)[:nulls]] = 0
+            if raw.sum() > 0:
+                break
+        space = random_space(rng_for(seed), size, self.FLOAT, nulls)
+        assert space.weights.tobytes() == (raw / raw.sum()).tobytes()
+
+    def test_uniform_space_weights(self):
+        for n in range(1, 65):
+            assert fp.uniform_space(n).weights.tobytes() == np.array([1.0 / n] * n).tobytes()
+            assert fp.uniform_space(n, R).weights.tolist() == [F(1, n)] * n
+
+    def test_float_numerators_are_frozen_in_place(self):
+        num = np.array([0.25, 0.75])
+        space = fp.ProbSpace(Rationals.over(num, 1), self.FLOAT)
+        assert space.weights is num and not num.flags.writeable
 
 
 class TestWeightStacks:
