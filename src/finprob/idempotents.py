@@ -36,13 +36,7 @@ from .kernels import (
     is_measure_preserving,
 )
 from .numerics import Frozen, block_sums, int_array, times, widen
-from .partitions import (
-    Partition,
-    all_partitions,
-    complete_partition,
-    join_partitions,
-    meet_partitions,
-)
+from .partitions import Partition, _limit, all_partitions, complete_partition
 from .spaces import ProbSpace
 
 
@@ -387,15 +381,7 @@ def _chain_optimum(chain: Sequence[IdempotentKernel], increasing: bool, start: i
     for e in chain[1:]:
         if not e.space.same_as(space):
             raise SpaceMismatchError("chain elements on different spaces")
-    if increasing:
-        part = invariant_partition(chain[0])
-        for e in chain[1:]:
-            part = join_partitions(part, invariant_partition(e))
-    else:
-        part = complete_partition(invariant_partition(chain[0]), space)
-        for e in chain[1:]:
-            part = meet_partitions(part, complete_partition(invariant_partition(e), space))
-    out = cond_exp_kernel(space, part)
+    out = cond_exp_kernel(space, _limit(map(invariant_partition, chain), space, increasing))
 
     n = space.size
     slots = [None] * 3 if space.mode.exact else np.empty((3, 1, n, n))

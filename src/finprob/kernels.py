@@ -14,9 +14,12 @@ are nonnegative and sum to the denominator, so no entry of a kernel, or of
 a product of kernels, exceeds its denominator; each operation bounds its
 results that way first and works in int64 when the bound fits and in
 Python ints otherwise. `rows` is then a read-only `Fraction` array built on
-first access and cached. A mode branch is left only where the arithmetic
-differs: validation (a tolerance against exact sums, and lowest terms) and
-conditioning (division against lcm scaling).
+first access and cached. A coupling holds its joint table in the same form
+(`table` is built on first read), so a kernel and a coupling turn into each
+other by an integer product and by conditioning. Both read their input
+through `numerics.as_matrix`. A mode branch is left only where the
+arithmetic differs: validation (a tolerance against exact sums, and lowest
+terms) and conditioning (division against lcm scaling).
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from .numerics import (
     Rationals,
     _at,
     _first,
-    _freeze_matrix,
+    as_matrix,
     block_sums,
     int_array,
-    int_numerators,
     magnitude,
     mat_mul,
     quotient,
@@ -56,25 +58,20 @@ from .partitions import Partition
 from .spaces import ProbSpace
 
 
-def _spaces(domain: ProbSpace, codomain: ProbSpace) -> tuple:
-    """(mode, (n, m)) of the spaces of a kernel or coupling, which share a mode."""
-    if domain.mode != codomain.mode:
-        raise SpaceMismatchError("domain and codomain use different numeric modes")
-    return domain.mode, (domain.size, codomain.size)
-
-
 _CELL, _STEPS = ("row", "column"), ("step",)
 
 
-def _table(rows, mode: NumericMode, shape: tuple, what: str, lead: tuple = ()) -> np.ndarray:
-    """Frozen array of an (n, m) kernel or coupling, or of a stack of them along the named
-    `lead` axes, in the mode's numbers, with every entry finite and nonnegative; an error
-    names the first offending entry by its lead axes, row and column."""
-    m = _freeze_matrix(rows, mode)
-    if m.shape != m.shape[: len(lead)] + shape:
-        raise SizeMismatchError(f"{what} shape {m.shape} for spaces {shape[0]} -> {shape[1]}")
-    _entries(m, 1, mode, what, lead)
-    return m
+def _read(values, domain: ProbSpace, codomain: ProbSpace, what: str, lead: tuple = ()) -> tuple:
+    """(mode, numerators, denominator) of an (n, m) kernel or coupling, or of
+    a stack of them along the named `lead` axes, read by `as_matrix` over one
+    common denominator; the spaces must share a mode and fit the shape."""
+    if domain.mode != codomain.mode:
+        raise SpaceMismatchError("domain and codomain use different numeric modes")
+    shape = (domain.size, codomain.size)
+    num, den = as_matrix(values, domain.mode).over_common()
+    if num.shape != num.shape[: len(lead)] + shape:
+        raise SizeMismatchError(f"{what} shape {num.shape} for spaces {shape[0]} -> {shape[1]}")
+    return domain.mode, num, den
 
 
 def _entries(num: np.ndarray, den, mode: NumericMode, what: str, lead: tuple) -> None:
@@ -115,18 +112,17 @@ def _rows(num: np.ndarray, den, mode: NumericMode, lead: tuple = ()) -> tuple:
     return num, den
 
 
-class Kernel(Frozen):
-    """Row-stochastic matrix from a domain space to a codomain space, held
-    as the numerators `num` over the denominator `den` (see the module
-    docstring)."""
+class _OverDen(Frozen):
+    """A matrix between two spaces held as the numerators `num` over one
+    positive denominator `den` (see the module docstring). Its numbers, the
+    slot named by `_VIEW`, are built on first read and cached: a read-only
+    `Fraction` matrix in rational mode, the numerators themselves in float
+    mode."""
 
-    __slots__ = ("rows", "num", "den", "domain", "codomain")
+    __slots__ = ("num", "den", "domain", "codomain")
+    _VIEW = ""
 
-    def __init__(self, rows: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
-        mode, shape = _spaces(domain, codomain)
-        self._bind(*_rows(*int_numerators(_table(rows, mode, shape, "kernel")), mode), domain, codomain)
-
-    def _bind(self, num: np.ndarray, den, domain: ProbSpace, codomain: ProbSpace) -> "Kernel":
+    def _bind(self, num: np.ndarray, den, domain: ProbSpace, codomain: ProbSpace):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", int(den))
         object.__setattr__(self, "domain", domain)
@@ -134,14 +130,25 @@ class Kernel(Frozen):
         return self
 
     def __getattr__(self, name):
-        # Reached only while a slot is unset: `rows` is built on first
-        # access and cached in its slot, in rational mode the read-only
-        # Fraction matrix, in float mode the numerators themselves.
-        if name != "rows":
+        # Reached only while a slot is unset.
+        if name != self._VIEW:
             raise AttributeError(name)
-        rows = quotients(self.num, self.den)
-        object.__setattr__(self, "rows", rows)
-        return rows
+        view = quotients(self.num, self.den)
+        object.__setattr__(self, name, view)
+        return view
+
+
+class Kernel(_OverDen):
+    """Row-stochastic matrix from a domain space to a codomain space, held
+    as the numerators `num` over the denominator `den`; `rows` is built on
+    first read."""
+
+    __slots__ = ("rows",)
+    _VIEW = "rows"
+
+    def __init__(self, rows: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
+        mode, num, den = _read(rows, domain, codomain, "kernel")
+        self._bind(*_rows(num, den, mode), domain, codomain)
 
     @property
     def mode(self):
@@ -171,18 +178,11 @@ def _kernel_stack(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain:
     return _views(*_rows(num, den, domain.mode, _STEPS), domain, codomain)
 
 
-def _checked_stack(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> tuple:
-    """A (T, n, m) array of row matrices in the mode's numbers, checked in
-    one pass, as (numerators, (T,) denominators), float rows over ones."""
-    mode, shape = _spaces(domain, codomain)
-    num, den = int_numerators(_table(stack, mode, shape, "kernel", _STEPS))
-    return _rows(num, int_array([den] * len(num), den), mode, _STEPS)
-
-
 def kernel_sequence(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
-    """Kernels from a (T, n, m) array of row matrices in the mode's numbers,
-    checked in one pass; kernel t holds slice t of one frozen copy."""
-    return _views(*_checked_stack(stack, domain, codomain), domain, codomain)
+    """Kernels from a (T, n, m) array of row matrices, read by `as_matrix`
+    and checked in one pass; kernel t holds slice t of one frozen copy."""
+    mode, num, den = _read(stack, domain, codomain, "kernel", _STEPS)
+    return _views(*_rows(num, int_array([den] * len(num), den), mode, _STEPS), domain, codomain)
 
 
 def identity_kernel(space: ProbSpace) -> Kernel:
@@ -349,40 +349,50 @@ def is_as_deterministic(k: Kernel) -> bool:
     return dagger_epi
 
 
-def _checked_marginals(table: np.ndarray, p, q, mode: NumericMode, lead: tuple = ()) -> None:
-    """A joint table, or a stack of them along the named `lead` axes, has
-    the row marginals p and the column marginals q within the mode's
-    tolerance; an error names the first table that does not."""
-    for axis, w, side, name in ((-1, p, "row", "p"), (-2, q, "column", "q")):
-        bad = ~mode.close_mask(table.sum(axis=axis), w).all(axis=-1)
+def _checked_marginals(num: np.ndarray, den: int, p: tuple, q: tuple, mode: NumericMode, lead: tuple = ()) -> None:
+    """A joint table of numerators over `den`, or a stack of them along the
+    named `lead` axes over that denominator, has the row marginals p and the
+    column marginals q, each (numerators, denominator), within the mode's
+    tolerance, comparing numerators across the two denominators; an error
+    names the first table that does not."""
+    for axis, (w, wden), side, name in ((-1, p, "row", "p"), (-2, q, "column", "q")):
+        sums = num.sum(axis=axis)
+        sums, w = widen(max(magnitude(sums) * wden, magnitude(w) * den), sums, w)
+        bad = ~mode.close_mask(times(sums, wden), times(w, den)).all(axis=-1)
         if bad.any():
             where = f" of {_at(_first(bad), lead)}" if lead else ""
             raise NotMeasurePreservingError(f"{side} marginals{where} differ from {name}")
 
 
-class Coupling(Frozen):
-    """Joint table on domain x codomain whose marginals are p and q."""
+class Coupling(_OverDen):
+    """Joint table on domain x codomain whose marginals are p and q, held
+    as the numerators `num` over the denominator `den`; `table` is built on
+    first read."""
 
-    __slots__ = ("table", "domain", "codomain")
+    __slots__ = ("table",)
+    _VIEW = "table"
 
     def __init__(self, table: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
-        mode, shape = _spaces(domain, codomain)
-        t = _table(table, mode, shape, "coupling")
-        _checked_marginals(t, domain.weights, codomain.weights, mode)
-        object.__setattr__(self, "table", t)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
+        mode, num, den = _read(table, domain, codomain, "coupling")
+        _entries(num, den, mode, "coupling", ())
+        _checked_marginals(num, den, domain.int_weights(), codomain.int_weights(), mode)
+        num.setflags(write=False)
+        self._bind(num, den, domain, codomain)
 
 
 def coupling_from_kernel(k: Kernel) -> Coupling:
-    """Joint table c(x,y) = p(x) rows[x][y]."""
+    """Joint table c(x,y) = p(x) rows[x][y]: the products of the weight and
+    row numerators, over the product of their denominators."""
     _require_mp(k)
-    return Coupling(k.domain.weights[:, None] * k.rows, k.domain, k.codomain)
+    wnum, wden = k.domain.int_weights()
+    den = wden * k.den
+    w, num = widen(den, wnum, k.num)  # every product is at most den
+    return Coupling(Rationals(w[:, None] * num, den), k.domain, k.codomain)
 
 
 def kernel_from_coupling(c: Coupling) -> Kernel:
     """Conditioning on the first marginal; null rows canonicalized to q."""
-    return _conditioned(*int_numerators(c.table), c.domain, c.codomain)
+    return _conditioned(c.num, c.den, c.domain, c.codomain)
 
 
 def kernel_from_measure(space: ProbSpace) -> Kernel:

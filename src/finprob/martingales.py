@@ -36,14 +36,7 @@ from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, _tol, one_sided_distance, report_from_flags
 from .numerics import Frozen, NumericMode, Rationals, _first, check_norm_index, rational_mode
 from .operators import VNorm, cond_expectation
-from .partitions import (
-    Partition,
-    all_partitions,
-    as_measurable_wrt,
-    complete_partition,
-    join_partitions,
-    meet_partitions,
-)
+from .partitions import Partition, _limit, all_partitions, as_measurable_wrt, complete_partition
 from .spaces import ProbSpace, RandomVar, as_equal_rv, ln_norm, uniform_space
 
 INCREASING = "increasing"
@@ -88,20 +81,8 @@ class Filtration(Frozen):
 
 
 def filtration_limit(f: Filtration) -> Partition:
-    """Limit partition: iterated join, or iterated meet of the completions.
-
-    Completion comes before meeting; meets of raw partitions would lose the
-    counterexample where two a.s.-equal partitions have trivial intersection.
-    """
-    if f.direction == INCREASING:
-        out = f.partitions[0]
-        for p in f.partitions[1:]:
-            out = join_partitions(out, p)
-        return out
-    out = complete_partition(f.partitions[0], f.space)
-    for p in f.partitions[1:]:
-        out = meet_partitions(out, complete_partition(p, f.space))
-    return out
+    """Limit partition: iterated join, or iterated meet of the completions."""
+    return _limit(f.partitions, f.space, f.direction == INCREASING)
 
 
 class Martingale(Frozen):

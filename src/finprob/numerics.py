@@ -22,12 +22,19 @@ values in R^d, or float values over the int 1. An array whose entries share
 a denominator keeps one common value; conditional expectations carry one
 denominator per block and component. A kernel holds an integer numerator
 matrix over one common denominator, in lowest terms, and a stack of kernels
-one denominator per kernel. Each rational operation first bounds its
-results from the data; the arrays are int64 when that bound fits and
-Python-int object arrays otherwise, so no result ever wraps around.
-`fractions.Fraction` objects appear at the boundary: scalar results,
-`.values`/`.weights`/`.rows` (built on first access and cached), input
-given as Fractions, and the text formats.
+one denominator per kernel; a coupling holds its joint table as a kernel
+holds its rows. Each rational operation first bounds its results from the
+data; the arrays are int64 when that bound fits and Python-int object
+arrays otherwise, so no result ever wraps around.
+
+Numbers come in through one reader, `as_matrix`, which every constructor
+calls: lists and arrays of any shape become `Rationals`, each entry read by
+`as_number`'s rule, and integer numerators are int64 only while their
+magnitudes add up within int64 (`Rationals.from_ints`, which the token
+reader of the text formats also uses). `fractions.Fraction` objects appear
+at the boundary: scalar results, `.values`/`.weights`/`.rows`/`.table`
+(built on first access and cached), input given as Fractions, and the text
+formats.
 """
 
 from __future__ import annotations
@@ -181,66 +188,6 @@ def as_number(x, mode: NumericMode) -> Number:
     raise FinprobError(f"cannot represent {type(x).__name__} as a rational")
 
 
-def _in_mode_dtype(arr: np.ndarray, mode: NumericMode) -> bool:
-    """float64, or in rational mode an object array of Fractions only."""
-    if mode.exact:
-        return arr.dtype == object and set(map(type, arr.flat)) <= {Fraction}
-    return arr.dtype == np.float64
-
-
-def as_vector(values: Iterable, mode: NumericMode) -> np.ndarray:
-    """Read-only 1-d array in the mode's dtype.
-
-    Arrays that already hold the mode's numbers (results of internal
-    arithmetic) are frozen as they are; any other goes like a list.
-    """
-    if isinstance(values, np.ndarray) and values.ndim == 1 and _in_mode_dtype(values, mode):
-        arr = values.copy()
-        arr.setflags(write=False)
-        return arr
-    data = [as_number(v, mode) for v in values]
-    if mode.exact:
-        arr = np.empty(len(data), dtype=object)
-        arr[:] = data
-    else:
-        arr = np.asarray(data, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
-
-
-def as_matrix(rows: Sequence[Iterable], mode: NumericMode) -> np.ndarray:
-    """Read-only 2-d array in the mode's dtype; a row of another length than
-    row 0 is a `SizeMismatchError` that names it."""
-    data = [[as_number(v, mode) for v in row] for row in rows]
-    ncols = len(data[0]) if data else 0
-    for i, row in enumerate(data):
-        if len(row) != ncols:
-            raise SizeMismatchError(f"matrix row {i} has {len(row)} entries, row 0 has {ncols}")
-    if mode.exact:
-        arr = np.empty((len(data), ncols), dtype=object)
-        for i, row in enumerate(data):
-            arr[i, :] = row
-    else:
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 1:  # zero columns
-            arr = arr.reshape(len(data), 0)
-    arr.setflags(write=False)
-    return arr
-
-
-def _freeze_matrix(rows, mode: NumericMode) -> np.ndarray:
-    """Read-only array in the mode's dtype: an array that already holds the
-    mode's numbers as it is, anything else like a list through `as_matrix`,
-    which converts ints and integral floats and refuses the rest."""
-    if isinstance(rows, np.ndarray):
-        if _in_mode_dtype(rows, mode):
-            m = rows.copy()
-            m.setflags(write=False)
-            return m
-        rows = rows.tolist()
-    return as_matrix(rows, mode)
-
-
 def per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One entry of w per outcome, shaped to broadcast along x's trailing value axes."""
     return w.reshape(w.shape + (1,) * (x.ndim - w.ndim))
@@ -308,27 +255,18 @@ class Rationals:
 
     @classmethod
     def from_ints(cls, nums: Sequence[int], dens: Sequence[int]) -> "Rationals":
-        """From numerators and positive denominators: over their common
-        denominator when that fits int64, else one denominator each."""
+        """From numerators and positive denominators: int64 over their common
+        denominator when the magnitudes of the numerators over it add up
+        within int64, so that no sum over them wraps; else one denominator
+        each."""
         common = math.lcm(*set(dens))
-        top = max(map(abs, nums), default=0)
-        if max(top, 1) * common <= _INT64_MAX:
+        total = sum(map(abs, nums))
+        if max(total, 1) * common <= _INT64_MAX:
             num = np.array(nums, dtype=np.int64)
             num *= common // np.array(dens, dtype=np.int64)
             return cls(num, np.full(len(nums), common, dtype=np.int64))
-        bound = max(top, max(dens))
+        bound = max(total, max(dens))
         return cls(int_array(nums, bound), int_array(dens, bound))
-
-    @classmethod
-    def of(cls, values: Iterable) -> "Rationals":
-        """From the mode's numbers: a float64 array over 1, or Fractions and
-        ints, a sequence or an object array of any shape."""
-        if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-            return cls(values, 1)
-        values = np.asarray(values, dtype=object)
-        flat = values.ravel().tolist()
-        out = cls.from_ints([v.numerator for v in flat], [v.denominator for v in flat])
-        return cls(out.num.reshape(values.shape), out.den.reshape(values.shape))
 
     @classmethod
     def over(cls, num: np.ndarray, den: int) -> "Rationals":
@@ -411,6 +349,59 @@ class Rationals:
         return Rationals(an * bn, ad * bd)
 
 
+def as_vector(values: Iterable, mode: NumericMode) -> Rationals:
+    """The numbers of a flat sequence, each read by `as_number`'s rule, as
+    a 1-d `Rationals`: float64 numerators over 1, or integer numerators
+    over their common denominator (`Rationals.from_ints`). Python ints are
+    their own numerators over 1."""
+    if not mode.exact:
+        return Rationals(np.array([as_number(v, mode) for v in values], dtype=np.float64), 1)
+    data = [v if type(v) is int else as_number(v, mode) for v in values]
+    return Rationals.from_ints([v.numerator for v in data], [v.denominator for v in data])
+
+
+_ROW = (list, tuple, np.ndarray)
+
+
+def as_matrix(values, mode: NumericMode) -> Rationals:
+    """The one reader of numbers that come in: `Rationals` of an array of
+    any rank, of a list or tuple of numbers, or of a list of rows of
+    numbers (a list, tuple or array first entry makes rows), every entry
+    read by `as_vector`. `Rationals` are taken as they are.
+
+    An array is copied, so the caller's array is never frozen: in float
+    mode a boolean, integer or float array in one cast to float64, any
+    other array entry by entry as its `tolist()`. All entries are read
+    before the row lengths are checked (`_width`), and an empty list is no
+    rows, shape (0, 0).
+    """
+    if isinstance(values, Rationals):
+        return values
+    if isinstance(values, np.ndarray):
+        if not mode.exact and values.dtype.kind in "biuf":
+            return Rationals(values.astype(np.float64), 1)
+        return as_vector(values.ravel().tolist(), mode).reshape(values.shape)
+    data = list(values)
+    if data and not isinstance(data[0], _ROW):
+        return as_vector(data, mode)
+    for i, row in enumerate(data):
+        if not isinstance(row, _ROW):
+            raise SizeMismatchError(f"matrix row {i} is {row!r}, not a row of numbers")
+    rows = [list(row) for row in data]
+    out = as_vector([v for row in rows for v in row], mode)
+    return out.reshape((len(rows), _width(rows)))
+
+
+def _width(rows: list) -> int:
+    """The length of row 0 (0 for no rows), which every row must have; a
+    row of another length is a `SizeMismatchError` that names it."""
+    ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise SizeMismatchError(f"matrix row {i} has {len(row)} entries, row 0 has {ncols}")
+    return ncols
+
+
 def fraction_array(num: np.ndarray, den) -> np.ndarray:
     """Read-only object array of the Fractions num / den, for integer arrays
     of any shape; `den` broadcasts against `num`. Equal (num, den) pairs,
@@ -436,19 +427,6 @@ def quotients(num: np.ndarray, den) -> np.ndarray:
     """The numbers num / den of a numerator array at the boundary: read-only
     Fractions of integers (`fraction_array`), float numerators as they are."""
     return num if num.dtype.kind == "f" else fraction_array(num, den)
-
-
-def int_numerators(values: np.ndarray) -> tuple:
-    """(numerators, L) of an array of the mode's numbers, of any shape:
-    values = numerators / L. Float values are their own numerators over 1.
-    Fractions give integer numerators over the lcm L of their denominators,
-    int64 when their absolute sum fits, so that no sum over them wraps."""
-    if values.dtype.kind == "f":
-        return values, 1
-    flat = values.ravel().tolist()
-    den = math.lcm(*{v.denominator for v in flat})
-    nums = [v.numerator * (den // v.denominator) for v in flat]
-    return int_array(nums, sum(map(abs, nums))).reshape(values.shape), den
 
 
 def block_sums(x: np.ndarray, labels: np.ndarray, n_blocks: int) -> np.ndarray:

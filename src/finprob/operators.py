@@ -25,6 +25,7 @@ from .errors import DimMismatchError, SizeMismatchError, SpaceMismatchError
 from .kernels import Kernel, bayes_inverse
 from .numerics import (
     Rationals,
+    as_matrix,
     block_sums,
     check_norm_index,
     magnitude,
@@ -108,7 +109,7 @@ def _block_averages(f: RandomVar, p: Partition) -> Rationals:
         dens = np.repeat(dens, sums.shape[1], axis=1)
     empty = masses == 0
     if empty.any():
-        mean = Rationals.of(np.atleast_1d(expectation(f)))
+        mean = as_matrix(np.atleast_1d(expectation(f)), space.mode)
         sums, dens = widen(max(magnitude(mean.num), magnitude(mean.den)), sums, dens)
         sums[empty], dens[empty] = mean.num, mean.den
     if sums.dtype.kind == "f":  # float averages are divided out, over 1

@@ -15,6 +15,7 @@ in that same order, is built from the labels on first access.
 
 from __future__ import annotations
 
+import functools
 from typing import Hashable, Iterable, Iterator
 
 import numpy as np
@@ -160,6 +161,18 @@ def complete_partition(p: Partition, space: ProbSpace) -> Partition:
         labels[x] = -1 - x  # a label of its own
     out = Partition.from_labels(labels)
     return p if out.n_blocks == p.n_blocks else out
+
+
+def _limit(parts: Iterable[Partition], space: ProbSpace, increasing: bool) -> Partition:
+    """Limit of a monotone family of partitions of `space`: the join of the
+    partitions when `increasing`, else the meet of their completions.
+
+    Completion comes before meeting; meets of raw partitions would lose the
+    counterexample where two a.s.-equal partitions have trivial intersection.
+    """
+    if increasing:
+        return functools.reduce(join_partitions, parts)
+    return functools.reduce(meet_partitions, (complete_partition(p, space) for p in parts))
 
 
 def _constant_on_blocks(f: RandomVar, p: Partition, outcomes: np.ndarray) -> bool:

@@ -20,9 +20,9 @@ from .kernels import (
     Kernel,
     _checked_marginals,
     _conditioned_rows,
+    _entries,
     _kernel,
     _rows,
-    _table,
     _views,
 )
 from .numerics import NumericMode, Rationals, int_array, mat_mul, widen
@@ -128,7 +128,8 @@ def random_mp_stack(
     p, q = table.sum(axis=2), table.sum(axis=1)
     _checked_weights(p, ones, mode, lead)
     _checked_weights(q, ones, mode, lead)
-    _checked_marginals(_table(table, mode, (nrows, ncols), "coupling", lead), p, q, mode, lead)
+    _entries(table, 1, mode, "coupling", lead)
+    _checked_marginals(table, 1, (p, 1), (q, 1), mode, lead)
     return _rows(_conditioned_rows(table, p, q), ones, mode, lead), (p, ones), (q, ones)
 
 

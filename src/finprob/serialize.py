@@ -13,9 +13,10 @@ Kinds: "space" (mode + weights), "rv" (mode + weights + values), "vecrv"
 (mode + weights + one vec line per outcome), "kernel" (as above). Rational
 numbers are written num/den and round-trip bit-exactly; floats are written
 with repr and round-trip exactly as doubles. Every weights, values, vec,
-domain and codomain line is read into `Rationals` (`_parse_vector`), in the
-form the spaces and random variables are built from. Lines starting with
-'#' and blank lines are ignored.
+domain, codomain and row line is read into `Rationals` (`_parse_vector`),
+the form the spaces, random variables and kernels are built from; the
+tokens of all vec or row lines are read before their shape is checked.
+Lines starting with '#' and blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigParseError
 from .kernels import Kernel
-from .numerics import NumericMode, Rationals, float_mode, rational_mode
+from .numerics import NumericMode, Rationals, _width, float_mode, rational_mode
 from .spaces import ProbSpace, RandomVar, VecRandomVar, _row_width
 
 
@@ -56,7 +57,7 @@ def _parse_vector(tokens: list[str], mode: NumericMode) -> Rationals:
     `Fraction`.
     """
     if not mode.exact:
-        return Rationals.of(np.array([parse_number(t, mode) for t in tokens], dtype=np.float64))
+        return Rationals(np.array([parse_number(t, mode) for t in tokens], dtype=np.float64), 1)
     nums, dens = [], []
     for token in tokens:
         top, slash, bottom = token.partition("/")
@@ -164,8 +165,9 @@ def loads_kernel(text: str) -> Kernel:
     cod = ProbSpace(_parse_vector(_take(lines, "codomain"), mode), mode)
     rows = []
     while lines and lines[0][0] == "row":
-        rows.append([parse_number(t, mode) for t in _take(lines, "row")])
-    return Kernel(rows, dom, cod)
+        rows.append(_take(lines, "row"))
+    flat = _parse_vector([t for row in rows for t in row], mode)  # every token is read before the shape
+    return Kernel(flat.reshape((len(rows), _width(rows))), dom, cod)
 
 
 def dump(obj, path) -> None:

@@ -34,9 +34,7 @@ from .numerics import (
     Rationals,
     _at,
     _first,
-    _freeze_matrix,
     as_matrix,
-    as_vector,
     check_norm_index,
     float_roots,
     int_array,
@@ -69,7 +67,7 @@ def _checked_weights(w: np.ndarray, den, mode: NumericMode, lead: tuple = ()) ->
     if negative.any():
         at = _first(negative)
         raise NegativeWeightError(f"{_at(at, lead + ('weight',))} is negative: {value(w, at)}")
-    totals = w.sum(axis=-1)
+    totals = np.asarray(w.sum(axis=-1))  # an object sum of one vector is a bare int
     bad = ~mode.close_mask(totals, den)
     if bad.any():
         at = _first(bad)
@@ -85,12 +83,12 @@ class ProbSpace(Frozen):
 
     Weights are validated (nonnegative, summing to one within the mode's
     tolerance, nonempty support) and never renormalized: a wrong total is a
-    modeling error and is reported, not repaired. They are kept as
-    numerators over one denominator, taken from a list or an array of the
-    mode's numbers, or from `Rationals`: integers in lowest terms in
-    rational mode, and in float mode the float weights over 1, integer
-    numerators divided once by their denominator. The numerators and the
-    denominator are also the key of equality and hashing.
+    modeling error and is reported, not repaired. They are read by
+    `numerics.as_matrix`, one weight per outcome, and kept as numerators
+    over one denominator: integers in lowest terms in rational mode, and in
+    float mode the float weights over 1, integer numerators divided once by
+    their denominator. The numerators and the denominator are also the key
+    of equality and hashing.
     """
 
     __slots__ = (
@@ -99,16 +97,16 @@ class ProbSpace(Frozen):
     )
 
     def __init__(self, weights: Iterable, mode: NumericMode = FLOAT_DEFAULT):
-        if not isinstance(weights, Rationals):
-            weights = Rationals.of(as_vector(weights, mode))
-        num, den = weights.over_common()
+        num, den = as_matrix(weights, mode).over_common()
+        if num.size == 0:
+            raise SizeMismatchError("a probability space needs at least one outcome")
+        if num.ndim != 1:
+            raise SizeMismatchError(f"weights of shape {num.shape}: a probability space takes one weight per outcome")
         if mode.exact:
             g = math.gcd(den, *num.tolist())
             num, den = num // g, den // g
         elif num.dtype.kind != "f":
             num, den = np.asarray(num / den, dtype=np.float64), 1
-        if num.size == 0:
-            raise SizeMismatchError("a probability space needs at least one outcome")
         _checked_weights(num, den, mode)
         live = np.flatnonzero(num > 0)
         num.setflags(write=False)
@@ -196,10 +194,10 @@ class RandomVar(Frozen):
 
     def __init__(self, values: Iterable, space: ProbSpace):
         mode = space.mode
-        if not isinstance(values, Rationals):
-            two_d = isinstance(values, np.ndarray) and values.ndim == 2
-            values = Rationals.of(_freeze_matrix(values, mode) if two_d else as_vector(values, mode))
+        values = as_matrix(values, mode)
         num = values.num
+        if num.ndim not in (1, 2):
+            raise SizeMismatchError(f"random variable values of shape {num.shape}: one value or one row per outcome")
         if not mode.exact and not np.isfinite(num).all():
             at = _first(~np.isfinite(num))
             raise NonFiniteError(f"random variable value at {_at(at, ('outcome', 'component'))} is {num[at]}")
@@ -272,7 +270,6 @@ def VecRandomVar(values, space: ProbSpace, dim: int | None = None) -> RandomVar:
     if not isinstance(values, (np.ndarray, Rationals)):
         values = [list(row) for row in values]
         _row_width(values, dim)
-        values = as_matrix(values, space.mode)
     f = RandomVar(values, space)
     if f.dim is None or dim not in (None, f.dim):
         raise DimMismatchError(f"expected vectors of length {dim}, got values of dimension {f.dim}")
@@ -337,7 +334,7 @@ def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
     if dim is not None and callable(vnorm):
         norms = [vnorm(row) for row in f.values[live]]
         if f.space.mode.exact and all(isinstance(m, (int, Fraction)) for m in norms):
-            m, den = Rationals.of(norms).over_common()
+            m, den = as_matrix(norms, f.space.mode).over_common()
         else:
             m, den = np.array(norms, dtype=np.float64), 1
         bad = ~((m >= 0) & (m < math.inf))  # negative, NaN or infinite

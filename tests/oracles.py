@@ -18,6 +18,13 @@ from finprob.idempotents import _same_block
 from finprob.partitions import Partition
 
 
+def to_float(k):
+    """The float image of a kernel: float spaces of its weights and its rows as floats."""
+    f = fp.float_mode()
+    spaces = [fp.make_space([float(w) for w in s.weights], f) for s in (k.domain, k.codomain)]
+    return fp.Kernel([[float(v) for v in row] for row in k.rows], *spaces)
+
+
 def subsets(universe):
     items = list(universe)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))

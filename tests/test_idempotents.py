@@ -17,6 +17,7 @@ from .oracles import (
     invariant_sets_direct,
     kernel_mass,
     order_table_by_definition,
+    to_float,
 )
 
 R = fp.rational_mode()
@@ -568,3 +569,51 @@ class TestHarmonicAndPositivity:
                     for x in space.support:
                         lhs = kernel_mass(e.kernel, x, a) * kernel_mass(e.kernel, x, b)
                         assert lhs == kernel_mass(e.kernel, x, inter)
+
+
+class TestChainModeAgreement:
+    """A rational chain with a null outcome and its float image give the
+    same Levi verdicts and a.s.-equal optima."""
+
+    SPACE = fp.make_space([F(1, 6), F(1, 3), F(0), F(1, 4), F(1, 8), F(1, 8)], R)
+    # after completion each step refines (increasing) or coarsens
+    # (decreasing) the one before; the last two are a.s. equal
+    CHAINS = {
+        "increasing": [
+            [(0, 1, 2, 3, 4, 5)],
+            [(0, 1, 2), (3, 4, 5)],
+            [(0, 1), (2,), (3,), (4, 5)],
+            [(0,), (1, 2), (3,), (4, 5)],
+            [(0,), (1,), (2,), (3,), (4, 5)],
+        ],
+        "decreasing": [
+            [(0,), (1,), (2,), (3,), (4,), (5,)],
+            [(0, 1), (2,), (3,), (4, 5)],
+            [(0, 1, 2), (3,), (4, 5)],
+            [(0, 1, 2), (3, 4, 5)],
+            [(0, 1, 2, 3, 4, 5)],
+            [(0, 1, 3, 4, 5), (2,)],
+        ],
+    }
+
+    def chains(self, direction):
+        exact = [fp.cond_exp_kernel(self.SPACE, fp.Partition(b, 6)) for b in self.CHAINS[direction]]
+        return exact, [fp.IdempotentKernel(to_float(e.kernel)) for e in exact]
+
+    @pytest.mark.parametrize("direction", sorted(CHAINS))
+    def test_levi_property_check(self, direction):
+        exact, floats = self.chains(direction)
+        r, f = fp.levi_property_check(exact), fp.levi_property_check(floats)
+        assert r.converged and f.converged
+        assert r.stabilization_index == f.stabilization_index == 3 + (direction == "decreasing")
+        tol = fp.FLOAT_DEFAULT.tolerance
+        for a, b in zip(r.step_distances, f.step_distances, strict=True):
+            assert abs(float(a) - b) <= tol * max(1.0, abs(float(a)))
+        assert r.step_distances[0] > 0 and r.step_distances[-1] == 0
+
+    @pytest.mark.parametrize("direction", sorted(CHAINS))
+    def test_sup_and_inf(self, direction):
+        exact, floats = self.chains(direction)
+        optimum = fp.sup_idempotents if direction == "increasing" else fp.inf_idempotents
+        r, f = optimum(exact), optimum(floats)
+        assert fp.as_equal_kernels(to_float(r.kernel), f.kernel)

@@ -93,6 +93,16 @@ class TestKernelSequence:
         with pytest.raises(fp.SizeMismatchError):
             fp.kernel_sequence(self.stack()[:, :1], self.SPACE, self.SPACE)
 
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_integer_stack(self, mode):
+        # such a stack used to be refused in both modes, although `Kernel`
+        # took an integer table
+        space = fp.uniform_space(2, mode)
+        stack = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+        seq = fp.kernel_sequence(stack, space, space)
+        assert [k.rows.tolist() for k in seq] == [fp.Kernel(s, space, space).rows.tolist() for s in stack]
+        assert fp.kernel_sequence(stack[:1], space, space)[0].rows.tolist() == [[1, 0], [0, 1]]
+
 
 class TestCompose:
     def test_right_unit(self):
@@ -337,6 +347,19 @@ class TestCoupling:
     def test_marginal_validation(self):
         with pytest.raises(fp.NotMeasurePreservingError):
             fp.Coupling([[F(1, 2), 0], [0, F(1, 2)]], U2, Q34)
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_held_as_numerators(self, mode):
+        half = mode.one() / 2
+        k = fp.Kernel([[1, 0], [half, half]], fp.uniform_space(2, mode), fp.make_space([3 * half / 2, half / 2], mode))
+        c = fp.coupling_from_kernel(k)
+        wnum, wden = k.domain.int_weights()
+        assert c.den == wden * k.den and np.array_equal(c.num, wnum[:, None] * k.num)
+        assert (c.table is c.num) == (not mode.exact) and not c.num.flags.writeable
+        assert [list(r) for r in c.table] == [[half, 0], [half / 2, half / 2]]
+        assert fp.as_equal_kernels(fp.kernel_from_coupling(c), k)
+        again = fp.Coupling(c.table, k.domain, k.codomain)
+        assert again.table.tolist() == c.table.tolist()
 
 
 def test_kernel_from_measure_is_expectation_row():

@@ -10,7 +10,7 @@ from finprob.experiments import _slide_block, run_experiment
 from finprob.metrics import _block_reports, _report
 from finprob.sampling import random_mp_kernel, random_mp_stack, random_partition, random_space, rng_for
 
-from .oracles import float_slide, kernel_block, mix_weights, setwise_distance, subsets
+from .oracles import float_slide, kernel_block, mix_weights, setwise_distance, subsets, to_float
 
 R = fp.rational_mode()
 
@@ -25,12 +25,6 @@ def _mix(k, other, a):
         for x in range(k.domain.size)
     ]
     return fp.Kernel(rows, k.domain, k.codomain)
-
-
-def _to_float(k):
-    f = fp.float_mode()
-    spaces = [fp.make_space([float(w) for w in s.weights], f) for s in (k.domain, k.codomain)]
-    return fp.Kernel([[float(v) for v in row] for row in k.rows], *spaces)
 
 
 def _independent(k):
@@ -226,7 +220,7 @@ class TestStackReports:
 
     @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
     def test_bad_slide_names_sequence_and_step(self, mode):
-        limit, _, q = kernel_block([HALF if mode.exact else _to_float(HALF)] * 3)
+        limit, _, q = kernel_block([HALF if mode.exact else to_float(HALF)] * 3)
         a = [[mode.one() / 2**i for i in range(3)] for _ in range(3)]
         a[2][1] = -mode.one()  # 2 k - q: row 0 gets 2 * 0 - 1/4
         value = "-1/4" if mode.exact else "-0.25"
@@ -234,7 +228,7 @@ class TestStackReports:
             _slide_block(mode, limit, q, mix_weights(a, mode.exact))
 
     def test_bad_float_slide_names_sequence_and_step(self):
-        limit, _, q = kernel_block([_to_float(HALF)] * 2)
+        limit, _, q = kernel_block([to_float(HALF)] * 2)
         a = np.full((2, 4), 0.5)
         a[1, 3] = math.nan
         with pytest.raises(fp.NonFiniteError, match="sequence 1, step 3, row 0, column 0 is nan"):

@@ -110,7 +110,7 @@ class TestNumberLines:
             random_vec_rv(rng_for(7), space, 2),
             fp.cond_exp_kernel(space, fp.Partition([(0, 1), (2,)], 3)).kernel,
         ]
-        for obj, lines in zip(objects, (1, 2, 2, 2)):
+        for obj, lines in zip(objects, (1, 2, 2, 3)):
             calls.clear()
             text = serialize.dumps(obj)
             again = serialize.loads(text)

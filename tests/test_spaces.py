@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -42,6 +43,30 @@ class TestMakeSpace:
     def test_empty_support_rejected(self):
         with pytest.raises(fp.FinprobError):
             fp.make_space([])
+
+    def test_weight_total_past_int64_is_reported(self):
+        # such a total used to wrap around to -9223372036854775808
+        text = "space\nmode rational\nweights 4611686018427387904 4611686018427387904\n"
+        for build in (
+            lambda: fp.ProbSpace([2**62, 2**62], R),
+            lambda: fp.make_space([2**62, 2**62], R),
+            lambda: serialize.loads_space(text),
+        ):
+            with pytest.raises(fp.SumNotOneError, match="^weights sum to 9223372036854775808, deviation 9223372036854775807$"):
+                build()
+        # a kernel row of the same entries already reported its true sum
+        u2 = fp.uniform_space(2, R)
+        with pytest.raises(fp.SumNotOneError, match="^row 0 sums to 9223372036854775808$"):
+            fp.Kernel([[2**62, 2**62], [0, 1]], u2, u2)
+        # such weights, beyond int64 one by one, used to end in a TypeError
+        with pytest.raises(fp.SumNotOneError, match=f"^weights sum to {10**400 + 1}, "):
+            fp.ProbSpace([10**400, 1], R)
+
+    @pytest.mark.parametrize("weights", [[[0.5], [0.5]], [[0.5, 0.5]], np.full((2, 1), 0.5), np.array(1.0)])
+    def test_weights_of_another_rank_are_size_errors(self, weights):
+        shape = np.shape(weights)
+        with pytest.raises(fp.SizeMismatchError, match=f"^weights of shape {re.escape(str(shape))}: "):
+            fp.make_space(weights)
 
 
 class TestOneConstructor:
@@ -119,10 +144,18 @@ class TestWeightStacks:
 
     def test_coupling_marginals(self):
         table = np.array([[[0.25, 0.25], [0.25, 0.25]]] * 2)
-        p = q = np.full((2, 2), 0.5)
-        _checked_marginals(table, p, q, fp.FLOAT_DEFAULT, self.LEAD)
+        p = q = (np.full((2, 2), 0.5), 1)
+        _checked_marginals(table, 1, p, q, fp.FLOAT_DEFAULT, self.LEAD)
         with pytest.raises(fp.NotMeasurePreservingError, match="column marginals of sequence 1 differ from q"):
-            _checked_marginals(table, p, np.array([[0.5, 0.5], [0.4, 0.6]]), fp.FLOAT_DEFAULT, self.LEAD)
+            _checked_marginals(table, 1, p, (np.array([[0.5, 0.5], [0.4, 0.6]]), 1), fp.FLOAT_DEFAULT, self.LEAD)
+
+    def test_coupling_marginals_over_denominators(self):
+        # numerators over 8 against weights over 2 and over 4
+        table = np.array([[[2, 2], [2, 2]], [[4, 0], [2, 2]]])
+        p, q = (np.array([[1, 1], [1, 1]]), 2), (np.array([[2, 2], [3, 1]]), 4)
+        _checked_marginals(table, 8, p, q, R, self.LEAD)
+        with pytest.raises(fp.NotMeasurePreservingError, match="^row marginals of sequence 1 differ from p$"):
+            _checked_marginals(table, 8, (np.array([[2, 2], [1, 3]]), 4), q, R, self.LEAD)
 
 
 class TestAsEqualRv:
@@ -283,6 +316,27 @@ def test_unreadable_number_is_a_finprob_error(mode, name):
 
 
 class TestAsVector:
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_caller_arrays_are_copied(self, mode):
+        space = fp.uniform_space(2, mode)
+        weights, table, stack = np.array([1, 0]), np.array([[1, 0], [0, 1]]), np.array([[[1, 0], [0, 1]]])
+        fp.ProbSpace(weights, mode)
+        fp.RandomVar(weights, space)
+        fp.RandomVar(table, space)
+        fp.Kernel(table, space, space)
+        fp.kernel_sequence(stack, space, space)
+        joint = table * F(1, 2)
+        fp.Coupling(joint, space, space)
+        assert all(a.flags.writeable for a in (weights, table, stack, joint))
+
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_lists_of_rows_read_like_arrays(self, mode):
+        space = fp.uniform_space(2, mode)
+        rows = [[1, 2], [3, 4]]
+        assert fp.RandomVar(rows, space).values.tolist() == fp.RandomVar(np.array(rows), space).values.tolist()
+        with pytest.raises(fp.SizeMismatchError, match="^matrix row 1 is 3, not a row of numbers$"):
+            fp.RandomVar([[1, 2], 3], space)
+
     def test_float_entries_in_object_array_refused(self):
         # such an array used to be kept as it was, then fail on `.numerator`
         values = np.array([0.5, 0.25], dtype=object)
