@@ -44,6 +44,7 @@ from .numerics import (
     Rationals,
     _at,
     _first,
+    _summable,
     as_matrix,
     block_sums,
     int_array,
@@ -68,7 +69,7 @@ def _read(values, domain: ProbSpace, codomain: ProbSpace, what: str, lead: tuple
     if domain.mode != codomain.mode:
         raise SpaceMismatchError("domain and codomain use different numeric modes")
     shape = (domain.size, codomain.size)
-    num, den = as_matrix(values, domain.mode).over_common()
+    num, den = _summable(as_matrix(values, domain.mode))
     if num.shape != num.shape[: len(lead)] + shape:
         raise SizeMismatchError(f"{what} shape {num.shape} for spaces {shape[0]} -> {shape[1]}")
     return domain.mode, num, den

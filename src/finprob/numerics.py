@@ -28,10 +28,11 @@ data; the arrays are int64 when that bound fits and Python-int object
 arrays otherwise, so no result ever wraps around.
 
 Numbers come in through one reader, `as_matrix`, which every constructor
-calls: lists and arrays of any shape become `Rationals`, each entry read by
-`as_number`'s rule, and integer numerators are int64 only while their
-magnitudes add up within int64 (`Rationals.from_ints`, which the token
-reader of the text formats also uses). `fractions.Fraction` objects appear
+calls: rows of numbers, or one number per entry, become `Rationals`, each
+entry read by `as_number`'s rule, and integer numerators are int64 only
+while their magnitudes add up within int64 over their common denominator
+(`Rationals.from_ints`, which the token reader of the text formats also
+uses). `fractions.Fraction` objects appear
 at the boundary: scalar results, `.values`/`.weights`/`.rows`/`.table`
 (built on first access and cached), input given as Fractions, and the text
 formats.
@@ -257,16 +258,16 @@ class Rationals:
     def from_ints(cls, nums: Sequence[int], dens: Sequence[int]) -> "Rationals":
         """From numerators and positive denominators: int64 over their common
         denominator when the magnitudes of the numerators over it add up
-        within int64, so that no sum over them wraps; else one denominator
-        each."""
+        within int64, so that no sum over them wraps; else Python ints, one
+        denominator each, which stay Python ints over any common
+        denominator (`over_common`)."""
         common = math.lcm(*set(dens))
         total = sum(map(abs, nums))
         if max(total, 1) * common <= _INT64_MAX:
             num = np.array(nums, dtype=np.int64)
             num *= common // np.array(dens, dtype=np.int64)
             return cls(num, np.full(len(nums), common, dtype=np.int64))
-        bound = max(total, max(dens))
-        return cls(int_array(nums, bound), int_array(dens, bound))
+        return cls(np.array(nums, dtype=object), np.array(dens, dtype=object))
 
     @classmethod
     def over(cls, num: np.ndarray, den: int) -> "Rationals":
@@ -349,57 +350,81 @@ class Rationals:
         return Rationals(an * bn, ad * bd)
 
 
+def _number(x, mode: NumericMode):
+    """`as_number`'s rule, with Python ints taken as they are in rational
+    mode: an int is its own numerator over 1."""
+    return x if mode.exact and type(x) is int else as_number(x, mode)
+
+
+def _packed(numbers: list, mode: NumericMode) -> Rationals:
+    """A flat list of the mode's numbers (ints too in rational mode) as a
+    1-d `Rationals`: float64 over 1, or integer numerators over their
+    common denominator (`Rationals.from_ints`)."""
+    if not mode.exact:
+        return Rationals(np.array(numbers, dtype=np.float64), 1)
+    return Rationals.from_ints([v.numerator for v in numbers], [v.denominator for v in numbers])
+
+
 def as_vector(values: Iterable, mode: NumericMode) -> Rationals:
     """The numbers of a flat sequence, each read by `as_number`'s rule, as
-    a 1-d `Rationals`: float64 numerators over 1, or integer numerators
-    over their common denominator (`Rationals.from_ints`). Python ints are
-    their own numerators over 1."""
-    if not mode.exact:
-        return Rationals(np.array([as_number(v, mode) for v in values], dtype=np.float64), 1)
-    data = [v if type(v) is int else as_number(v, mode) for v in values]
-    return Rationals.from_ints([v.numerator for v in data], [v.denominator for v in data])
+    a 1-d `Rationals`. An array is iterated along its first axis, so each
+    entry is a numpy scalar or a subarray."""
+    return _packed([_number(v, mode) for v in values], mode)
 
 
-_ROW = (list, tuple, np.ndarray)
+def as_matrix(values, mode: NumericMode, rows: bool = True) -> Rationals:
+    """The one reader of numbers that come in, as `Rationals`; `Rationals`
+    are taken as they are. Every other entry is read by `as_number`'s rule.
 
+    With `rows`, values are rows of numbers. An array of integers or of the
+    mode's numbers (float64, or only Fractions in rational mode) is read at
+    its own rank, whatever that is; any other array is read as its
+    `tolist()`. A list is read row by row, every row before the row lengths
+    are checked (`_width`), and no rows are shape (0, 0).
 
-def as_matrix(values, mode: NumericMode) -> Rationals:
-    """The one reader of numbers that come in: `Rationals` of an array of
-    any rank, of a list or tuple of numbers, or of a list of rows of
-    numbers (a list, tuple or array first entry makes rows), every entry
-    read by `as_vector`. `Rationals` are taken as they are.
+    Without `rows`, values are one number per entry of a flat sequence
+    (`as_vector`); only a 1-d float64 or integer array in float mode is
+    read whole.
 
-    An array is copied, so the caller's array is never frozen: in float
-    mode a boolean, integer or float array in one cast to float64, any
-    other array entry by entry as its `tolist()`. All entries are read
-    before the row lengths are checked (`_width`), and an empty list is no
-    rows, shape (0, 0).
+    An array is always copied, so the caller's array is never frozen.
     """
     if isinstance(values, Rationals):
         return values
     if isinstance(values, np.ndarray):
-        if not mode.exact and values.dtype.kind in "biuf":
-            return Rationals(values.astype(np.float64), 1)
-        return as_vector(values.ravel().tolist(), mode).reshape(values.shape)
-    data = list(values)
-    if data and not isinstance(data[0], _ROW):
-        return as_vector(data, mode)
-    for i, row in enumerate(data):
-        if not isinstance(row, _ROW):
-            raise SizeMismatchError(f"matrix row {i} is {row!r}, not a row of numbers")
-    rows = [list(row) for row in data]
-    out = as_vector([v for row in rows for v in row], mode)
-    return out.reshape((len(rows), _width(rows)))
+        ints = values.dtype.kind in "iu"
+        if not mode.exact:
+            if (rows or values.ndim == 1) and (ints or values.dtype == np.float64):
+                return Rationals(values.astype(np.float64), 1)
+        elif rows and (ints or values.dtype == object and all(type(v) is Fraction for v in values.flat)):
+            return _packed(values.ravel().tolist(), mode).reshape(values.shape)
+        if rows:
+            values = values.tolist()
+    if not rows:
+        return as_vector(values, mode)
+    data = [[_number(v, mode) for v in row] for row in values]
+    width = _width(data)
+    return _packed([v for row in data for v in row], mode).reshape((len(data), width))
+
+
+def _summable(values: Rationals) -> tuple[np.ndarray, int]:
+    """`values.over_common()`, as Python ints when the magnitudes of the
+    numerators add up past int64, so that no sum over them wraps: the rule
+    of `Rationals.from_ints` for `Rationals` built elsewhere."""
+    num, common = values.over_common()
+    if num.dtype == np.int64 and magnitude(num) * num.size > _INT64_MAX:
+        if sum(map(abs, num.ravel().tolist())) > _INT64_MAX:
+            num = num.astype(object)
+    return num, common
 
 
 def _width(rows: list) -> int:
     """The length of row 0 (0 for no rows), which every row must have; a
     row of another length is a `SizeMismatchError` that names it."""
-    ncols = len(rows[0]) if rows else 0
+    width = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise SizeMismatchError(f"matrix row {i} has {len(row)} entries, row 0 has {ncols}")
-    return ncols
+        if len(row) != width:
+            raise SizeMismatchError(f"matrix row {i} has {len(row)} entries, row 0 has {width}")
+    return width
 
 
 def fraction_array(num: np.ndarray, den) -> np.ndarray:

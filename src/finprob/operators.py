@@ -109,7 +109,7 @@ def _block_averages(f: RandomVar, p: Partition) -> Rationals:
         dens = np.repeat(dens, sums.shape[1], axis=1)
     empty = masses == 0
     if empty.any():
-        mean = as_matrix(np.atleast_1d(expectation(f)), space.mode)
+        mean = as_matrix(np.atleast_1d(expectation(f)), space.mode, rows=False)
         sums, dens = widen(max(magnitude(mean.num), magnitude(mean.den)), sums, dens)
         sums[empty], dens[empty] = mean.num, mean.den
     if sums.dtype.kind == "f":  # float averages are divided out, over 1

@@ -34,6 +34,7 @@ from .numerics import (
     Rationals,
     _at,
     _first,
+    _summable,
     as_matrix,
     check_norm_index,
     float_roots,
@@ -97,11 +98,9 @@ class ProbSpace(Frozen):
     )
 
     def __init__(self, weights: Iterable, mode: NumericMode = FLOAT_DEFAULT):
-        num, den = as_matrix(weights, mode).over_common()
+        num, den = _summable(as_matrix(weights, mode, rows=False))
         if num.size == 0:
             raise SizeMismatchError("a probability space needs at least one outcome")
-        if num.ndim != 1:
-            raise SizeMismatchError(f"weights of shape {num.shape}: a probability space takes one weight per outcome")
         if mode.exact:
             g = math.gcd(den, *num.tolist())
             num, den = num // g, den // g
@@ -194,10 +193,10 @@ class RandomVar(Frozen):
 
     def __init__(self, values: Iterable, space: ProbSpace):
         mode = space.mode
-        values = as_matrix(values, mode)
+        # One value per outcome, or an (n, d) array of rows; a list of rows is
+        # for `VecRandomVar`.
+        values = as_matrix(values, mode, rows=isinstance(values, np.ndarray) and values.ndim == 2)
         num = values.num
-        if num.ndim not in (1, 2):
-            raise SizeMismatchError(f"random variable values of shape {num.shape}: one value or one row per outcome")
         if not mode.exact and not np.isfinite(num).all():
             at = _first(~np.isfinite(num))
             raise NonFiniteError(f"random variable value at {_at(at, ('outcome', 'component'))} is {num[at]}")
@@ -270,6 +269,7 @@ def VecRandomVar(values, space: ProbSpace, dim: int | None = None) -> RandomVar:
     if not isinstance(values, (np.ndarray, Rationals)):
         values = [list(row) for row in values]
         _row_width(values, dim)
+        values = as_matrix(values, space.mode)
     f = RandomVar(values, space)
     if f.dim is None or dim not in (None, f.dim):
         raise DimMismatchError(f"expected vectors of length {dim}, got values of dimension {f.dim}")
@@ -334,7 +334,7 @@ def _magnitudes(f: RandomVar, live, vnorm) -> tuple:
     if dim is not None and callable(vnorm):
         norms = [vnorm(row) for row in f.values[live]]
         if f.space.mode.exact and all(isinstance(m, (int, Fraction)) for m in norms):
-            m, den = as_matrix(norms, f.space.mode).over_common()
+            m, den = as_matrix(norms, f.space.mode, rows=False).over_common()
         else:
             m, den = np.array(norms, dtype=np.float64), 1
         bad = ~((m >= 0) & (m < math.inf))  # negative, NaN or infinite
