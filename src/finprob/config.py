@@ -1,7 +1,7 @@
 """Experiment configuration: a small INI dialect with one nesting level.
 
 Two sections: [experiment] (name, seed, mode, tolerance, horizon, norm
-index, output) and [sizes] (levels, size, dim, length, count). Unknown
+index, output, input) and [sizes] (levels, size, length, count). Unknown
 sections, keys, or experiment names are rejected; near-miss experiment
 names come back with suggestions. The seed fully determines every random
 draw an experiment makes.
@@ -36,8 +36,9 @@ EXPERIMENTS = tuple(_DEMO_OVERRIDES)
 
 # Largest accepted values. Each cap bounds what one run allocates before it
 # starts: 2**levels atoms with levels + 1 random variables over them, count
-# instances one after another, horizon kernels per generated sequence.
-_CAPS = {"levels": 16, "size": 1024, "count": 10_000, "horizon": 1024}
+# instances one after another, horizon kernels per generated sequence, and
+# n-th powers of exact values, whose digits grow with the norm index n.
+_CAPS = {"levels": 16, "size": 1024, "count": 10_000, "horizon": 1024, "n": 256}
 
 # Tighter size caps, where memory or work grows faster than linearly in size:
 # size**3 floats (levi-hilbert bases), up to size kernels of size**2 entries
@@ -51,7 +52,7 @@ _SIZE_CAPS = {
 }
 
 _EXPERIMENT_KEYS = {"name", "seed", "mode", "tolerance", "horizon", "n", "output", "input"}
-_SIZE_KEYS = {"levels", "size", "dim", "length", "count"}
+_SIZE_KEYS = {"levels", "size", "length", "count"}
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class ExperimentConfig:
     input: Optional[str] = None
     levels: int = 8
     size: int = 16
-    dim: int = 3
     length: int = 8
     count: int = 1
 
@@ -92,7 +92,9 @@ def validate_config(cfg) -> list[str]:
     valid_n = n == math.inf or (float(n).is_integer() and n >= 1)
     if not valid_n:
         problems.append(f"norm index must be a positive integer or inf, got {n!r}")
-    for name in ("levels", "size", "dim", "length", "count"):
+    elif n != math.inf and n > _CAPS["n"]:
+        problems.append(f"norm index must be at most {_CAPS['n']} or inf, got {n}")
+    for name in ("levels", "size", "length", "count"):
         v = getattr(cfg, name)
         if not isinstance(v, int) or v < 1:
             problems.append(f"{name} must be a positive integer, got {v!r}")

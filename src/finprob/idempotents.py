@@ -12,7 +12,6 @@ partitions. All of that is finite here, so it is checked, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +25,10 @@ from .errors import (
     TooLargeError,
 )
 from .kernels import (
+    _STEPS,
     Kernel,
-    _kernel_stack,
+    _disintegrated,
+    _views,
     as_equal_kernels,
     bayes_inverse,
     coarsening_kernel,
@@ -108,31 +109,18 @@ def _subset_table(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
 
 def _conditioning(space: ProbSpace, parts: Sequence[Partition]) -> list[Kernel]:
     """Conditioning kernels of partitions of the space, built and checked as
-    one stack. Row x of a partition's kernel is w(y) / (mass of x's block)
-    on x's block at a supported x, and the weights at a null x. Block masses
-    add up in outcome order. Float mode divides, over denominators of 1;
-    rational mode works on the weight numerators, whose denominator cancels,
-    over one denominator per kernel: the lcm of its supported block masses
-    (and of the weight denominator when null outcomes take the weights)."""
+    one stack: the table [x, y share a block] w(y) conditioned on the mass
+    of x's block at a supported x, and the weights at a null x. Block masses
+    add up in outcome order; the weight denominator cancels, so the table
+    and the masses are both taken over 1."""
     labels = np.array([p.labels for p in parts])
     m, n = labels.shape
     bins = (labels + n * np.arange(m)[:, None]).ravel()
-    null = np.ones(n, dtype=bool)
-    null[space.live_index()] = False
     w, wden = space.int_weights()
     mass = block_sums(np.tile(w, m), bins, m * n)[bins].reshape(m, n)
-    if space.mode.exact:
-        nulls = [wden] if null.any() else []
-        dens = [lcm(*nulls, *row) for row in mass[:, ~null].tolist()]
-        bound = max(dens)
-        w, mass, den = widen(bound, w, mass, int_array(dens, bound))
-        cond = w * (den[:, None] // np.where(mass > 0, mass, 1))
-    else:
-        den = np.ones(m, dtype=np.int64)
-        cond = np.divide(w, mass, out=np.zeros((m, n)), where=mass > 0)
-    num = np.where(_same_block(parts), cond[:, None, :], 0)
-    num[:, null] = times(w, (den[:, None] // wden)[:, None])
-    return _kernel_stack(num, den, space, space)
+    table, ones = np.where(_same_block(parts), w, 0), np.ones(m, dtype=np.int64)
+    rows = _disintegrated(table, ones, (np.where(w > 0, mass, 0), 1), (w, wden), space.mode, _STEPS)
+    return _views(*rows, space, space)
 
 
 def cond_exp_kernel(space: ProbSpace, p: Partition, validate: bool = True) -> IdempotentKernel:

@@ -19,12 +19,16 @@ first access and cached. A coupling holds its joint table in the same form
 other by an integer product and by conditioning. Both read their input
 through `numerics.as_matrix`. A mode branch is left only where the
 arithmetic differs: validation (a tolerance against exact sums, and lowest
-terms) and conditioning (division against lcm scaling).
+terms) and conditioning (division in place against lcm scaling). Every
+conditioning of rows on their weights, here and in the conditioning kernels
+of partitions and the sampled kernels, is one disintegration,
+`_disintegrated`: the dagger conditions the joint table on its second
+marginal, a coupling's kernel on its first, and `canonicalize` conditions a
+kernel on its supported rows.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -162,9 +166,14 @@ class Kernel(_OverDen):
         return f"Kernel({self.domain.size}->{self.codomain.size}, mode={self.mode.kind})"
 
 
+def _bound(rows: tuple, domain: ProbSpace, codomain: ProbSpace) -> Kernel:
+    """Kernel over checked numerators and their denominator (see `_rows`)."""
+    return object.__new__(Kernel)._bind(*rows, domain, codomain)
+
+
 def _kernel(num: np.ndarray, den, domain: ProbSpace, codomain: ProbSpace) -> Kernel:
     """Checked kernel of numerators over a denominator (see `_rows`)."""
-    return object.__new__(Kernel)._bind(*_rows(num, den, domain.mode), domain, codomain)
+    return _bound(_rows(num, den, domain.mode), domain, codomain)
 
 
 def _views(data: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
@@ -173,10 +182,31 @@ def _views(data: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbS
     return [object.__new__(Kernel)._bind(k, d, domain, codomain) for k, d in zip(data, den.tolist())]
 
 
-def _kernel_stack(num: np.ndarray, den: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
-    """Kernels from a (T, n, m) numerator array over (T,) denominators,
-    checked in one pass; kernel t holds slice t."""
-    return _views(*_rows(num, den, domain.mode, _STEPS), domain, codomain)
+def _disintegrated(table: np.ndarray, den, given: tuple, fallback: tuple, mode: NumericMode, lead: tuple = ()) -> tuple:
+    """Checked kernel rows (see `_rows`) of a nonnegative (n, m) table of
+    numerators over `den` conditioned on its rows, or of a stack of them
+    along the named `lead` axes, each over its own denominator: row x is
+    table[x] / given(x), and the fallback row where given(x) = 0. `given`
+    holds the n row weights and `fallback` the m weights of the null rows,
+    each as (numerators, denominator); a row of positive weight sums to it.
+    Float numerators are over 1 and divide in place; rational rows are
+    scaled to the lcm of their row denominators."""
+    gnum, gden = given
+    fnum, fden = fallback
+    if not mode.exact:
+        rows = np.empty_like(table, order="C")  # C-ordered also for a transposed table
+        rows[...] = fnum[..., None, :]
+        np.divide(table, gnum[..., None], out=rows, where=gnum[..., None] > 0)
+        return _rows(rows, den, mode, lead)
+    den, gden, fden = (np.asarray(d, dtype=object)[..., None] for d in (den, gden, fden))
+    g = np.gcd(den, gden)  # a live row x is table[x] * (gden / g) over row_den[x]
+    row_den = np.where(gnum > 0, den // g * gnum, fden)
+    common = np.lcm.reduce(row_den, axis=-1, keepdims=True)
+    bound = max(common.reshape(-1).tolist())  # a numerator is at most its denominator
+    common, scale, mult = (int_array(a, bound) for a in (common[..., 0], common // row_den, gden // g))
+    table, fnum = widen(bound, table, fnum)
+    num = np.where(gnum[..., None] > 0, table * mult[..., None], fnum[..., None, :]) * scale[..., None]
+    return _rows(num, common, mode, lead)
 
 
 def kernel_sequence(stack: np.ndarray, domain: ProbSpace, codomain: ProbSpace) -> list[Kernel]:
@@ -229,41 +259,9 @@ def canonicalize(k: Kernel) -> Kernel:
     _require_mp(k)
     if k.domain.fully_supported:
         return k
-    qnum, qden = k.codomain.int_weights()
-    den = math.lcm(k.den, qden)
-    num, q = widen(den, k.num, qnum)
-    num = num * (den // k.den)  # a new array: the null rows are set in place
-    num[k.domain.int_weights()[0] == 0] = times(q, den // qden)
-    return _kernel(num, den, k.domain, k.codomain)
-
-
-def _conditioned(table: np.ndarray, den, given: ProbSpace, other: ProbSpace) -> Kernel:
-    """Kernel from `given` to `other` conditioning a joint table of
-    numerators over `den` on its rows: row x is table[x] / given(x), and the
-    weights of `other` where given(x) = 0. Float mode divides; rational mode
-    scales each row to the lcm of the row denominators."""
-    if not given.mode.exact:
-        return _kernel(_conditioned_rows(table, given.weights, other.weights), 1, given, other)
-    gnum, gden = given.int_weights()
-    onum, oden = other.int_weights()
-    row_den = [den * g for g in gnum.tolist()]  # row x is table[x] * gden / row_den[x]
-    nulls = [] if given.fully_supported else [oden]
-    common = math.lcm(*(set(row_den) - {0}), *nulls)
-    scale = [common // d if d else 0 for d in row_den]
-    bound = max(magnitude(table) * gden * max(scale), common)
-    t, s, o = widen(bound, table, int_array(scale, bound), onum)
-    num = np.where(s[:, None] > 0, t * gden * s[:, None], o * (common // oden))
-    return _kernel(num, common, given, other)
-
-
-def _conditioned_rows(table: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Float rows of a joint table, or of a stack of them with their weight
-    stacks, conditioned on the rows: table[x] / p(x), and q where p(x) = 0.
-    The rows are C-ordered also for a transposed table, as the later row
-    reads and products of a kernel expect."""
-    rows = np.empty_like(table, order="C")
-    rows[...] = q[..., None, :]
-    return np.divide(table, p[..., None], out=rows, where=p[..., None] > 0)
+    live = (k.domain.int_weights()[0] > 0).astype(np.int64)
+    rows = _disintegrated(k.num, k.den, (live, 1), k.codomain.int_weights(), k.mode)
+    return _bound(rows, k.domain, k.codomain)
 
 
 def bayes_inverse(k: Kernel) -> Kernel:
@@ -276,7 +274,9 @@ def bayes_inverse(k: Kernel) -> Kernel:
     _require_mp(k)
     wnum, wden = k.domain.int_weights()
     num, w = widen(k.den * wden, k.num, wnum)
-    return _conditioned((num * w[:, None]).T, k.den * wden, k.codomain, k.domain)
+    table = (num * w[:, None]).T
+    rows = _disintegrated(table, k.den * wden, k.codomain.int_weights(), (wnum, wden), k.mode)
+    return _bound(rows, k.codomain, k.domain)
 
 
 def deterministic_from_function(
@@ -393,7 +393,8 @@ def coupling_from_kernel(k: Kernel) -> Coupling:
 
 def kernel_from_coupling(c: Coupling) -> Kernel:
     """Conditioning on the first marginal; null rows canonicalized to q."""
-    return _conditioned(c.num, c.den, c.domain, c.codomain)
+    rows = _disintegrated(c.num, c.den, c.domain.int_weights(), c.codomain.int_weights(), c.domain.mode)
+    return _bound(rows, c.domain, c.codomain)
 
 
 def kernel_from_measure(space: ProbSpace) -> Kernel:

@@ -495,14 +495,16 @@ def _float_root(frac: Fraction, n: int) -> float:
         value = 0.0
     if value > 0.0:
         return value ** (1.0 / n)
-    # Split off a power of 2**n so that the rest converts, then scale back.
-    shift = (frac.numerator.bit_length() - frac.denominator.bit_length()) // n
-    rest = float(frac / Fraction(2) ** (shift * n))
+    # frac = rest * 2**shift with rest in [1/2, 2] and shift = q * n + r, so
+    # the root is rest**(1/n) * 2**(r/n) * 2**q, each factor in float range.
+    shift = frac.numerator.bit_length() - frac.denominator.bit_length()
+    rest = float(frac / Fraction(2) ** shift)
+    q, r = divmod(shift, n)
     try:
-        return math.ldexp(rest ** (1.0 / n), shift)
+        return math.ldexp(rest ** (1.0 / n) * 2.0 ** (r / n), q)
     except OverflowError:
         raise TooLargeError(
-            f"root of index {n} of a value near 2**{shift * n} exceeds the float range"
+            f"root of index {n} of a value near 2**{shift} exceeds the float range"
         ) from None
 
 

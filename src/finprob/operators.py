@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimMismatchError, SizeMismatchError, SpaceMismatchError
 from .kernels import Kernel, bayes_inverse
+from .metrics import _tol
 from .numerics import (
     Rationals,
     as_matrix,
@@ -146,8 +147,5 @@ def lipschitz_check(k: Kernel, g: RandomVar, n=1) -> bool:
     check_norm_index(n)
     pulled = apply_pullback(k, g)
     lhs, rhs = ln_norm(pulled, n), ln_norm(g, n)
-    mode = k.mode
-    if mode.exact:
-        return lhs <= rhs
-    return float(lhs) <= float(rhs) + mode.tolerance
+    return bool(lhs <= rhs + _tol(k.mode))
 

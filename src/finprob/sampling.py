@@ -4,9 +4,10 @@ All draws go through a numpy Generator (PCG64 via default_rng), so a seed
 pins every instance exactly; rational instances are built from integer
 draws and are therefore reproducible bit for bit. Instances are assembled
 as numerators over denominators in both modes, float arrays over ones or
-integer numerators (in lowest terms in a stack), and only the draws differ
-by mode; a space is integer draws over their total, which float mode
-divides once.
+integer numerators (in lowest terms in a stack), and only the draws and the
+weights built from them differ by mode; a space is integer draws over their
+total, which float mode divides once. A kernel is a drawn table conditioned
+on its rows by `kernels._disintegrated`, the one body of every conditioning.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ import math
 import numpy as np
 
 from .idempotents import IdempotentKernel, cond_exp_kernel
-from .kernels import (
-    Kernel,
-    _checked_marginals,
-    _conditioned_rows,
-    _entries,
-    _kernel,
-    _rows,
-    _views,
-)
-from .numerics import NumericMode, Rationals, int_array, mat_mul, widen
+from .kernels import Kernel, _bound, _checked_marginals, _disintegrated, _entries, _views
+from .numerics import NumericMode, Rationals, mat_mul, widen
 from .partitions import Partition
 from .spaces import ProbSpace, RandomVar, VecRandomVar, _checked_weights
 
@@ -82,6 +75,8 @@ def random_joint_table(
     """Nonnegative integer table with a positive total and the requested
     number of all-zero rows; divided by its total it is a joint distribution
     whose marginals define measure-preserving data exactly."""
+    if null_rows >= nrows:
+        raise ValueError("at least one outcome must carry mass")
     while True:
         raw = rng.integers(0, 10, size=(nrows, ncols))
         kill = rng.permutation(nrows)[:null_rows]
@@ -110,27 +105,19 @@ def random_mp_stack(
     """
     raw = np.stack([random_joint_table(rng, nrows, ncols, null_rows) for _ in range(count)])
     lead = ("sequence",)
-    total, r, c = raw.sum(axis=(1, 2)), raw.sum(axis=2), raw.sum(axis=1)
+    total = raw.sum(axis=(1, 2))
     if mode.exact:
-        p, q = _lowest(r, total), _lowest(c, total)
-        _checked_weights(*p, mode, lead)
-        _checked_weights(*q, mode, lead)
-        # row x is raw[x] / r[x], and the codomain weights c / total where r[x] = 0
-        row_den = np.where(r > 0, r, total[:, None])
-        den = np.lcm.reduce(row_den.astype(object), axis=1).tolist()
-        bound = max(den)  # a numerator is at most its denominator
-        den = int_array(den, bound)
-        raw, c, row_den = widen(bound, raw, c, row_den)
-        num = np.where(r[..., None] > 0, raw, c[:, None, :]) * (den[:, None] // row_den)[..., None]
-        return _rows(num, den, mode, lead), p, q
-    table = raw / total[:, None, None]
-    ones = np.ones(count, dtype=np.int64)
-    p, q = table.sum(axis=2), table.sum(axis=1)
-    _checked_weights(p, ones, mode, lead)
-    _checked_weights(q, ones, mode, lead)
-    _entries(table, 1, mode, "coupling", lead)
-    _checked_marginals(table, 1, (p, 1), (q, 1), mode, lead)
-    return _rows(_conditioned_rows(table, p, q), ones, mode, lead), (p, ones), (q, ones)
+        table, den = raw, total
+        p, q = _lowest(raw.sum(axis=2), total), _lowest(raw.sum(axis=1), total)
+    else:
+        table, den = raw / total[:, None, None], np.ones(count, dtype=np.int64)
+        p, q = (table.sum(axis=2), den), (table.sum(axis=1), den)
+    _checked_weights(*p, mode, lead)
+    _checked_weights(*q, mode, lead)
+    if not mode.exact:  # float sums: the table must have them as its marginals
+        _entries(table, 1, mode, "coupling", lead)
+        _checked_marginals(table, 1, (p[0], 1), (q[0], 1), mode, lead)
+    return _disintegrated(table, den, p, q, mode, lead), p, q
 
 
 def _lowest(num: np.ndarray, den: np.ndarray) -> tuple:
@@ -167,16 +154,15 @@ def random_mp_kernel_from(
             row[:] = rng.integers(0, 10, size=ncols)
             if row.sum() == 0:
                 row[int(rng.integers(0, ncols))] = 1
-        totals = raw.sum(axis=1).tolist()
-        den = math.lcm(*totals)
-        num = raw * int_array([den // t for t in totals], den)[:, None]  # every numerator is at most den
     else:
         raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
-        num, den = raw / raw.sum(axis=1, keepdims=True), 1
+    totals = raw.sum(axis=1)  # all positive, so the fallback row is never taken
+    num, den = _disintegrated(raw, 1, (totals, 1), (np.zeros_like(raw[0]), 1), mode)
+    den = int(den)
     wnum, wden = domain.int_weights()
     w, num = widen(den * wden, wnum, num)  # the pushforward's numerators are at most den * wden
     q = Rationals.over(mat_mul(w, num), den * wden)
-    return _kernel(num, den, domain, ProbSpace(q, mode))
+    return _bound((num, den), domain, ProbSpace(q, mode))
 
 
 def random_partition(rng: np.random.Generator, n: int) -> Partition:

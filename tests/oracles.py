@@ -15,7 +15,9 @@ import numpy as np
 import finprob as fp
 from finprob.errors import NotAChainError, NotLipschitzError, NotMonotoneError, TooLargeError
 from finprob.idempotents import _same_block
+from finprob.numerics import block_sums
 from finprob.partitions import Partition
+from finprob.sampling import random_joint_table
 
 
 def to_float(k):
@@ -728,3 +730,58 @@ def bochner_norm_by_outcome(g, n=1, vnorm="euclidean"):
         return total if n == 1 else fp.nth_root(total, n, mode)
     total = sum(float(space.weights[x]) * float(t) for x, t in zip(live, terms))
     return total if n == 1 else total ** (1.0 / n)
+
+
+# --- float row conditioning as each caller wrote it before one function
+# conditioned them all: the references for the float bytes ------------------
+
+
+def float_conditioned_rows(table, p, q):
+    """Rows of a float joint table, or of a stack of them with their weight
+    stacks, conditioned on the rows: table[x] / p(x) divided into C-ordered
+    rows, and q where p(x) = 0."""
+    rows = np.empty_like(table, order="C")
+    rows[...] = q[..., None, :]
+    return np.divide(table, p[..., None], out=rows, where=p[..., None] > 0)
+
+
+def float_bayes_inverse_rows(k):
+    p, q = k.domain.weights, k.codomain.weights
+    return float_conditioned_rows((k.num * p[:, None]).T, q, p)
+
+
+def float_kernel_from_coupling_rows(c):
+    return float_conditioned_rows(c.num, c.domain.weights, c.codomain.weights)
+
+
+def float_canonical_rows(k):
+    rows = k.num * 1
+    rows[k.domain.weights == 0] = k.codomain.weights
+    return rows
+
+
+def float_conditioning_rows(space, parts):
+    """(m, n, n) rows of the conditioning kernels of m partitions: w(y) over
+    the mass of y's block on x's block, and w at a null x."""
+    labels = np.array([p.labels for p in parts])
+    m, n = labels.shape
+    bins = (labels + n * np.arange(m)[:, None]).ravel()
+    w = space.weights
+    mass = block_sums(np.tile(w, m), bins, m * n)[bins].reshape(m, n)
+    cond = np.divide(w, mass, out=np.zeros((m, n)), where=mass > 0)
+    rows = np.where(_same_block(parts), cond[:, None, :], 0)
+    rows[:, w == 0] = w
+    return rows
+
+
+def float_mp_stack_rows(rng, count, nrows, ncols, null_rows):
+    """Rows of `sampling.random_mp_stack` in float mode out of the same draws."""
+    raw = np.stack([random_joint_table(rng, nrows, ncols, null_rows) for _ in range(count)])
+    table = raw / raw.sum(axis=(1, 2))[:, None, None]
+    return float_conditioned_rows(table, table.sum(axis=2), table.sum(axis=1))
+
+
+def float_mp_kernel_from_rows(rng, domain, ncols):
+    """Rows of `sampling.random_mp_kernel_from` in float mode out of the same draws."""
+    raw = rng.uniform(0.01, 1.0, size=(domain.size, ncols))
+    return raw / raw.sum(axis=1, keepdims=True)

@@ -85,6 +85,12 @@ class TestConfigParsing:
             load_config(write(tmp_path, "[experiment]\nname = levy-up\n[sizes]\nlevels = ten\n"))
         assert "levels" in str(err.value)
 
+    def test_dim_is_an_unknown_key(self, tmp_path):
+        path = write(tmp_path, "[experiment]\nname = levy-up\n[sizes]\ndim = 3\n")
+        with pytest.raises(fp.ConfigParseError, match="unknown key 'dim' in \\[sizes\\]"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 2
+
     def test_galois_size_cap(self, tmp_path):
         text = "[experiment]\nname = galois-audit\n[sizes]\nsize = 9\n"
         with pytest.raises(fp.ConfigError):
@@ -110,6 +116,16 @@ class TestCostCaps:
         assert main(["run", str(path), "--outdir", str(tmp_path)]) == 2
         assert main(["validate", str(path)]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    def test_norm_index_cap(self, tmp_path):
+        path = write(tmp_path, "[experiment]\nname = levy-down\nn = 257\noutput = out.csv\n")
+        with pytest.raises(fp.ConfigError, match="norm index must be at most 256"):
+            load_config(path)
+        assert main(["run", str(path), "--outdir", str(tmp_path)]) == 2
+        assert main(["validate", str(path)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+        for n in (256, math.inf):
+            assert validate_config(ExperimentConfig(experiment="levy-down", norm_index=n)) == []
 
     def test_horizon_cap(self):
         with pytest.raises(fp.ConfigError):

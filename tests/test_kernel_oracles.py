@@ -17,14 +17,22 @@ import finprob as fp
 from finprob.experiments import _slide_block
 from finprob.numerics import fraction_array
 from finprob import sampling
-from finprob.sampling import random_mp_kernel, random_mp_kernel_from, random_mp_stack, random_partition, rng_for
+from finprob.idempotents import _conditioning
+from finprob.sampling import random_mp_kernel, random_mp_kernel_from, random_mp_stack, random_partition, random_space, rng_for
 
 from .oracles import (
     as_equal_by_rows,
     bayes_inverse_by_definition,
     canonicalize_by_definition,
     compose_by_definition,
+    cond_exp_kernel_by_definition,
     coupling_roundtrip_by_definition,
+    float_bayes_inverse_rows,
+    float_canonical_rows,
+    float_conditioning_rows,
+    float_kernel_from_coupling_rows,
+    float_mp_kernel_from_rows,
+    float_mp_stack_rows,
     galois_roundtrips_by_kernels,
     idem_leq_by_definition,
     invariant_blocks_union_find,
@@ -392,6 +400,14 @@ class TestIntegerSampling:
         with pytest.raises(fp.NegativeWeightError, match="sequence 2, weight 0 is negative"):
             random_mp_stack(rng_for(0), 3, 3, 2, mode)
 
+    @pytest.mark.parametrize("mode", [R, FL], ids=["rational", "float"])
+    def test_all_rows_null_is_refused(self, mode):
+        for nulls in (2, 3):
+            with pytest.raises(ValueError, match="at least one outcome must carry mass"):
+                random_mp_kernel(rng_for(0), 2, 3, mode, null_rows=nulls)
+            with pytest.raises(ValueError, match="at least one outcome must carry mass"):
+                random_space(rng_for(0), 2, mode, null_outcomes=nulls)
+
     def test_random_mp_kernel_from(self):
         for seed in range(20):
             domain, ncols = self.DOMAINS[seed % 3], 1 + seed % 5
@@ -401,3 +417,64 @@ class TestIntegerSampling:
             assert k.codomain == expected.codomain
             assert k.rows.tolist() == expected.rows.tolist()
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestOneDisintegration:
+    """The six row conditionings (the dagger, conditioning on a coupling's
+    first marginal, canonical null rows, the conditioning kernels of
+    partitions and the two samplers) on instances with null rows: float
+    rows bit for bit those of the float expression each wrote before they
+    shared one body, rational rows those of the Fraction definitions."""
+
+    SEEDS = range(50, 56)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dagger_coupling_and_canonical_rows(self, seed):
+        for k_exact, k_float in instances(seed):
+            c = fp.coupling_from_kernel(k_float)
+            for got, expected in [
+                (fp.bayes_inverse(k_float), float_bayes_inverse_rows(k_float)),
+                (fp.kernel_from_coupling(c), float_kernel_from_coupling_rows(c)),
+                (fp.canonicalize(k_float), float_canonical_rows(k_float)),
+            ]:
+                assert got.num.flags.c_contiguous and got.num.tobytes() == expected.tobytes()
+            assert fp.bayes_inverse(k_exact).rows.tolist() == bayes_inverse_by_definition(k_exact)
+            back = fp.kernel_from_coupling(fp.coupling_from_kernel(k_exact))
+            assert back.rows.tolist() == coupling_roundtrip_by_definition(k_exact)
+            assert fp.canonicalize(k_exact).rows.tolist() == canonicalize_by_definition(k_exact)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_conditioning_kernels_of_partitions(self, seed):
+        rng = rng_for(seed)
+        for size in (1, 2, 5, 9, 14):
+            parts = [random_partition(rng, size) for _ in range(7)]
+            for mode in (R, FL):
+                space = random_space(rng, size, mode, null_outcomes=int(rng.integers(0, size)))
+                kernels = _conditioning(space, parts)
+                if mode.exact:
+                    for k, p in zip(kernels, parts):
+                        assert k.rows.tolist() == cond_exp_kernel_by_definition(list(space.weights), p.blocks)
+                else:
+                    got = np.stack([k.num for k in kernels])
+                    assert got.tobytes() == float_conditioning_rows(space, parts).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sampled_kernels(self, seed):
+        count, nrows, ncols = 4, 2 + seed % 5, 1 + seed % 4
+        nulls = 1 + seed % (nrows - 1) if nrows > 2 else 1
+        rng, ref = rng_for(seed), rng_for(seed)
+        (data, _), _, _ = random_mp_stack(rng, count, nrows, ncols, FL, nulls)
+        assert data.tobytes() == float_mp_stack_rows(ref, count, nrows, ncols, nulls).tobytes()
+        domain = random_space(rng, nrows, FL, null_outcomes=nulls)
+        random_space(ref, nrows, FL, null_outcomes=nulls)
+        k = random_mp_kernel_from(rng, domain, ncols)
+        assert k.num.tobytes() == float_mp_kernel_from_rows(ref, domain, ncols).tobytes()
+        (data, den), _, _ = random_mp_stack(rng, count, nrows, ncols, R, nulls)
+        for s in range(count):
+            expected = random_mp_kernel_by_fractions(ref, nrows, ncols, nulls)
+            assert fraction_array(data[s], int(den[s])).tolist() == expected.rows.tolist()
+        domain = random_space(rng, nrows, R, null_outcomes=nulls)
+        random_space(ref, nrows, R, null_outcomes=nulls)
+        k = random_mp_kernel_from(rng, domain, ncols)
+        assert k.rows.tolist() == random_mp_kernel_from_by_fractions(ref, domain, ncols).rows.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state

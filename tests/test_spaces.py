@@ -239,6 +239,10 @@ class TestNthRoot:
         tiny = fp.nth_root(F(3, 10**400), 2, R)
         assert math.isclose(tiny, math.sqrt(3) * 1e-200, rel_tol=1e-12)
 
+    def test_root_index_past_the_float_exponent_range(self):
+        for value, n, expected in [(F(2) ** 5999, 2000, 2 ** (5999 / 2000)), (F(1, 3) ** 5000, 1500, 3 ** (-5000 / 1500))]:
+            assert math.isclose(fp.nth_root(value, n, R), expected, rel_tol=1e-12)
+
     def test_root_beyond_float_range(self):
         with pytest.raises(fp.TooLargeError):
             fp.nth_root(F(10**700 + 1), 2, R)
