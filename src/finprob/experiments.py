@@ -9,9 +9,12 @@ header row and a trailing '#' comment naming the fact it exercises.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -49,8 +52,11 @@ from .serialize import fmt_number
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """An experiment's table, held by column: `columns` names the columns
+    and `cells` holds one sequence of values per column, all of one length."""
+
     columns: tuple
-    rows: tuple
+    cells: tuple
     verdict: str
     footer: str
 
@@ -58,31 +64,71 @@ class ExperimentResult:
     def ok(self) -> bool:
         return not self.verdict.startswith("VIOLATION")
 
+    @property
+    def rows(self) -> tuple:
+        """The table row by row, as tuples of cell values."""
+        return tuple(zip(*self.cells))
+
 
 def _fmt(value, cfg: ExperimentConfig) -> str:
-    # The exact built-in types first: this runs once per CSV cell, and
-    # isinstance against Fraction goes through the ABC machinery.
-    kind = type(value)
-    if kind is float:
-        return "inf" if value == math.inf else repr(value)
-    if kind is int or kind is str or kind is bool:
-        return str(value)
+    """One cell as CSV text: ints, bools and strs as `str` spells them,
+    Fractions as `num/den`, every other number as the shortest repr of its
+    float (`inf`, `-inf` and `nan` included)."""
     if isinstance(value, (bool, int, str)):
         return str(value)
-    if value == math.inf:
-        return "inf"
     if isinstance(value, Fraction):
         return fmt_number(value, cfg.mode if cfg.mode.exact else rational_mode())
     return repr(float(value))
 
 
+_MAY_QUOTE = re.compile('[,"\r\n]').search
+_BLOCK = 1000  # rows joined into one write
+
+
+def _quoted(text: str) -> str:
+    """A str cell as `csv.writer` writes it under minimal quoting, which
+    quotes a cell holding a comma, a double quote or a newline (and, on some
+    Python versions, a carriage return); such cells are rare, so csv.writer
+    spells them itself."""
+    if not _MAY_QUOTE(text):
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
+
+
+def _column_text(cells, cfg: ExperimentConfig) -> list:
+    """One column's cells as CSV text, with one rule picked for the whole
+    column: `repr` over Python floats; over ints, bools or strs, each
+    distinct value spelled once (cells of one such type are equal exactly
+    when they spell alike, which -0.0 and nan rule out for floats); and
+    `_fmt` cell by cell for any other column (Fractions, numpy scalars,
+    mixed types)."""
+    kinds = set(map(type, cells))
+    if kinds <= {float}:
+        return list(map(repr, cells))
+    if len(kinds) == 1 and kinds <= {int, bool, str}:
+        spelled = {v: _quoted(str(v)) for v in set(cells)}
+        return list(map(spelled.__getitem__, cells))
+    return [_quoted(_fmt(v, cfg)) for v in cells]
+
+
 def write_csv(result: ExperimentResult, path: Path, cfg: ExperimentConfig) -> None:
+    """The table as CSV, header first, then the footer comments: the bytes
+    `csv.writer(lineterminator="\\n")` writes over `_fmt` of every cell,
+    formatted a column at a time and written a block of rows at a time."""
+    fields = [
+        [_quoted(name), *_column_text(cells, cfg)]
+        for name, cells in zip(result.columns, result.cells)
+    ]
+    lines = map(",".join, zip(*fields))
+    if len(fields) == 1:  # csv.writer quotes a lone empty field, which would read as a blank line
+        lines = (line or '""' for line in lines)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_fmt(v, cfg) for v in row])
+        while block := list(islice(lines, _BLOCK)):
+            fh.write("\n".join(block))
+            fh.write("\n")
         fh.write(f"# exercises: {result.footer}\n")
         fh.write(f"# verdict: {result.verdict}\n")
 
@@ -112,23 +158,24 @@ def _load_terminal_rv(cfg: ExperimentConfig, expected_size: int):
     return rv
 
 
-def _levy_rows(cfg: ExperimentConfig, filtration: Filtration, rng, terminal=None) -> ExperimentResult:
-    rows = []
+def _levy_table(cfg: ExperimentConfig, filtration: Filtration, rng, terminal=None) -> ExperimentResult:
+    rv, step, distance, stabilized = [], [], [], []
     verdict = "CONVERGED"
     runs = 1 if terminal is not None else cfg.count
     for idx in range(runs):
         f = terminal if terminal is not None else random_rv(rng, filtration.space)
         martingale = martingale_from_terminal(f, filtration)
         report = levy_report(martingale, cfg.norm_index)
-        stab = report.stabilization_index
-        for step, d in enumerate(report.step_distances):
-            stabilized = stab is not None and step >= stab
-            rows.append((idx, step, d, _norm_token(cfg.norm_index), stabilized))
+        steps, stab = len(report.step_distances), report.stabilization_index
+        rv += [idx] * steps
+        step += range(steps)
+        distance += report.step_distances
+        stabilized += [stab is not None and t >= stab for t in range(steps)]
         if verdict == "CONVERGED" and not report.converged:
-            verdict = f"VIOLATION step {len(report.step_distances) - 1} (rv {idx}): no stabilization"
+            verdict = f"VIOLATION step {steps - 1} (rv {idx}): no stabilization"
     return ExperimentResult(
         ("rv", "step", "ln_distance", "n", "stabilized"),
-        tuple(rows),
+        (rv, step, distance, [_norm_token(cfg.norm_index)] * len(rv), stabilized),
         verdict,
         "",
     )
@@ -146,12 +193,9 @@ def _run_levy_up(cfg: ExperimentConfig) -> ExperimentResult:
         )
     else:
         filtration = dyadic_filtration(cfg.levels, cfg.mode)
-    result = _levy_rows(cfg, filtration, rng, terminal)
-    return ExperimentResult(
-        result.columns,
-        result.rows,
-        result.verdict,
-        "upward martingale convergence in mean along the dyadic filtration",
+    return replace(
+        _levy_table(cfg, filtration, rng, terminal),
+        footer="upward martingale convergence in mean along the dyadic filtration",
     )
 
 
@@ -165,12 +209,9 @@ def _run_levy_down(cfg: ExperimentConfig) -> ExperimentResult:
         space = random_space(rng, cfg.size, cfg.mode, null_outcomes=1 if cfg.size > 2 else 0)
     chain = random_coarsening_chain(rng, cfg.size, cfg.length)
     filtration = Filtration(chain, DECREASING, space)
-    result = _levy_rows(cfg, filtration, rng, terminal)
-    return ExperimentResult(
-        result.columns,
-        result.rows,
-        result.verdict,
-        "backward martingale convergence in mean along a coarsening filtration",
+    return replace(
+        _levy_table(cfg, filtration, rng, terminal),
+        footer="backward martingale convergence in mean along a coarsening filtration",
     )
 
 
@@ -179,22 +220,25 @@ def _run_levi_kernel(cfg: ExperimentConfig) -> ExperimentResult:
     space = random_space(rng, cfg.size, cfg.mode, null_outcomes=1 if cfg.size > 2 else 0)
     chain = random_idempotent_chain(rng, space, cfg.length, increasing=True)
     report = levi_property_check(chain)
-    rows = [
-        (step, d, "one-sided", report.tolerance, report.converged)
-        for step, d in enumerate(report.step_distances)
-    ]
+    steps = len(report.step_distances)
     verdict = "CONVERGED"
     if not report.converged:
-        verdict = f"VIOLATION step {len(report.step_distances) - 1}: chain does not reach its supremum"
+        verdict = f"VIOLATION step {steps - 1}: chain does not reach its supremum"
     else:
         slack = 0 if cfg.mode.exact else 1e-12
-        for step in range(1, len(report.step_distances)):
+        for step in range(1, steps):
             if report.step_distances[step] > report.step_distances[step - 1] + slack:
                 verdict = f"VIOLATION step {step}: distance increased"
                 break
     return ExperimentResult(
         ("step", "distance", "metric", "tol", "converged"),
-        tuple(rows),
+        (
+            range(steps),
+            report.step_distances,
+            ["one-sided"] * steps,
+            [report.tolerance] * steps,
+            [report.converged] * steps,
+        ),
         verdict,
         "monotone idempotent chains converge to their optimum in the kernel metric",
     )
@@ -205,18 +249,20 @@ def _run_levi_hilbert(cfg: ExperimentConfig) -> ExperimentResult:
     dim = cfg.size
     steps = min(cfg.length, dim)
     basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-    chain = [Subspace(basis[:, : i + 1], dim) for i in range(steps)]
+    subspaces = [Subspace(basis[:, : i + 1], dim) for i in range(steps)]
     probes = list(np.eye(dim))  # the unit vectors, as views of one identity matrix
     probes += [rng.normal(size=dim) for _ in range(64)]
-    report = levi_up_demo(chain, probes)
-    rows = []
-    for probe_id, residuals in enumerate(report.residuals):
-        for step, r in enumerate(residuals):
-            rows.append((step, probe_id, r, report.norm_kind))
+    report = levi_up_demo(subspaces, probes)
+    count = len(probes)
     verdict = "CONVERGED" if report.converged else "VIOLATION step last: residuals above tolerance"
     return ExperimentResult(
         ("step", "probe_id", "residual_norm", "norm_kind"),
-        tuple(rows),
+        (  # probe-major, as report.residuals[probe][step]
+            list(range(steps)) * count,
+            np.repeat(np.arange(count), steps).tolist(),
+            list(chain.from_iterable(report.residuals)),
+            [report.norm_kind] * (count * steps),
+        ),
         verdict,
         "increasing subspace chains: projectors converge pointwise to the span's projector",
     )
@@ -225,20 +271,13 @@ def _run_levi_hilbert(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_noncauchy(cfg: ExperimentConfig) -> ExperimentResult:
     martingale, diag = nonintegrable_example(cfg.levels, cfg.mode)
     one = cfg.mode.one()
-    rows = []
-    ok = True
-    for level, norm in enumerate(diag.l1_norms):
-        inc = diag.increment_l1_norms[level] if level < len(diag.increment_l1_norms) else ""
-        rows.append((level, norm, inc))
-        if not cfg.mode.close(norm, one):
-            ok = False
-    for inc in diag.increment_l1_norms:
-        if not cfg.mode.close(inc, one):
-            ok = False
+    norms, increments = list(diag.l1_norms), list(diag.increment_l1_norms)
+    ok = all(cfg.mode.close(v, one) for v in norms + increments)
+    levels = len(norms)
     verdict = "STABILIZED-NONCAUCHY" if ok else "VIOLATION step 0: norms drifted from 1"
     return ExperimentResult(
         ("level", "l1_norm", "increment_l1"),
-        tuple(rows),
+        (range(levels), norms, (increments + [""] * levels)[:levels]),
         verdict,
         "mass-escaping martingale: unit level norms with unit increments, never Cauchy in L1",
     )
@@ -246,10 +285,6 @@ def _run_noncauchy(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_banach(cfg: ExperimentConfig) -> ExperimentResult:
     report = banach_counterexample(cfg.size)
-    rows = [
-        (i, s, e)
-        for i, (s, e) in enumerate(zip(report.sup_norms, report.euclidean_norms))
-    ]
     ok = (
         report.sup_plateau
         and report.euclidean_decays
@@ -260,29 +295,19 @@ def _run_banach(cfg: ExperimentConfig) -> ExperimentResult:
         "sup-norm truncation chain plateaus at 1 (colimit seminorm "
         f"{report.seminorm_all_ones!r}) while the euclidean norms decay to 0"
     )
-    return ExperimentResult(
-        ("step", "sup_norm", "euclidean_norm"), tuple(rows), verdict, footer
-    )
+    cells = (range(len(report.sup_norms)), report.sup_norms, report.euclidean_norms)
+    return ExperimentResult(("step", "sup_norm", "euclidean_norm"), cells, verdict, footer)
 
 
 def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
     rng = rng_for(cfg.seed)
-    rows = []
+    reports = []
     verdict = "PASS"
     for space_idx in range(cfg.count):
         nulls = 1 if cfg.size >= 3 else 0
         space = random_space(rng, cfg.size, cfg.mode, null_outcomes=nulls)
         report = galois_roundtrips(space)
-        rows.append(
-            (
-                space_idx,
-                report.n_partitions,
-                not report.adjunction_failures,
-                not report.roundtrip_failures,
-                not report.completion_failures,
-                not report.monotonicity_failures,
-            )
-        )
+        reports.append(report)
         if not report.all_ok and verdict == "PASS":
             verdict = f"VIOLATION step {space_idx}: order correspondence failed"
     return ExperimentResult(
@@ -294,7 +319,14 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
             "completion_ok",
             "monotone_ok",
         ),
-        tuple(rows),
+        (
+            range(cfg.count),
+            [r.n_partitions for r in reports],
+            [not r.adjunction_failures for r in reports],
+            [not r.roundtrip_failures for r in reports],
+            [not r.completion_failures for r in reports],
+            [not r.monotonicity_failures for r in reports],
+        ),
         verdict,
         "order correspondence between partitions and conditioning idempotents, exhaustively",
     )
@@ -323,8 +355,6 @@ def _slide_block(mode, limit: tuple, q: tuple, a: tuple) -> tuple:
 
 def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
     rng = rng_for(cfg.seed)
-    rows = []
-    verdict = "PASS"
     norms = (1, 2, 3, math.inf)
     mode, horizon = cfg.mode, cfg.horizon
     steps = np.arange(horizon)
@@ -333,24 +363,34 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
         top, bottom = 1, int_array([1 << t for t in steps.tolist()], 1 << (horizon - 1))
     else:
         top, bottom = np.ldexp(1.0, -steps), np.ones(horizon, dtype=np.int64)
+    oscillating = np.arange(cfg.count) % 5 == 4  # k and the independent kernel in turn
     block = _sequences_per_block(horizon, cfg.size, cfg.size)
+    converged = []  # per block, (sequences, 1 + norms): the metric's verdict, then the operators'
     for lo in range(0, cfg.count, block):
-        seqs = np.arange(lo, min(lo + block, cfg.count))
-        oscillate = (seqs % 5 == 4)[:, None]  # k and the independent kernel in turn
+        oscillate = oscillating[lo : lo + block, None]
         a = np.where(oscillate, flip, top), np.where(oscillate, 1, bottom)
-        limit, p, q = random_mp_stack(rng, len(seqs), cfg.size, cfg.size, mode)
+        limit, p, q = random_mp_stack(rng, len(oscillate), cfg.size, cfg.size, mode)
         reports = _block_reports(*_slide_block(mode, limit, q, a), limit, p, norms, mode.tolerance)
-        metric, *operators = ((stable < horizon).tolist() for _, stable in reports)
-        for s, idx in enumerate(seqs.tolist()):
-            kind = "oscillating" if oscillate[s, 0] else "interpolating"
-            for n, operator in zip(norms, operators):
-                agree = metric[s] == operator[s]
-                rows.append((idx, kind, _norm_token(n), metric[s], operator[s], agree))
-                if not agree and verdict == "PASS":
-                    verdict = f"VIOLATION step {idx}: metric and operator verdicts disagree"
+        converged.append(np.stack([stable < horizon for _, stable in reports], axis=-1))
+    table = np.concatenate(converged)
+    operator = table[:, 1:]  # one CSV row per (sequence, norm)
+    metric = np.broadcast_to(table[:, :1], operator.shape)
+    agree = metric == operator
+    disagree = ~agree.all(axis=-1)
+    verdict = "PASS"
+    if disagree.any():
+        verdict = f"VIOLATION step {disagree.argmax()}: metric and operator verdicts disagree"
+    kind = np.where(oscillating, "oscillating", "interpolating")
     return ExperimentResult(
         ("sequence", "kind", "n", "metric_converged", "operator_converged", "agree"),
-        tuple(rows),
+        (
+            np.repeat(np.arange(cfg.count), len(norms)).tolist(),
+            np.repeat(kind, len(norms)).tolist(),
+            [_norm_token(n) for n in norms] * cfg.count,
+            metric.ravel().tolist(),
+            operator.ravel().tolist(),
+            agree.ravel().tolist(),
+        ),
         verdict,
         "kernel-metric convergence coincides with pointwise operator convergence",
     )

@@ -150,14 +150,17 @@ def _invariant_partitions(step: np.ndarray, space: ProbSpace) -> list[Partition]
     `invariant_partition`), closed all at once."""
     live = space.live_index()
     reach = step | step.swapaxes(-1, -2) | np.eye(live.size, dtype=bool)
+    stack = np.arange(len(reach))[:, None]
     while True:  # square the reachability relations until they are transitive
-        square = reach.astype(np.float64)
-        closed = square @ square > 0
-        if (closed == reach).all():
+        first = reach.argmax(axis=-1)  # each outcome's first related outcome
+        # reflexive and symmetric, a relation is transitive exactly when
+        # every row equals the row of its first member
+        if (reach[stack, first] == reach).all():
             break
-        reach = closed
+        square = reach.astype(np.float64)
+        reach = square @ square > 0
     labels = np.tile(np.arange(space.size), (len(step), 1))  # null outcomes keep a label of their own
-    labels[:, live] = live[reach.argmax(axis=-1)]
+    labels[:, live] = live[first]
     return [Partition.from_labels(row) for row in labels.tolist()]
 
 

@@ -350,16 +350,18 @@ def is_as_deterministic(k: Kernel) -> bool:
     return dagger_epi
 
 
-def _checked_marginals(num: np.ndarray, den: int, p: tuple, q: tuple, mode: NumericMode, lead: tuple = ()) -> None:
+def _checked_marginals(num: np.ndarray, den, p: tuple, q: tuple, mode: NumericMode, lead: tuple = ()) -> None:
     """A joint table of numerators over `den`, or a stack of them along the
-    named `lead` axes over that denominator, has the row marginals p and the
-    column marginals q, each (numerators, denominator), within the mode's
-    tolerance, comparing numerators across the two denominators; an error
-    names the first table that does not."""
+    named `lead` axes, each over its own denominator, has the row marginals p
+    and the column marginals q, each (numerators, denominators) with one
+    denominator per table as `den` has, within the mode's tolerance,
+    comparing numerators across the two denominators; an error names the
+    first table that does not."""
+    top, per_table = magnitude(den), np.asarray(den)[..., None]
     for axis, (w, wden), side, name in ((-1, p, "row", "p"), (-2, q, "column", "q")):
         sums = num.sum(axis=axis)
-        sums, w = widen(max(magnitude(sums) * wden, magnitude(w) * den), sums, w)
-        bad = ~mode.close_mask(times(sums, wden), times(w, den)).all(axis=-1)
+        sums, w = widen(max(magnitude(sums) * magnitude(wden), magnitude(w) * top), sums, w)
+        bad = ~mode.close_mask(times(sums, np.asarray(wden)[..., None]), times(w, per_table)).all(axis=-1)
         if bad.any():
             where = f" of {_at(_first(bad), lead)}" if lead else ""
             raise NotMeasurePreservingError(f"{side} marginals{where} differ from {name}")

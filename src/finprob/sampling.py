@@ -114,9 +114,8 @@ def random_mp_stack(
         p, q = (table.sum(axis=2), den), (table.sum(axis=1), den)
     _checked_weights(*p, mode, lead)
     _checked_weights(*q, mode, lead)
-    if not mode.exact:  # float sums: the table must have them as its marginals
-        _entries(table, 1, mode, "coupling", lead)
-        _checked_marginals(table, 1, (p[0], 1), (q[0], 1), mode, lead)
+    _entries(table, den, mode, "coupling", lead)
+    _checked_marginals(table, den, p, q, mode, lead)
     return _disintegrated(table, den, p, q, mode, lead), p, q
 
 

@@ -5,6 +5,9 @@ enumeration, raw summation loops and least-squares solves act as the second
 route against which the implementation is judged.
 """
 
+import csv
+import io
+from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations
 from types import SimpleNamespace
@@ -14,6 +17,7 @@ import numpy as np
 
 import finprob as fp
 from finprob.errors import NotAChainError, NotLipschitzError, NotMonotoneError, TooLargeError
+from finprob.experiments import _fmt
 from finprob.idempotents import _same_block
 from finprob.numerics import block_sums
 from finprob.partitions import Partition
@@ -418,6 +422,41 @@ def invariant_blocks_union_find(e):
         groups.setdefault(find(x), []).append(x)
     null = [[x] for x in range(space.size) if x not in space.support]
     return list(groups.values()) + null
+
+
+def invariant_partition_by_search(relation, space):
+    """Blocks of the connected components of a transition relation over the
+    live outcomes of `space` (relation[x][y] indexes the live outcomes in
+    order), found by breadth-first search with an edge either way; each
+    block is labelled by its first outcome, every null outcome alone."""
+    live = space.live_index().tolist()
+    labels = list(range(space.size))
+    seen = [False] * len(live)
+    for start in range(len(live)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            labels[live[x]] = live[start]
+            for y in range(len(live)):
+                if (relation[x][y] or relation[y][x]) and not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return Partition.from_labels(labels)
+
+
+def csv_by_rows(result, cfg) -> bytes:
+    """An experiment's CSV as written one row at a time: `csv.writer` over
+    `_fmt` of every cell, then the two footer comments."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(result.columns)
+    for row in result.rows:
+        writer.writerow([_fmt(v, cfg) for v in row])
+    out.write(f"# exercises: {result.footer}\n# verdict: {result.verdict}\n")
+    return out.getvalue().encode("ascii")
 
 
 def truncation_maps_dense(n):

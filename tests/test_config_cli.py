@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import time
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 
 import finprob as fp
 from finprob.cli import main
-from finprob.config import ExperimentConfig, demo_config, load_config, resolve_output, validate_config
-from finprob.experiments import _fmt, run, run_experiment
+from finprob.config import EXPERIMENTS, ExperimentConfig, demo_config, load_config, resolve_output, validate_config
+from finprob.experiments import ExperimentResult, _fmt, run, run_experiment, write_csv
 from finprob.numerics import float_mode, rational_mode
+
+from .oracles import csv_by_rows
 
 
 def write(tmp_path, text, name="cfg.ini"):
@@ -227,6 +230,9 @@ class TestExperiments:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+MODES = pytest.mark.parametrize("mode", [float_mode(), rational_mode()], ids=["float", "rational"])
+
+
 class TestCsvCells:
     CELLS = [
         (True, "True"),
@@ -250,10 +256,73 @@ class TestCsvCells:
         (Fraction(4), "4"),
     ]
 
-    @pytest.mark.parametrize("mode", [float_mode(), rational_mode()], ids=["float", "rational"])
+    @MODES
     def test_cell_strings(self, mode):
         cfg = ExperimentConfig("levi-hilbert", mode=mode)
         assert [_fmt(v, cfg) for v, _ in self.CELLS] == [text for _, text in self.CELLS]
+
+
+class TestColumnWriter:
+    """`write_csv` formats a column at a time; `oracles.csv_by_rows`, the
+    row writer it replaced, gives the bytes it must write."""
+
+    @staticmethod
+    def same_bytes(tmp_path, columns, cells, mode):
+        cfg = ExperimentConfig("levi-hilbert", mode=mode)
+        result = ExperimentResult(tuple(columns), tuple(cells), "PASS", "a footer")
+        write_csv(result, tmp_path / "table.csv", cfg)
+        assert (tmp_path / "table.csv").read_bytes() == csv_by_rows(result, cfg)
+
+    VALUES = [v for v, _ in TestCsvCells.CELLS] + [-0.0, 1, "a,b", 'say "x"', "two\nlines", "cr\r"]
+
+    @MODES
+    def test_every_cell_value_as_a_whole_column(self, tmp_path, mode):
+        for value in self.VALUES:
+            self.same_bytes(tmp_path, ("v", "w"), ([value] * 3, range(3)), mode)
+            self.same_bytes(tmp_path, ("v",), ([value] * 3,), mode)
+
+    @MODES
+    def test_mixed_columns(self, tmp_path, mode):
+        values = self.VALUES
+        self.same_bytes(tmp_path, ("a", "b"), (values, values[::-1]), mode)
+        for i, a in enumerate(values):  # every pair of values, in one column
+            for b in values[i + 1:]:
+                self.same_bytes(tmp_path, ("pair", "i"), ([a, b, a], [0, 1, 2]), mode)
+        self.same_bytes(tmp_path, ("signed zeros",), ([0.0, -0.0, 0.0, math.nan, -0.0],), mode)
+        self.same_bytes(tmp_path, ("equal ints and bools",), ([1, True, 0, False, 1.0],), mode)
+
+    @MODES
+    def test_numpy_columns(self, tmp_path, mode):
+        floats = np.array([0.1, -2.5e-300, 1e16, math.inf, -math.inf, math.nan, -0.0])
+        ints, bools = np.arange(-3, 4), np.array([True, False, True, True, False, False, True])
+        columns = (floats, floats.astype(np.float32), ints, bools)
+        self.same_bytes(tmp_path, ("f64", "f32", "i64", "bool"), columns, mode)
+        self.same_bytes(tmp_path, ("f64", "i64", "bool"), (list(floats), list(ints), list(bools)), mode)
+
+    @MODES
+    def test_quoted_text(self, tmp_path, mode):
+        texts = ["a,b", 'say "x"', "two\nlines", "", "plain", ",", '"']
+        self.same_bytes(tmp_path, ("text", "n"), (texts, range(len(texts))), mode)
+        self.same_bytes(tmp_path, ('na"me', "a,b"), (texts, texts[::-1]), mode)
+
+    @MODES
+    def test_empty_tables_and_lone_empty_cells(self, tmp_path, mode):
+        self.same_bytes(tmp_path, ("a", "b"), ([], []), mode)
+        self.same_bytes(tmp_path, ("a",), ([],), mode)
+        self.same_bytes(tmp_path, ("a",), ([""],), mode)
+        self.same_bytes(tmp_path, ("",), (["", "x", ""],), mode)
+        self.same_bytes(tmp_path, ("a", "b"), ([""], [""]), mode)
+
+    def test_more_rows_than_one_block(self, tmp_path):
+        steps = list(range(2500))
+        self.same_bytes(tmp_path, ("step", "x"), (steps, [t / 7 for t in steps]), float_mode())
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_every_demo_table(self, name, tmp_path):
+        for cfg in (demo_config(name), replace(demo_config(name), mode=float_mode())):
+            result = run_experiment(cfg)
+            write_csv(result, tmp_path / "demo.csv", cfg)
+            assert (tmp_path / "demo.csv").read_bytes() == csv_by_rows(result, cfg)
 
 
 class TestTerminalRvInput:

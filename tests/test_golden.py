@@ -16,7 +16,10 @@ when a float kernel held its rows over no denominator and every kernel
 operation had a float body and a rational one. The float Levy files were
 written when a float random variable held its values beside an empty
 rational slot and every random-variable operation had a float body and a
-rational one.
+rational one. The levi-hilbert files, float at the benchmark's size = length
+= 40 (4,160 rows) and one chain longer than its dimension (12 steps, not 20),
+were written when the CSV writer formatted its table one row and one cell at
+a time.
 """
 
 import math
@@ -87,6 +90,13 @@ CASES = {
         demo_config("levy-down"), mode=fp.float_mode(), norm_index=3
     ),
     "noncauchy-l1-float": lambda tmp: replace(demo_config("noncauchy-l1"), mode=fp.float_mode()),
+    # the euclidean-float workload's shape, and a chain cut at size steps
+    "levi-hilbert-float-40": lambda tmp: ExperimentConfig(
+        experiment="levi-hilbert", size=40, length=40, seed=1, mode=fp.float_mode()
+    ),
+    "levi-hilbert-float-past-size": lambda tmp: ExperimentConfig(
+        experiment="levi-hilbert", size=12, length=20, seed=3, mode=fp.float_mode()
+    ),
 }
 
 

@@ -14,6 +14,7 @@ from .oracles import (
     cond_exp_kernel_by_definition,
     galois_roundtrips_by_kernels,
     invariant_partition_bruteforce,
+    invariant_partition_by_search,
     invariant_sets_direct,
     kernel_mass,
     order_table_by_definition,
@@ -129,6 +130,28 @@ class TestInvariantPartition:
         space = random_space(rng, 12, R, null_outcomes=2)
         e = fp.cond_exp_kernel(space, random_partition(rng, 12))
         assert fp.invariant_partition(e) == invariant_partition_bruteforce(e)
+
+    def test_closure_matches_breadth_first_search(self):
+        # random relations (one-way edges too) and random symmetric ones at
+        # several densities, and paths through the live outcomes in random
+        # order, which take up to six squarings to close; closed as one stack
+        # and one at a time
+        rng = rng_for(61)
+        for size, nulls in [(1, 0), (2, 1), (3, 0), (6, 2), (17, 3), (45, 5), (160, 1)]:
+            space = random_space(rng, size, fp.FLOAT_DEFAULT, null_outcomes=nulls)
+            m = space.live_index().size
+            relations = [rng.random((m, m)) < d for d in (0.0, 0.5 / m, 1.5 / m, 0.2)]
+            relations += [r | r.T for r in relations]
+            for _ in range(3):
+                path, order = np.zeros((m, m), dtype=bool), rng.permutation(m)
+                path[order[:-1], order[1:]] = True
+                relations.append(path)
+            stack = np.stack(relations)
+            expected = [invariant_partition_by_search(r.tolist(), space) for r in stack]
+            found = idempotents._invariant_partitions(stack, space)
+            assert [p.labels.tolist() for p in found] == [p.labels.tolist() for p in expected]
+            for r, part in zip(stack, expected):
+                assert idempotents._invariant_partitions(r[None], space) == [part]
 
     def test_bruteforce_size_cap(self):
         e = fp.IdempotentKernel(fp.identity_kernel(fp.uniform_space(20, fp.FLOAT_DEFAULT)))

@@ -400,6 +400,23 @@ class TestIntegerSampling:
         with pytest.raises(fp.NegativeWeightError, match="sequence 2, weight 0 is negative"):
             random_mp_stack(rng_for(0), 3, 3, 2, mode)
 
+    def test_rational_stack_checks_its_marginals(self, monkeypatch):
+        # the second table's row weights, swapped, are still weights but no
+        # longer its row marginals
+        lowest = sampling._lowest
+
+        def swapped(num, den):
+            num, den = lowest(num, den)
+            num = num.copy()
+            num[1, [0, 1]] = num[1, [1, 0]]
+            return num, den
+
+        tables = iter([np.ones((3, 2), dtype=np.int64), np.array([[1, 0], [2, 3], [0, 1]])])
+        monkeypatch.setattr(sampling, "random_joint_table", lambda *args: next(tables))
+        monkeypatch.setattr(sampling, "_lowest", swapped)
+        with pytest.raises(fp.NotMeasurePreservingError, match="row marginals of sequence 1 differ from p"):
+            random_mp_stack(rng_for(0), 2, 3, 2, R)
+
     @pytest.mark.parametrize("mode", [R, FL], ids=["rational", "float"])
     def test_all_rows_null_is_refused(self, mode):
         for nulls in (2, 3):
