@@ -10,13 +10,12 @@ draw an experiment makes.
 from __future__ import annotations
 
 import configparser
-import difflib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, ConfigParseError
+from .errors import ConfigError, ConfigParseError, FinprobError
 from .numerics import NumericMode, float_mode, rational_mode
 
 # Canonical config of `finprob demo <name>` for every experiment; its keys
@@ -75,13 +74,20 @@ class ExperimentConfig:
             raise ConfigError("; ".join(problems))
 
 
+def _unknown_experiment(name: str) -> str:
+    """The problem an unknown experiment name makes, with near misses."""
+    import difflib
+
+    hints = difflib.get_close_matches(name, EXPERIMENTS, n=3)
+    suffix = f" (did you mean: {', '.join(hints)}?)" if hints else ""
+    return f"unknown experiment {name!r}{suffix}"
+
+
 def validate_config(cfg) -> list[str]:
     """Invariant report for a config; empty means valid."""
     problems = []
     if cfg.experiment not in EXPERIMENTS:
-        hints = difflib.get_close_matches(cfg.experiment, EXPERIMENTS, n=3)
-        suffix = f" (did you mean: {', '.join(hints)}?)" if hints else ""
-        problems.append(f"unknown experiment {cfg.experiment!r}{suffix}")
+        problems.append(_unknown_experiment(cfg.experiment))
     if not isinstance(cfg.seed, int) or cfg.seed < 0:
         problems.append(f"seed must be a nonnegative integer, got {cfg.seed!r}")
     if cfg.horizon < 1:
@@ -158,15 +164,13 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigParseError("field 'tolerance': not allowed in rational mode")
         mode = rational_mode()
     elif mode_token == "float":
+        token = exp.get("tolerance", "1e-9")
         try:
-            tol = float(exp.get("tolerance", "1e-9"))
-        except ValueError:
+            mode = float_mode(float(token))
+        except (ValueError, FinprobError):  # not a number, or not finite and positive
             raise ConfigParseError(
-                f"field 'tolerance': expected a number, got {exp['tolerance']!r}"
+                f"field 'tolerance': expected a finite positive number, got {token!r}"
             ) from None
-        if tol <= 0:
-            raise ConfigParseError("field 'tolerance': must be positive")
-        mode = float_mode(tol)
     else:
         raise ConfigParseError(f"field 'mode': expected rational or float, got {mode_token!r}")
 
@@ -193,9 +197,7 @@ def load_config(path) -> ExperimentConfig:
 def demo_config(name: str, output: Optional[str] = None) -> ExperimentConfig:
     """Built-in canonical config for `finprob demo <name>`."""
     if name not in EXPERIMENTS:
-        hints = difflib.get_close_matches(name, EXPERIMENTS, n=3)
-        suffix = f" (did you mean: {', '.join(hints)}?)" if hints else ""
-        raise ConfigError(f"unknown experiment {name!r}{suffix}")
+        raise ConfigError(_unknown_experiment(name))
     overrides = dict(_DEMO_OVERRIDES[name])
     cfg = ExperimentConfig(experiment=name, **overrides)
     if output is not None:

@@ -234,16 +234,10 @@ def chain_sup(chain: Sequence[Subspace]) -> Subspace:
 
 
 def chain_inf(chain: Sequence[Subspace]) -> Subspace:
-    """Intersection of a decreasing chain: the joint fixed space of the
-    projectors, via the null space of the stacked complements."""
+    """Intersection of a decreasing chain: once the chain is checked to be
+    decreasing, that is its last element."""
     _require_subspace_chain(chain, increasing=False)
-    d = chain[0].ambient_dim
-    complements = [np.eye(d) - orthogonal_projector(s).matrix for s in chain]
-    stacked = np.vstack(complements)
-    _, svals, vt = np.linalg.svd(stacked)
-    svals = np.concatenate([svals, np.zeros(d - len(svals))])
-    keep = svals <= DEFAULT_TOL
-    return Subspace(vt.T[:, keep], d)
+    return chain[-1]
 
 
 @dataclass(frozen=True)

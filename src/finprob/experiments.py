@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
@@ -28,9 +28,10 @@ from .idempotents import galois_roundtrips
 from .kernels import _rows
 from .martingales import (
     DECREASING,
+    INCREASING,
     Filtration,
-    dyadic_filtration,
     dyadic_partition,
+    dyadic_space,
     levi_property_check,
     levy_report,
     martingale_from_terminal,
@@ -56,7 +57,7 @@ class ExperimentResult:
     and `cells` holds one sequence of values per column, all of one length."""
 
     columns: tuple
-    cells: tuple
+    cells: tuple  # tuples (or ranges), so a result's table cannot change
     verdict: str
     footer: str
 
@@ -158,7 +159,7 @@ def _load_terminal_rv(cfg: ExperimentConfig, expected_size: int):
     return rv
 
 
-def _levy_table(cfg: ExperimentConfig, filtration: Filtration, rng, terminal=None) -> ExperimentResult:
+def _levy_table(cfg: ExperimentConfig, filtration: Filtration, rng, terminal, footer: str) -> ExperimentResult:
     rv, step, distance, stabilized = [], [], [], []
     verdict = "CONVERGED"
     runs = 1 if terminal is not None else cfg.count
@@ -173,30 +174,18 @@ def _levy_table(cfg: ExperimentConfig, filtration: Filtration, rng, terminal=Non
         stabilized += [stab is not None and t >= stab for t in range(steps)]
         if verdict == "CONVERGED" and not report.converged:
             verdict = f"VIOLATION step {steps - 1} (rv {idx}): no stabilization"
-    return ExperimentResult(
-        ("rv", "step", "ln_distance", "n", "stabilized"),
-        (rv, step, distance, [_norm_token(cfg.norm_index)] * len(rv), stabilized),
-        verdict,
-        "",
-    )
+    n = (_norm_token(cfg.norm_index),) * len(rv)
+    cells = (tuple(rv), tuple(step), tuple(distance), n, tuple(stabilized))
+    return ExperimentResult(("rv", "step", "ln_distance", "n", "stabilized"), cells, verdict, footer)
 
 
 def _run_levy_up(cfg: ExperimentConfig) -> ExperimentResult:
-    rng = rng_for(cfg.seed)
-    terminal = None
-    if cfg.input is not None:
-        terminal = _load_terminal_rv(cfg, 1 << cfg.levels)
-        filtration = Filtration(
-            [dyadic_partition(cfg.levels, lv) for lv in range(cfg.levels + 1)],
-            "increasing",
-            terminal.space,
-        )
-    else:
-        filtration = dyadic_filtration(cfg.levels, cfg.mode)
-    return replace(
-        _levy_table(cfg, filtration, rng, terminal),
-        footer="upward martingale convergence in mean along the dyadic filtration",
-    )
+    terminal = None if cfg.input is None else _load_terminal_rv(cfg, 1 << cfg.levels)
+    space = dyadic_space(cfg.levels, cfg.mode) if terminal is None else terminal.space
+    parts = [dyadic_partition(cfg.levels, lv) for lv in range(cfg.levels + 1)]
+    filtration = Filtration(parts, INCREASING, space)
+    footer = "upward martingale convergence in mean along the dyadic filtration"
+    return _levy_table(cfg, filtration, rng_for(cfg.seed), terminal, footer)
 
 
 def _run_levy_down(cfg: ExperimentConfig) -> ExperimentResult:
@@ -207,12 +196,9 @@ def _run_levy_down(cfg: ExperimentConfig) -> ExperimentResult:
         space = terminal.space
     else:
         space = random_space(rng, cfg.size, cfg.mode, null_outcomes=1 if cfg.size > 2 else 0)
-    chain = random_coarsening_chain(rng, cfg.size, cfg.length)
-    filtration = Filtration(chain, DECREASING, space)
-    return replace(
-        _levy_table(cfg, filtration, rng, terminal),
-        footer="backward martingale convergence in mean along a coarsening filtration",
-    )
+    filtration = Filtration(random_coarsening_chain(rng, cfg.size, cfg.length), DECREASING, space)
+    footer = "backward martingale convergence in mean along a coarsening filtration"
+    return _levy_table(cfg, filtration, rng, terminal, footer)
 
 
 def _run_levi_kernel(cfg: ExperimentConfig) -> ExperimentResult:
@@ -235,9 +221,9 @@ def _run_levi_kernel(cfg: ExperimentConfig) -> ExperimentResult:
         (
             range(steps),
             report.step_distances,
-            ["one-sided"] * steps,
-            [report.tolerance] * steps,
-            [report.converged] * steps,
+            ("one-sided",) * steps,
+            (report.tolerance,) * steps,
+            (report.converged,) * steps,
         ),
         verdict,
         "monotone idempotent chains converge to their optimum in the kernel metric",
@@ -258,10 +244,10 @@ def _run_levi_hilbert(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         ("step", "probe_id", "residual_norm", "norm_kind"),
         (  # probe-major, as report.residuals[probe][step]
-            list(range(steps)) * count,
-            np.repeat(np.arange(count), steps).tolist(),
-            list(chain.from_iterable(report.residuals)),
-            [report.norm_kind] * (count * steps),
+            tuple(range(steps)) * count,
+            tuple(chain.from_iterable((probe,) * steps for probe in range(count))),
+            tuple(chain.from_iterable(report.residuals)),
+            (report.norm_kind,) * (count * steps),
         ),
         verdict,
         "increasing subspace chains: projectors converge pointwise to the span's projector",
@@ -271,13 +257,13 @@ def _run_levi_hilbert(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_noncauchy(cfg: ExperimentConfig) -> ExperimentResult:
     martingale, diag = nonintegrable_example(cfg.levels, cfg.mode)
     one = cfg.mode.one()
-    norms, increments = list(diag.l1_norms), list(diag.increment_l1_norms)
+    norms, increments = diag.l1_norms, diag.increment_l1_norms
     ok = all(cfg.mode.close(v, one) for v in norms + increments)
     levels = len(norms)
     verdict = "STABILIZED-NONCAUCHY" if ok else "VIOLATION step 0: norms drifted from 1"
     return ExperimentResult(
         ("level", "l1_norm", "increment_l1"),
-        (range(levels), norms, (increments + [""] * levels)[:levels]),
+        (range(levels), norms, (increments + ("",) * levels)[:levels]),
         verdict,
         "mass-escaping martingale: unit level norms with unit increments, never Cauchy in L1",
     )
@@ -321,11 +307,11 @@ def _run_galois(cfg: ExperimentConfig) -> ExperimentResult:
         ),
         (
             range(cfg.count),
-            [r.n_partitions for r in reports],
-            [not r.adjunction_failures for r in reports],
-            [not r.roundtrip_failures for r in reports],
-            [not r.completion_failures for r in reports],
-            [not r.monotonicity_failures for r in reports],
+            tuple(r.n_partitions for r in reports),
+            tuple(not r.adjunction_failures for r in reports),
+            tuple(not r.roundtrip_failures for r in reports),
+            tuple(not r.completion_failures for r in reports),
+            tuple(not r.monotonicity_failures for r in reports),
         ),
         verdict,
         "order correspondence between partitions and conditioning idempotents, exhaustively",
@@ -384,12 +370,12 @@ def _run_homeo(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         ("sequence", "kind", "n", "metric_converged", "operator_converged", "agree"),
         (
-            np.repeat(np.arange(cfg.count), len(norms)).tolist(),
-            np.repeat(kind, len(norms)).tolist(),
-            [_norm_token(n) for n in norms] * cfg.count,
-            metric.ravel().tolist(),
-            operator.ravel().tolist(),
-            agree.ravel().tolist(),
+            tuple(np.repeat(np.arange(cfg.count), len(norms)).tolist()),
+            tuple(np.repeat(kind, len(norms)).tolist()),
+            tuple(map(_norm_token, norms)) * cfg.count,
+            tuple(metric.ravel().tolist()),
+            tuple(operator.ravel().tolist()),
+            tuple(agree.ravel().tolist()),
         ),
         verdict,
         "kernel-metric convergence coincides with pointwise operator convergence",
@@ -409,10 +395,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    runner = _RUNNERS.get(cfg.experiment)
-    if runner is None:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    return runner(cfg)
+    return _RUNNERS[cfg.experiment](cfg)  # a constructed config names a known experiment
 
 
 def run(cfg: ExperimentConfig, outdir: Optional[str] = None) -> tuple[int, Path, str]:

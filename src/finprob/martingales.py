@@ -1,12 +1,13 @@
 """Filtrations, martingales, and verified convergence at finite scale.
 
-A filtration is a monotone sequence of partitions; its limit object is the
-iterated join (increasing case) or the iterated meet of the null-set
-completions (decreasing case). Conditioning a fixed RV along the filtration
-yields a (forward or backward) martingale, and on a finite lattice the
-filtration stabilizes, so convergence verdicts can demand exact almost-sure
-equality beyond the stabilization index instead of mere smallness. Metric
-tolerances only absorb float drift.
+A filtration is a monotone sequence of partitions; once checked to be
+monotone after null-set completion, its limit object is its last level,
+completed: the finest level (increasing case) or the coarsest (decreasing
+case). Conditioning a fixed RV along the filtration yields a (forward or
+backward) martingale, and on a finite lattice the filtration stabilizes,
+so convergence verdicts can demand exact almost-sure equality beyond the
+stabilization index instead of mere smallness. Metric tolerances only
+absorb float drift.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, _tol, one_sided_distance, report_from_flags
 from .numerics import Frozen, NumericMode, Rationals, _first, check_norm_index, rational_mode
 from .operators import VNorm, cond_expectation
-from .partitions import Partition, _limit, all_partitions, as_measurable_wrt, complete_partition
+from .partitions import Partition, all_partitions, as_measurable_wrt, complete_partition
 from .spaces import ProbSpace, RandomVar, as_equal_rv, ln_norm, uniform_space
 
 INCREASING = "increasing"
@@ -49,7 +50,8 @@ class Filtration(Frozen):
     Monotonicity is almost-sure: after null-set completion, each step must
     refine (increasing) or coarsen (decreasing) its predecessor. Structural
     refinement implies the completed one, so ordinary filtrations pass
-    unchanged, while a.s.-equal stand-ins are accepted too.
+    unchanged, while a.s.-equal stand-ins are accepted too. The check makes
+    the last completed level the limit (`filtration_limit`).
     """
 
     __slots__ = ("partitions", "direction", "space")
@@ -81,8 +83,9 @@ class Filtration(Frozen):
 
 
 def filtration_limit(f: Filtration) -> Partition:
-    """Limit partition: iterated join, or iterated meet of the completions."""
-    return _limit(f.partitions, f.space, f.direction == INCREASING)
+    """Limit partition: the last level, completed, which the constructor's
+    check makes the finest (increasing) or the coarsest (decreasing)."""
+    return complete_partition(f.partitions[-1], f.space)
 
 
 class Martingale(Frozen):

@@ -99,8 +99,8 @@ class NumericMode:
     def __post_init__(self):
         if self.kind not in (FLOAT, RATIONAL):
             raise FinprobError(f"unknown numeric mode kind {self.kind!r}")
-        if self.kind == FLOAT and not self.tolerance > 0:
-            raise FinprobError("float mode requires tolerance > 0")
+        if self.kind == FLOAT and not 0 < self.tolerance < math.inf:
+            raise FinprobError(f"float mode requires a finite tolerance > 0, got {self.tolerance!r}")
         if self.kind == RATIONAL and self.tolerance != 0:
             raise FinprobError("rational mode is exact; tolerance must be 0")
 

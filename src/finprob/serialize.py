@@ -9,14 +9,16 @@ Line-oriented, whitespace-separated, one object per file or string:
     row 1 0
     row 1/2 1/2
 
-Kinds: "space" (mode + weights), "rv" (mode + weights + values), "vecrv"
-(mode + weights + one vec line per outcome), "kernel" (as above). Rational
-numbers are written num/den and round-trip bit-exactly; floats are written
-with repr and round-trip exactly as doubles. Every weights, values, vec,
-domain, codomain and row line is read into `Rationals` (`_parse_vector`),
-the form the spaces, random variables and kernels are built from; the
-tokens of all vec or row lines are read before their shape is checked.
-Lines starting with '#' and blank lines are ignored.
+The mode line is "mode rational", or "mode float" with an optional finite
+positive tolerance. Kinds: "space" (mode + weights), "rv" (mode + weights +
+values), "vecrv" (mode + weights + one vec line per outcome), "kernel" (as
+above). Rational numbers are written num/den and round-trip bit-exactly;
+floats are written with repr and round-trip exactly as doubles. Every
+weights, values, vec, domain, codomain and row line is read into
+`Rationals` (`_parse_vector`), the form the spaces, random variables and
+kernels are built from; the tokens of all vec or row lines are read before
+their shape is checked. Lines starting with '#' and blank lines are
+ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, FinprobError
 from .kernels import Kernel
 from .numerics import NumericMode, Rationals, _width, float_mode, rational_mode
 from .spaces import ProbSpace, RandomVar, VecRandomVar, _row_width
@@ -82,11 +84,14 @@ def _fmt_mode(mode: NumericMode) -> str:
 
 
 def _parse_mode(tokens: list[str]) -> NumericMode:
+    """`rational`, or `float` and an optional finite positive tolerance."""
     if tokens == ["rational"]:
         return rational_mode()
-    if tokens and tokens[0] == "float":
-        tol = float(tokens[1]) if len(tokens) > 1 else 1e-9
-        return float_mode(tol)
+    if tokens[:1] == ["float"] and len(tokens) <= 2:
+        try:
+            return float_mode(float(tokens[1]) if len(tokens) > 1 else 1e-9)
+        except (ValueError, FinprobError):  # not a number, or not finite and positive
+            pass
     raise ConfigParseError(f"bad mode line: {' '.join(tokens)!r}")
 
 

@@ -293,9 +293,18 @@ WHOLE = {
 }
 
 
+# mode lines, each under a one-outcome space document
+MODE_LINES = ["rational", "rational 0", "float", "float 1e-09", "float 0.5", "float x", "float 1/2",
+              "float nan", "float inf", "float -inf", "float 1e400", "float 0", "float -1e-09",
+              "float 1e-09 junk", "exact", ""]
+
+
 def document_cases() -> dict:
-    """{case id: build()} for text documents in both modes."""
-    cases = {}
+    """{case id: build()} for text documents in both modes, and for mode lines."""
+    cases = {
+        f"loads/mode/{line}": lambda text=f"space\nmode {line}\nweights 1\n": serialize.loads(text)
+        for line in MODE_LINES
+    }
     for mname, mode in (("rational", "rational"), ("float", "float 1e-09")):
         for line, template in LINES.items():
             for i, token in enumerate(TOKENS):

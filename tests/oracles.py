@@ -213,6 +213,17 @@ def closest_point_sampled(basis, x, rng, samples=400, radius=4.0):
     return best
 
 
+def chain_inf_by_svd(chain, tol=1e-8):
+    """Intersection of subspaces as the joint fixed space of their
+    projectors: the null space of the stacked complements I - P_s, read off
+    an SVD. It does not use the chain's order."""
+    d = chain[0].ambient_dim
+    stacked = np.vstack([np.eye(d) - s.basis @ s.basis.T for s in chain])
+    _, svals, vt = np.linalg.svd(stacked)
+    svals = np.concatenate([svals, np.zeros(d - len(svals))])
+    return fp.Subspace(vt.T[:, svals <= tol], d)
+
+
 def levi_residuals_by_loop(chain, probes, limit_space):
     """residuals[probe][step] = ||P_step x - P_limit x||, one matrix-vector
     product and one norm per (probe, step), with the projectors built

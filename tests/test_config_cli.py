@@ -204,6 +204,12 @@ class TestExperiments:
         assert lines[-1].startswith("# verdict:")
         assert any(line.startswith("# exercises:") for line in lines)
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_result_columns_are_immutable(self, name):
+        result = run_experiment(demo_config(name))
+        assert isinstance(result.cells, tuple)
+        assert all(isinstance(column, (tuple, range)) for column in result.cells)
+
     def test_levy_up_row_count_and_final_zero(self, tmp_path):
         cfg = demo_config("levy-up")
         result = run_experiment(cfg)
@@ -372,8 +378,12 @@ class TestTerminalRvInput:
             ("absent.txt", "rational", None, "No such file"),
             ("accent.txt", "rational", "rv\nmode rational\n# caf\u00e9\nweights 1/2 1/2\nvalues 1 2\n",
              "ascii"),
+            ("tolerance.txt", "float", "rv\nmode float x\nweights 0.5 0.5\nvalues 1.0 2.0\n",
+             "bad mode line: 'float x'"),
+            ("junk.txt", "float", "rv\nmode float 1e-09 junk\nweights 0.5 0.5\nvalues 1.0 2.0\n",
+             "bad mode line: 'float 1e-09 junk'"),
         ],
-        ids=["bad-weights", "nan-value", "nan-weight", "missing-file", "non-ascii"],
+        ids=["bad-weights", "nan-value", "nan-weight", "missing-file", "non-ascii", "bad-tolerance", "extra-token"],
     )
     def test_bad_input_file_is_a_config_error(self, tmp_path, capsys, name, mode, text, message):
         rv_path = tmp_path / name
@@ -436,6 +446,20 @@ class TestCliEntryPoint:
         path = tmp_path / "cfg.ini"
         path.write_text("[experiment]\nname = levy-up\nmode = float\ntolerance = 0\n")
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "1e400", "-inf"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_tolerance_is_exit_2(self, tmp_path, capsys, command, tolerance):
+        # nan used to end with exit 1, and inf made every float check pass
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[experiment]\nname = levy-up\nmode = float\ntolerance = {tolerance}\n")
+        outdir = ["--outdir", str(tmp_path)] if command == "run" else []
+        assert main([command, str(path), *outdir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: field 'tolerance': expected a finite positive number, got {tolerance!r}\n"
+        )
 
     def test_demo_subcommand(self, tmp_path, capsys):
         code = main(["demo", "banach-counterexample", "--outdir", str(tmp_path)])

@@ -8,6 +8,7 @@ import finprob as fp
 from finprob.euclidean import DEFAULT_TOL, _all_close, _require_subspace_chain
 
 from .oracles import (
+    chain_inf_by_svd,
     closest_point_sampled,
     colimit_seminorm_recursive,
     levi_residuals_by_loop,
@@ -212,6 +213,20 @@ class TestChains:
             got = fp.orthogonal_projector(fp.chain_sup(chain)).matrix
             assert np.allclose(got, expected, atol=1e-9)
 
+    def test_inf_matches_svd_of_stacked_complements(self):
+        rng = np.random.default_rng(62)
+        dim = 9
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        for dims in ([6, 3, 3, 1], [9, 5, 2], [4], [3, 0]):
+            # each element gets its own rotated basis of the nested span
+            chain = []
+            for d in dims:
+                turn = np.linalg.qr(rng.normal(size=(d, d)))[0]
+                chain.append(fp.Subspace(basis[:, :d] @ turn, dim))
+            expected = fp.orthogonal_projector(chain_inf_by_svd(chain)).matrix
+            got = fp.orthogonal_projector(fp.chain_inf(chain)).matrix
+            assert np.allclose(got, expected, atol=1e-9)
+
     def test_optima_in_projector_order_coordinate_lattice(self):
         # exhaustive over coordinate subspaces of R^4: sup/inf are the
         # least upper / greatest lower bounds in the projector order
@@ -278,6 +293,7 @@ class TestChainCheck:
         small, big = self.tilted(5e-9), axes(0, 1)
         _require_subspace_chain([small, big], increasing=True)
         assert fp.chain_sup([small, big]) is big
+        assert fp.chain_inf([big, small]) is small
 
     def test_zero_dimensional_smaller_subspace(self):
         zero = fp.Subspace.zero(3)
@@ -333,7 +349,7 @@ class TestStackedResiduals:
         chain = self.nested(rng, dim, range(dim, dim // 3 - 1, -1))
         probes = self.probes(rng, dim)
         report = fp.levi_down_demo(chain, probes)
-        self.check(report, levi_residuals_by_loop(chain, probes, fp.chain_inf(chain)))
+        self.check(report, levi_residuals_by_loop(chain, probes, chain_inf_by_svd(chain)))
         assert report.converged
         assert report.residuals[0] == (0.0,) * len(chain)
 

@@ -15,6 +15,8 @@ from finprob.sampling import (
     rng_for,
 )
 
+from finprob.partitions import _limit
+
 from .oracles import chain_bound_by_definition
 
 R = fp.rational_mode()
@@ -73,6 +75,48 @@ class TestFiltrationLimit:
         assert fp.filtration_limit(f) == fp.Partition.discrete(3)
         # the raw meet without completion is trivial: that is the trap
         assert fp.meet_partitions(B_PART, C_PART) == fp.Partition.trivial(3)
+
+
+class TestFiltrationLimitAgainstFold:
+    """`filtration_limit` reads the last level, completed. The reference is
+    the lattice fold over every level (`partitions._limit`: the join of the
+    levels, or the meet of their completions), on random filtrations whose
+    levels are a.s.-equal stand-ins: each level groups every null outcome
+    with a random outcome of its own choosing."""
+
+    @staticmethod
+    def stand_in(rng, p, space):
+        labels = p.labels.tolist()
+        for x in set(range(space.size)).difference(space.support):
+            labels[x] = labels[int(rng.integers(space.size))]
+        return fp.Partition.from_labels(labels)
+
+    def instance(self, seed, mode, direction):
+        rng = rng_for(900 + seed)
+        n = 2 + seed % 11  # sizes 2..12
+        space = random_space(rng, n, mode, null_outcomes=int(rng.integers(n)))
+        chain = random_coarsening_chain(rng, n, 1 + seed % 5, start=random_partition(rng, n))
+        if direction == fp.INCREASING:
+            chain.reverse()
+        return fp.Filtration([self.stand_in(rng, p, space) for p in chain], direction, space)
+
+    @pytest.mark.parametrize("seed", range(11))
+    @pytest.mark.parametrize("direction", [fp.INCREASING, fp.DECREASING])
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_last_level_is_the_fold(self, mode, direction, seed):
+        f = self.instance(seed, mode, direction)
+        space, increasing = f.space, direction == fp.INCREASING
+        fold = _limit(f.partitions, space, increasing)
+        assert fp.filtration_limit(f) == fp.complete_partition(fold, space)
+        rng = rng_for(950 + seed)
+        for n in (1, 2, math.inf):
+            m = fp.martingale_from_terminal(random_rv(rng, space), f)
+            f_inf = fp.cond_expectation(m.rvs[-1] if increasing else m.rvs[0], fold)
+            report = fp.levy_report(m, n)
+            assert report.step_distances == tuple(fp.ln_norm(rv - f_inf, n) for rv in m.rvs)
+            flags = [fp.as_equal_rv(rv, f_inf) for rv in m.rvs]
+            assert report.stabilization_index == flags.index(True)
+            assert all(flags[report.stabilization_index :])
 
 
 class TestMartingaleFromTerminal:

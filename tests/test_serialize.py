@@ -5,10 +5,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import finprob as fp
 from finprob import serialize
 from finprob.sampling import random_mp_kernel, random_vec_rv, rng_for
+
+from .input_cases import MODE_LINES
 
 R = fp.rational_mode()
 
@@ -200,6 +204,57 @@ class TestErrors:
     def test_comments_and_blanks_ignored(self):
         text = "# comment\n\nspace\nmode rational\nweights 1\n"
         assert serialize.loads(text).size == 1
+
+
+NUMBER_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(-3, 9)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from([
+        "1/0", "-0/1", "2/-3", "+1/2", "1/+2", "0.5", "-0.0", ".5", "1e400", "-1e400", "1e-320",
+        "nan", "-nan", "inf", "-inf", "infinity", "x", "1_0", "0x10", "1//2", "/", "1/",
+        str(10**400), f"1/{10**400}", f"-{10**30}/{10**30 + 1}",
+    ]),
+)
+KEYS = {
+    "space": ("weights",),
+    "rv": ("weights", "values"),
+    "vecrv": ("weights", "vec", "vec"),
+    "kernel": ("domain", "codomain", "row", "row"),
+}
+
+
+@st.composite
+def documents(draw):
+    """A document of every kind over 1, 2 or 4 outcomes, its lines mostly
+    well formed: uniform weights and rows, or lists of mutated tokens
+    (ragged, signed, over zero or huge denominators, non-finite), under a
+    mode line drawn from the pinned valid and broken ones; then maybe a line dropped,
+    doubled, or one of an unknown key put in."""
+    kind = draw(st.sampled_from(sorted(KEYS)))
+    n = draw(st.sampled_from([1, 2, 4]))
+    uniform = [repr(1 / n)] * n
+    lines = [kind, "mode " + draw(st.sampled_from(MODE_LINES))]
+    for key in KEYS[kind]:
+        tokens = draw(st.one_of(st.just(uniform), st.lists(NUMBER_TOKENS, max_size=n + 1)))
+        lines.append(" ".join([key, *tokens]))
+    at = draw(st.integers(0, len(lines)))
+    mutation = draw(st.sampled_from(["none", "drop", "double", "unknown"]))
+    if mutation == "drop" and at < len(lines):
+        del lines[at]
+    elif mutation == "double" and at < len(lines):
+        lines.insert(at, lines[at])
+    elif mutation == "unknown":
+        lines.insert(at, "colour 1 2")
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzedDocuments:
+    @given(documents())
+    def test_loads_returns_or_raises_finprob_error(self, text):
+        try:
+            serialize.loads(text)
+        except fp.FinprobError:
+            pass
 
 
 def _instances(mode):

@@ -281,6 +281,13 @@ class TestNonFinite:
             fp.Kernel([[1.0, bad], [0.0, 1.0]], space, space)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+    def test_float_mode_tolerance_must_be_finite_and_positive(self, bad):
+        # an infinite tolerance used to make every float check pass
+        with pytest.raises(fp.FinprobError, match="finite tolerance > 0"):
+            fp.float_mode(bad)
+
+
 MODES = pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
 
 
