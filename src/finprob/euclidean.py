@@ -25,7 +25,7 @@ from .errors import (
     NotLipschitzError,
     NotOrthonormalError,
 )
-from .numerics import Frozen
+from .numerics import Frozen, _nonnegative
 
 DEFAULT_TOL = 1e-8
 
@@ -42,6 +42,15 @@ def _require_finite(m: np.ndarray, what: str) -> None:
     if not np.isfinite(m).all():
         at = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
         raise NonFiniteError(f"{what} entry at {at} is {m[at]}")
+
+
+def _vector(x, d: int, what: str) -> np.ndarray:
+    """x as a finite float64 vector of length d; an error names `what`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,):
+        raise DimMismatchError(f"{what} has shape {x.shape}, expected ({d},)")
+    _require_finite(x, what)
+    return x
 
 
 def _vec_norm(x: np.ndarray, kind: VectorNorm) -> float:
@@ -89,18 +98,15 @@ class Subspace(Frozen):
         gram = basis.T @ basis
         if not _all_close(gram, np.eye(basis.shape[1]), tol):
             raise NotOrthonormalError("basis columns are not orthonormal")
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
+        self._set(basis=basis.copy(), ambient_dim=int(ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0)), ambient_dim)
+        return cls(np.zeros((_nonnegative(ambient_dim, "ambient dimension", DimMismatchError), 0)), ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim), ambient_dim)
+        return cls(np.eye(_nonnegative(ambient_dim, "ambient dimension", DimMismatchError)), ambient_dim)
 
     @classmethod
     def from_spanning(
@@ -127,15 +133,16 @@ class Subspace(Frozen):
             norm = np.linalg.norm(v)
             if norm > tol:
                 basis.append(v / norm)
-        mat = np.stack(basis, axis=1) if basis else np.zeros((ambient_dim, 0))
-        return cls(mat, ambient_dim)
+        if not basis:
+            return cls.zero(ambient_dim)
+        return cls(np.stack(basis, axis=1), ambient_dim)
 
     @property
     def dim(self) -> int:
         return int(self.basis.shape[1])
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        x = np.asarray(x, dtype=np.float64)
+        x = _vector(x, self.ambient_dim, "vector")
         return bool(np.linalg.norm(x - self.basis @ (self.basis.T @ x)) <= tol)
 
     def __repr__(self):
@@ -156,16 +163,14 @@ class Projector(Frozen):
             raise NotOrthonormalError("projector is not symmetric")
         if not _all_close(m @ m, m, tol):
             raise NotOrthonormalError("projector is not idempotent")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m.copy())
 
     @property
     def ambient_dim(self) -> int:
         return int(self.matrix.shape[0])
 
     def __call__(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=np.float64)
+        return self.matrix @ _vector(x, self.ambient_dim, "vector")
 
 
 def orthogonal_projector(s: Subspace) -> Projector:
@@ -199,7 +204,7 @@ def closest_point_defect(s: Subspace, x) -> float:
     """|  ||x - Px|| - min_{v in s} ||x - v||  |, the minimum taken by an
     independent least-squares solve; zero says the projection is the closest
     point of the subspace."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _vector(x, s.ambient_dim, "vector")
     p = orthogonal_projector(s)
     via_projector = float(np.linalg.norm(x - p(x)))
     if s.dim == 0:
@@ -299,7 +304,7 @@ def truncation_maps(n: int) -> np.ndarray:
     at position i, so step i zeroes coordinate i. Composites zero a growing
     prefix; each step is 1-Lipschitz for the sup norm (and for the euclidean
     norm)."""
-    masks = 1.0 - np.eye(n)
+    masks = 1.0 - np.eye(_nonnegative(n, "dimension", DimMismatchError))
     masks.setflags(write=False)
     return masks
 
@@ -338,9 +343,7 @@ def banach_counterexample(n: int, probe=None) -> TruncationReport:
     """
     if n < 2:
         raise DimMismatchError("need dimension at least 2")
-    x = np.ones(n) if probe is None else np.asarray(probe, dtype=np.float64)
-    if x.shape != (n,):
-        raise DimMismatchError(f"probe must have length {n}")
+    x = np.ones(n) if probe is None else _vector(probe, n, "probe")
     sup_norms = []
     euc_norms = []
     for i in range(n + 1):
@@ -387,15 +390,20 @@ def colimit_seminorm(
     if start < 0 or start >= len(maps) + 1:
         raise NotAChainError(f"start index {start} outside the chain")
     maps = [np.asarray(m, dtype=np.float64) for m in maps[start:]]
-    x = np.asarray(a, dtype=np.float64)
+    x = _vector(a, np.size(a), "start vector")
     xs = [x]
     value = _vec_norm(x, norm)
     # Applying a map, and the composite below, round by a few ulps of the
     # starting norm, so both comparisons are scaled by that norm.
     slack = tol * max(1.0, value)
     for k, m in enumerate(maps):
+        if m.ndim not in (1, 2) or m.shape[-1] != len(x):
+            raise DimMismatchError(f"chain map {start + k} of shape {m.shape} cannot act on length {len(x)}")
+        if m.ndim == 2 and norm == "euclidean":  # the SVD needs finite entries
+            _require_finite(m, f"chain map {start + k}")
         op = _operator_norm(m, norm)
-        if op > 1.0 + tol:
+        if not op <= 1.0 + tol:  # a NaN or an infinite entry makes op NaN or infinite
+            _require_finite(m, f"chain map {start + k}")
             raise NotLipschitzError(f"chain map {start + k} has operator norm {op} > 1")
         x = _apply(m, x)
         nxt = _vec_norm(x, norm)

@@ -62,8 +62,7 @@ class IdempotentKernel(Frozen):
                 raise FinprobError(
                     "idempotent kernel is not self-dual; numeric data is inconsistent"
                 )
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "space", kernel.domain)
+        self._set(kernel=kernel, space=kernel.domain)
 
     def __repr__(self):
         return f"IdempotentKernel(size={self.space.size}, mode={self.space.mode.kind})"

@@ -120,27 +120,17 @@ def _rows(num: np.ndarray, den, mode: NumericMode, lead: tuple = ()) -> tuple:
 class _OverDen(Frozen):
     """A matrix between two spaces held as the numerators `num` over one
     positive denominator `den` (see the module docstring). Its numbers, the
-    slot named by `_VIEW`, are built on first read and cached: a read-only
-    `Fraction` matrix in rational mode, the numerators themselves in float
-    mode."""
+    lazy slot of a subclass, are built on first read and cached: a
+    read-only `Fraction` matrix in rational mode, the numerators themselves
+    in float mode."""
 
     __slots__ = ("num", "den", "domain", "codomain")
-    _VIEW = ""
 
     def _bind(self, num: np.ndarray, den, domain: ProbSpace, codomain: ProbSpace):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", int(den))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        return self
+        return self._set(num=num, den=int(den), domain=domain, codomain=codomain)
 
-    def __getattr__(self, name):
-        # Reached only while a slot is unset.
-        if name != self._VIEW:
-            raise AttributeError(name)
-        view = quotients(self.num, self.den)
-        object.__setattr__(self, name, view)
-        return view
+    def _numbers(self) -> np.ndarray:
+        return quotients(self.num, self.den)
 
 
 class Kernel(_OverDen):
@@ -149,7 +139,7 @@ class Kernel(_OverDen):
     first read."""
 
     __slots__ = ("rows",)
-    _VIEW = "rows"
+    _LAZY = {"rows": _OverDen._numbers}
 
     def __init__(self, rows: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
         mode, num, den = _read(rows, domain, codomain, "kernel")
@@ -373,13 +363,12 @@ class Coupling(_OverDen):
     first read."""
 
     __slots__ = ("table",)
-    _VIEW = "table"
+    _LAZY = {"table": _OverDen._numbers}
 
     def __init__(self, table: Sequence[Iterable], domain: ProbSpace, codomain: ProbSpace):
         mode, num, den = _read(table, domain, codomain, "coupling")
         _entries(num, den, mode, "coupling", ())
         _checked_marginals(num, den, domain.int_weights(), codomain.int_weights(), mode)
-        num.setflags(write=False)
         self._bind(num, den, domain, codomain)
 
 

@@ -35,7 +35,7 @@ from .idempotents import (
 )
 from .kernels import as_equal_kernels
 from .metrics import ConvergenceReport, _tol, one_sided_distance, report_from_flags
-from .numerics import Frozen, NumericMode, Rationals, _first, check_norm_index, rational_mode
+from .numerics import Frozen, NumericMode, Rationals, _first, _nonnegative, check_norm_index, rational_mode
 from .operators import VNorm, cond_expectation
 from .partitions import Partition, all_partitions, as_measurable_wrt, complete_partition
 from .spaces import ProbSpace, RandomVar, as_equal_rv, ln_norm, uniform_space
@@ -74,9 +74,7 @@ class Filtration(Frozen):
                 raise InvalidFiltrationError(
                     f"partitions do not form an {direction} filtration (a.s.)"
                 )
-        object.__setattr__(self, "partitions", partitions)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "space", space)
+        self._set(partitions=partitions, direction=direction, space=space)
 
     def __len__(self) -> int:
         return len(self.partitions)
@@ -100,8 +98,7 @@ class Martingale(Frozen):
         for rv in rvs:
             if not rv.space.same_as(filtration.space):
                 raise SpaceMismatchError("martingale RVs must live on the filtration's space")
-        object.__setattr__(self, "filtration", filtration)
-        object.__setattr__(self, "rvs", rvs)
+        self._set(filtration=filtration, rvs=rvs)
 
 
 def martingale_from_terminal(f: RandomVar, filtration: Filtration) -> Martingale:
@@ -193,7 +190,7 @@ class NoncauchyDiagnostics:
 
 def dyadic_space(levels: int, mode: NumericMode = rational_mode()) -> ProbSpace:
     """The unit interval discretized into 2**levels equal-mass atoms."""
-    return uniform_space(1 << levels, mode)
+    return uniform_space(1 << _nonnegative(levels, "dyadic levels"), mode)
 
 
 def dyadic_partition(levels: int, level: int) -> Partition:

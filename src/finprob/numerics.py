@@ -52,14 +52,38 @@ from .errors import FinprobError, SizeMismatchError, TooLargeError
 Number = Union[float, Fraction]
 
 
+# Read once here, since `Frozen._set` runs for every value that is built.
+_bind_slot, _ndarray = object.__setattr__, np.ndarray
+
+
 class Frozen:
-    """Base of the immutable slotted classes: a constructor binds the slots
-    through `object.__setattr__`, and assignment raises. Copies and pickles
-    carry the slots that are set, skipping a lazily built cache not yet
-    read, and restore them the same way, their arrays read-only; slots that
-    share an array (a float kernel's `rows` and `num`) still share one."""
+    """Base of the immutable value classes. A constructor binds each slot
+    once through `_set`, which makes every numpy array it binds read-only,
+    and assignment raises. A slot named in the class's `_LAZY` table, which
+    maps it to a function of the object, is built on first read and bound
+    the same way. Copies and pickles carry the slots that are set, skipping
+    a lazy slot not yet read, and restore them through `_set`: every array
+    is then the original's, read-only already, or a private copy; slots
+    that share an array (a float kernel's `rows` and `num`) still share one."""
 
     __slots__ = ()
+    _LAZY: dict = {}
+
+    def _set(self, **slots):
+        for name, value in slots.items():
+            if type(value) is _ndarray:
+                value.setflags(write=False)
+            _bind_slot(self, name, value)
+        return self
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset: a lazy one is built and bound.
+        build = type(self)._LAZY.get(name)
+        if build is None:
+            raise AttributeError(name)
+        value = build(self)
+        self._set(**{name: value})
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -75,14 +99,7 @@ class Frozen:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        views = {}  # one frozen view per restored array
-        for name, value in state.items():
-            if isinstance(value, np.ndarray) and value.flags.writeable:
-                if id(value) not in views:
-                    views[id(value)] = value.view()  # freezing a view leaves a shared array as it is
-                    views[id(value)].setflags(write=False)
-                value = views[id(value)]
-            object.__setattr__(self, name, value)
+        self._set(**state)
 
 
 FLOAT = "float"
@@ -236,7 +253,7 @@ def int_array(values, bound: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if bound <= _INT64_MAX else object)
 
 
-class Rationals:
+class Rationals(Frozen):
     """Array num / den of shape (n,) for real values, (n, d) for values in
     R^d. Rational numerators are integers over a same-shape array of
     positive integer denominators, not necessarily in lowest terms; float
@@ -244,15 +261,16 @@ class Rationals:
 
     Every operation bounds its integer results before computing them and
     switches to Python ints when int64 could overflow (see the module
-    docstring); on float values it is the float operation itself. No
-    operation changes a `Rationals` once built; each returns a new one.
+    docstring); on float values it is the float operation itself. A
+    `Rationals` is a frozen value: its arrays are read-only from
+    construction, the caller's own arrays included, and each operation
+    returns a new one.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: np.ndarray, den):
-        self.num = num
-        self.den = den
+        self._set(num=num, den=den)
 
     @classmethod
     def from_ints(cls, nums: Sequence[int], dens: Sequence[int]) -> "Rationals":
@@ -512,24 +530,28 @@ def nth_root(value: Number, n: int, mode: NumericMode) -> Number:
     """n-th root of a nonnegative number.
 
     In rational mode the result is an exact Fraction whenever the root is
-    rational (in particular for value 0), and a float otherwise.
+    rational (in particular for value 0), and a float otherwise. In float
+    mode an int or a Fraction is rooted as a rational (`_float_root`), so a
+    value past the float range has a root too.
     """
     if n < 1:
         raise FinprobError("root index must be >= 1")
-    if mode.exact:
-        frac = Fraction(value)
-        if frac < 0:
+    if not (mode.exact or isinstance(value, (int, Fraction))):
+        v = float(value)
+        if v < 0:
             raise FinprobError("nth_root of a negative value")
-        if frac == 0:
-            return Fraction(0)
-        if n == 1:
-            return frac
-        roots = (_int_nth_root(frac.numerator, n), _int_nth_root(frac.denominator, n))
-        return _float_root(frac, n) if None in roots else Fraction(*roots)
-    v = float(value)
-    if v < 0:
+        return v ** (1.0 / n)
+    frac = Fraction(value)
+    if frac < 0:
         raise FinprobError("nth_root of a negative value")
-    return v ** (1.0 / n)
+    if not mode.exact:  # a rational's float root, also past the float range
+        return _float_root(frac, n) if frac else 0.0
+    if frac == 0:
+        return Fraction(0)
+    if n == 1:
+        return frac
+    roots = (_int_nth_root(frac.numerator, n), _int_nth_root(frac.denominator, n))
+    return _float_root(frac, n) if None in roots else Fraction(*roots)
 
 
 def nth_roots(values: np.ndarray, n: int) -> np.ndarray:
@@ -551,6 +573,13 @@ def float_roots(num: np.ndarray, den: int, n: int) -> np.ndarray:
 def is_infinite(n) -> bool:
     """True for the L-infinity norm index."""
     return n == math.inf
+
+
+def _nonnegative(n: int, what: str, error: type = SizeMismatchError) -> int:
+    """n, a count of `what`; a negative count raises `error`, naming it."""
+    if n < 0:
+        raise error(f"{what} must be nonnegative, got {n}")
+    return n
 
 
 def check_norm_index(n) -> None:

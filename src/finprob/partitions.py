@@ -21,7 +21,7 @@ from typing import Hashable, Iterable, Iterator
 import numpy as np
 
 from .errors import SizeMismatchError
-from .numerics import Frozen
+from .numerics import Frozen, _nonnegative
 from .spaces import ProbSpace, RandomVar
 
 
@@ -32,7 +32,7 @@ class Partition(Frozen):
     __slots__ = ("labels", "n_blocks", "parent_size", "blocks")
 
     def __init__(self, blocks: Iterable[Iterable[int]], parent_size: int):
-        labels = [-1] * parent_size
+        labels = [-1] * _nonnegative(parent_size, "partition size")
         for bi, block in enumerate(blocks):
             block = tuple(block)
             if not block:
@@ -54,31 +54,23 @@ class Partition(Frozen):
         """Bind the labels renumbered by first appearance: the canonical form."""
         seen: dict = {}
         canon = np.array([seen.setdefault(lab, len(seen)) for lab in labels], dtype=np.intp)
-        canon.setflags(write=False)
-        object.__setattr__(self, "labels", canon)
-        object.__setattr__(self, "n_blocks", len(seen))
-        object.__setattr__(self, "parent_size", canon.size)
-        return self
+        return self._set(labels=canon, n_blocks=len(seen), parent_size=canon.size)
 
-    def __getattr__(self, name):
-        # Reached only while a slot is unset: `blocks` is built from the
-        # labels on first access and cached in its slot.
-        if name != "blocks":
-            raise AttributeError(name)
+    def _blocks(self) -> tuple:
         groups: list = [[] for _ in range(self.n_blocks)]
         for x, lab in enumerate(self.labels.tolist()):
             groups[lab].append(x)
-        blocks = tuple(map(tuple, groups))
-        object.__setattr__(self, "blocks", blocks)
-        return blocks
+        return tuple(map(tuple, groups))
+
+    _LAZY = {"blocks": _blocks}
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
-        return cls.from_labels(range(n))
+        return cls.from_labels(range(_nonnegative(n, "partition size")))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
-        return cls.from_labels([0] * n)
+        return cls.from_labels([0] * _nonnegative(n, "partition size"))
 
     @classmethod
     def from_labels(cls, labels: Iterable[Hashable]) -> "Partition":
@@ -203,7 +195,7 @@ def as_measurable_wrt(f: RandomVar, p: Partition) -> bool:
 
 def all_partitions(n: int) -> Iterator[Partition]:
     """Every partition of {0..n-1}, via restricted growth strings."""
-    if n == 0:
+    if _nonnegative(n, "partition size") == 0:
         return
     labels = [0] * n
 

@@ -34,6 +34,7 @@ from .numerics import (
     Rationals,
     _at,
     _first,
+    _nonnegative,
     _summable,
     as_matrix,
     check_norm_index,
@@ -89,13 +90,15 @@ class ProbSpace(Frozen):
     over one denominator: integers in lowest terms in rational mode, and in
     float mode the float weights over 1, integer numerators divided once by
     their denominator. The numerators and the denominator are also the key
-    of equality and hashing.
+    of equality and hashing. `weights`, the read-only weight vector in the
+    mode's number type, is built on first read.
     """
 
     __slots__ = (
-        "mode", "size", "support", "_uniform_weight", "_weights",
+        "mode", "size", "support", "_uniform_weight", "weights",
         "_wkey", "_wden", "_wnum", "_live",
     )
+    _LAZY = {"weights": lambda space: quotients(space._wnum, space._wden)}
 
     def __init__(self, weights: Iterable, mode: NumericMode = FLOAT_DEFAULT):
         num, den = _summable(as_matrix(weights, mode, rows=False))
@@ -108,23 +111,12 @@ class ProbSpace(Frozen):
             num, den = np.asarray(num / den, dtype=np.float64), 1
         _checked_weights(num, den, mode)
         live = np.flatnonzero(num > 0)
-        num.setflags(write=False)
-        live.setflags(write=False)
         first = num[live[0]]
-        uniform = quotient(first, den) if (num[live] == first).all() else None
-        for name, value in (
-            ("mode", mode), ("size", int(num.size)), ("support", tuple(live.tolist())),
-            ("_uniform_weight", uniform), ("_weights", None),
-            ("_wkey", tuple(num.tolist())), ("_wden", den), ("_wnum", num), ("_live", live),
-        ):
-            object.__setattr__(self, name, value)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Read-only weight vector in the mode's number type."""
-        if self._weights is None:
-            object.__setattr__(self, "_weights", quotients(*self.int_weights()))
-        return self._weights
+        self._set(
+            mode=mode, size=int(num.size), support=tuple(live.tolist()),
+            _uniform_weight=quotient(first, den) if (num[live] == first).all() else None,
+            _wkey=tuple(num.tolist()), _wden=den, _wnum=num, _live=live,
+        )
 
     def int_weights(self) -> tuple[np.ndarray, int]:
         """(numerators, denominator) of the weights: in rational mode integers
@@ -171,7 +163,7 @@ def make_space(weights: Iterable, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpac
 
 
 def uniform_space(n: int, mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:
-    return ProbSpace(Rationals.over(np.ones(n, dtype=np.int64), n), mode)
+    return ProbSpace(Rationals.over(np.ones(_nonnegative(n, "space size"), dtype=np.int64), n), mode)
 
 
 def point_space(mode: NumericMode = FLOAT_DEFAULT) -> ProbSpace:
@@ -190,6 +182,7 @@ class RandomVar(Frozen):
     """
 
     __slots__ = ("space", "data", "values")
+    _LAZY = {"values": lambda f: quotients(f.data.num, f.data.den)}
 
     def __init__(self, values: Iterable, space: ProbSpace):
         mode = space.mode
@@ -204,23 +197,7 @@ class RandomVar(Frozen):
             raise SizeMismatchError(
                 f"random variable has {len(num)} values for a {space.size}-outcome space"
             )
-        num.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "data", values)
-
-    def __getattr__(self, name):
-        # Reached only while a slot is unset: `values` is built on first
-        # access and cached in its slot (see the class docstring).
-        if name != "values":
-            raise AttributeError(name)
-        values = quotients(self.data.num, self.data.den)
-        object.__setattr__(self, "values", values)
-        return values
-
-    def __reduce__(self):
-        # A copy or a pickle is rebuilt from the data, so float values stay
-        # the numerators, frozen, and Fractions not yet read stay unbuilt.
-        return RandomVar, (self.data, self.space)
+        self._set(space=space, data=values)
 
     @property
     def dim(self):

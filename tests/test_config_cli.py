@@ -5,10 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finprob as fp
 from finprob.cli import main
-from finprob.config import EXPERIMENTS, ExperimentConfig, demo_config, load_config, resolve_output, validate_config
+from finprob.config import (
+    _CAPS,
+    _SIZE_CAPS,
+    EXPERIMENTS,
+    ExperimentConfig,
+    demo_config,
+    load_config,
+    resolve_output,
+    validate_config,
+)
 from finprob.experiments import ExperimentResult, _fmt, run, run_experiment, write_csv
 from finprob.numerics import float_mode, rational_mode
 
@@ -479,3 +490,65 @@ class TestCliEntryPoint:
         blocker.write_text("")
         assert main(["demo", "noncauchy-l1", "--outdir", str(blocker)]) == 2
         assert capsys.readouterr().err.startswith("io error: ")
+
+
+# The small sizes the fuzzed documents run at, and the faults validation
+# rejects, each with the key it goes in.
+_SMALL = {"size": 4, "levels": 3, "length": 3, "count": 2}
+_INTS = sorted(_SMALL) + ["horizon", "seed"]
+_FAULTS = (
+    [("over-cap", key) for key in sorted(_CAPS)]
+    + [("negative", key) for key in _INTS]
+    + [("non-integer", key) for key in _INTS + ["n"]]
+    + [("unknown-key", "experiment"), ("unknown-key", "sizes"), ("unknown-name", "name")]
+)
+_WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12)
+
+
+@st.composite
+def config_documents(draw, name):
+    """(text, fault): a config document of the named experiment within the
+    small sizes, either as it is (fault None) or with one fault of `_FAULTS`."""
+    experiment = {
+        "name": name,
+        "seed": draw(st.integers(0, 3)),
+        "mode": draw(st.sampled_from(["rational", "float"])),
+        "horizon": draw(st.integers(1, 4)),
+        "n": draw(st.sampled_from(["1", "2", "inf"])),
+        "output": "out.csv",
+    }
+    sizes = {key: draw(st.integers(1, top)) for key, top in _SMALL.items()}
+    fault = draw(st.sampled_from([None] * 20 + _FAULTS))  # about half as it is
+    kind, key = fault or (None, None)
+    section = sizes if key in _SMALL or key == "sizes" else experiment
+    if kind == "over-cap":
+        cap = _SIZE_CAPS.get(name, _CAPS["size"]) if key == "size" else _CAPS[key]
+        section[key] = cap + draw(st.integers(1, 10**6))
+    elif kind == "negative":
+        section[key] = -draw(st.integers(1, 10**6))
+    elif kind == "non-integer":
+        section[key] = draw(st.sampled_from(["2.5", "x", "", "1e3", "0x10", "3 4"]))
+    elif kind == "unknown-key":
+        section[draw(_WORD.filter(lambda k: k not in experiment and k not in _SMALL))] = 1
+    elif kind == "unknown-name":
+        experiment["name"] = draw(_WORD.filter(lambda k: k not in EXPERIMENTS))
+    lines = ["[experiment]", *(f"{k} = {v}" for k, v in experiment.items())]
+    lines += ["[sizes]", *(f"{k} = {v}" for k, v in sizes.items())]
+    return "\n".join(lines) + "\n", fault
+
+
+class TestFuzzedConfigs:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_main_exits_0_or_2(self, tmp_path, capsys, name, data):
+        # a faulty document is refused by validation with exit 2; one within
+        # range runs, at small sizes, to exit 0 (or 2 for a size an
+        # experiment refuses); nothing else escapes `main`
+        text, fault = data.draw(config_documents(name))
+        path = write(tmp_path, text)
+        if fault is not None:
+            assert main(["validate", str(path)]) == 2
+        else:
+            assert main(["run", str(path), "--outdir", str(tmp_path)]) in (0, 2)
+        capsys.readouterr()

@@ -363,6 +363,69 @@ class TestStackedResiduals:
         assert report.probe_count == 104 and report.converged
 
 
+class TestVectorInputs:
+    """A vector of the wrong length, a non-finite one, or a chain map that
+    cannot act, fails fast with an error that names it."""
+
+    CALLS = {
+        "contains": lambda s, x: s.contains(x),
+        "closest_point_defect": fp.closest_point_defect,
+        "projector": lambda s, x: fp.orthogonal_projector(s)(x),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_wrong_length_names_the_vector(self, call):
+        # these used to raise numpy's matmul core-dimension ValueError
+        with pytest.raises(fp.DimMismatchError, match=r"vector has shape \(3,\), expected \(2,\)"):
+            self.CALLS[call](fp.Subspace.full(2), [1, 2, 3])
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_non_finite_vector_names_its_entry(self, call):
+        with pytest.raises(fp.NonFiniteError, match=r"vector entry at \(1,\) is nan"):
+            self.CALLS[call](fp.Subspace.full(2), [1.0, math.nan])
+
+    def test_chain_maps_of_mismatched_shapes(self):
+        with pytest.raises(fp.DimMismatchError, match=r"chain map 1 of shape \(3, 3\)"):
+            fp.colimit_seminorm([np.eye(2), np.eye(3)], [1.0, 0.0])
+        with pytest.raises(fp.DimMismatchError, match=r"chain map 0 of shape \(3,\)"):
+            fp.colimit_seminorm([np.ones(3)], [1.0, 0.0])
+        with pytest.raises(fp.DimMismatchError, match=r"chain map 2 of shape \(1, 1, 1\)"):
+            fp.colimit_seminorm([np.eye(1), np.eye(1), np.ones((1, 1, 1))], [1.0], start=1)
+
+    def test_non_finite_chain_map(self):
+        # a NaN map used to stop the SVD of the operator norm with LinAlgError
+        with pytest.raises(fp.NonFiniteError, match=r"chain map 0 entry at \(0, 1\) is nan"):
+            fp.colimit_seminorm([np.array([[1.0, math.nan], [0.0, 1.0]])], [1.0, 0.0])
+        with pytest.raises(fp.NonFiniteError, match=r"chain map 0 entry at \(1, 0\) is -inf"):
+            fp.colimit_seminorm([np.array([[1.0, 0.0], [-math.inf, 1.0]])], [1.0, 0.0], norm="sup")
+        with pytest.raises(fp.NonFiniteError, match=r"chain map 1 entry at \(0,\) is inf"):
+            fp.colimit_seminorm([np.ones(2), np.array([math.inf, 1.0])], [1.0, 0.0], norm="sup")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_vector(self, bad):
+        # it used to give a NaN seminorm without an error
+        with pytest.raises(fp.NonFiniteError, match=r"start vector entry at \(1,\)"):
+            fp.colimit_seminorm(fp.truncation_maps(3)[:2], [1.0, bad, 1.0], norm="sup")
+
+    def test_start_must_be_a_vector(self):
+        with pytest.raises(fp.DimMismatchError, match=r"start vector has shape \(1, 2\), expected \(2,\)"):
+            fp.colimit_seminorm([np.eye(2)], [[1.0, 0.0]])
+
+    def test_non_finite_banach_probe(self):
+        # it used to report NaN norms, with a RuntimeWarning
+        with pytest.raises(fp.NonFiniteError, match=r"probe entry at \(0,\) is nan"):
+            fp.banach_counterexample(3, probe=[math.nan, 1.0, 1.0])
+        with pytest.raises(fp.DimMismatchError, match=r"probe has shape \(2,\), expected \(3,\)"):
+            fp.banach_counterexample(3, probe=[1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "make", [fp.Subspace.zero, fp.Subspace.full, fp.truncation_maps, lambda d: fp.Subspace.from_spanning([], d)]
+    )
+    def test_negative_dimension(self, make):
+        with pytest.raises(fp.DimMismatchError, match="must be nonnegative, got -1"):
+            make(-1)
+
+
 class TestProbeValidation:
     chain = [axes(0), axes(0, 1)]
 

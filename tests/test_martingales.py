@@ -56,6 +56,12 @@ class TestDyadicPartition:
         assert fp.dyadic_partition(3, 0) == fp.Partition.trivial(8)
         assert fp.dyadic_partition(3, 3) == fp.Partition.discrete(8)
 
+    @pytest.mark.parametrize("make", [fp.dyadic_space, fp.dyadic_filtration])
+    def test_negative_levels(self, make):
+        # these used to raise "negative shift count"
+        with pytest.raises(fp.SizeMismatchError, match="dyadic levels must be nonnegative, got -1"):
+            make(-1)
+
     @pytest.mark.parametrize("level", [-1, 4, 5])
     def test_level_outside_range(self, level):
         with pytest.raises(fp.SizeMismatchError, match=f"dyadic level {level} outside 0..3"):

@@ -57,6 +57,21 @@ class TestCanonicalForm:
         assert fp.Partition([np.arange(2), (np.int64(3), 2)], 4) == P_BLOCKS
 
 
+class TestNegativeSize:
+    @pytest.mark.parametrize(
+        "make",
+        [fp.Partition.discrete, fp.Partition.trivial, lambda n: fp.Partition([], n), lambda n: list(fp.all_partitions(n))],
+    )
+    def test_raises(self, make):
+        # these used to give an empty partition, or an IndexError
+        with pytest.raises(fp.SizeMismatchError, match="partition size must be nonnegative, got -1"):
+            make(-1)
+
+    def test_zero_is_empty(self):
+        assert fp.Partition.discrete(0) == fp.Partition.trivial(0) == fp.Partition([], 0)
+        assert fp.Partition([], 0).blocks == () and list(fp.all_partitions(0)) == []
+
+
 class TestJoin:
     def test_crossing_blocks_give_discrete(self):
         assert fp.join_partitions(P_BLOCKS, Q_BLOCKS) == fp.Partition.discrete(4)

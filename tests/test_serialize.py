@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import finprob as fp
 from finprob import serialize
+from finprob.numerics import Frozen, Rationals
 from finprob.sampling import random_mp_kernel, random_vec_rv, rng_for
 
 from .input_cases import MODE_LINES
@@ -281,6 +282,31 @@ def _instances(mode):
     ]
 
 
+def _reachable(obj):
+    """Every value and numpy array reachable from obj through the set slots
+    of a `Frozen` value or of `Rationals` and through tuples, obj included."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from _reachable(item)
+    elif isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (Frozen, Rationals)):
+        yield obj
+        for cls in type(obj).__mro__:
+            for name in cls.__dict__.get("__slots__", ()):
+                try:  # an unset slot is a lazy one not yet read
+                    value = object.__getattribute__(obj, name)
+                except AttributeError:
+                    continue
+                yield from _reachable(value)
+
+
+def _read_lazy_slots(obj) -> None:
+    for value in list(_reachable(obj)):
+        for name in getattr(value, "_LAZY", ()):
+            getattr(value, name)
+
+
 class TestCopyAndPickle:
     COPIES = {
         "copy": copy.copy,
@@ -297,6 +323,32 @@ class TestCopyAndPickle:
             assert pickle.dumps(twin) == pickle.dumps(obj)  # the same state, slot by slot
             with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
                 twin.anything = 1
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_every_array_read_only(self, mode, how):
+        # through every slot, a random variable's `data` included, with the
+        # lazy slots unread and then read, before and after the copy
+        for obj in _instances(mode):
+            for read in (False, True):
+                if read:
+                    _read_lazy_slots(obj)
+                twin = self.COPIES[how](obj)
+                _read_lazy_slots(twin)
+                for value in (obj, twin):
+                    arrays = [a for a in _reachable(value) if isinstance(a, np.ndarray)]
+                    assert arrays and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_unread_weights_and_blocks(self, how):
+        # neither copying nor restoring builds a space's weights or a
+        # partition's blocks
+        for obj, name in ((fp.make_space([F(1, 2), F(0), F(1, 2)], R), "weights"), (fp.Partition([(0, 2), (1,)], 3), "blocks")):
+            twin = self.COPIES[how](obj)
+            for value in (obj, twin):
+                with pytest.raises(AttributeError):
+                    object.__getattribute__(value, name)
+            assert repr(getattr(twin, name)) == repr(getattr(obj, name))
 
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_rational_kernel_with_unread_rows(self, how):

@@ -83,6 +83,12 @@ class TestMakeSpace:
         with pytest.raises(fp.SumNotOneError, match=f"^row 0 sums to {2**62 + 1}$"):
             fp.Kernel(rows, u2, u5)
 
+    @pytest.mark.parametrize("mode", [R, fp.FLOAT_DEFAULT], ids=["rational", "float"])
+    def test_negative_size(self, mode):
+        # np.ones(-1) used to raise numpy's ValueError
+        with pytest.raises(fp.SizeMismatchError, match="space size must be nonnegative, got -1"):
+            fp.uniform_space(-1, mode)
+
 
 class TestOneConstructor:
     """A float space takes its weights from a list, from float `Rationals`
@@ -251,6 +257,22 @@ class TestNthRoot:
         assert fp.nth_root(F(2), 2, R) == 2**0.5
         assert fp.nth_root(F(27, 8), 3, R) == F(3, 2)
         assert fp.nth_root(F(7, 3), 3, R) == (7 / 3) ** (1.0 / 3)
+
+
+class TestFloatModeRoots:
+    def test_rational_past_the_float_range(self):
+        # float(Fraction(10**400)) used to raise OverflowError
+        for value in (F(10**400), 10**400):
+            root = fp.nth_root(value, 3, fp.FLOAT_DEFAULT)
+            assert isinstance(root, float) and math.isclose(root, 10 ** (400 / 3), rel_tol=1e-12)
+        with pytest.raises(fp.TooLargeError):
+            fp.nth_root(F(10**400), 1, fp.FLOAT_DEFAULT)
+
+    def test_ordinary_values_unchanged(self):
+        for value in (F(7, 3), 5, 2.5, F(0), 0):
+            assert fp.nth_root(value, 3, fp.FLOAT_DEFAULT) == float(value) ** (1.0 / 3)
+        with pytest.raises(fp.FinprobError, match="negative"):
+            fp.nth_root(F(-1, 2), 2, fp.FLOAT_DEFAULT)
 
 
 class TestNonFinite:
@@ -444,6 +466,25 @@ class TestVecRandomVar:
 
 
 class TestImmutability:
+    def test_rational_data_frozen(self):
+        space = fp.make_space([F(1, 2), F(1, 3), F(1, 6)], R)
+        f = fp.RandomVar([F(1, 2), F(2, 3), F(3, 4)], space)
+        mean = fp.expectation(f)
+        # writing a denominator used to change the mean from 43/72 to 391/504
+        for array in (f.data.num, f.data.den):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        for name in ("num", "den"):
+            with pytest.raises(AttributeError, match="Rationals is immutable"):
+                setattr(f.data, name, np.ones(3, dtype=np.int64))
+        assert fp.expectation(f) == mean
+
+    def test_rationals_adopt_and_freeze_their_arrays(self):
+        num, den = np.array([1, 2]), np.array([3, 3])
+        data = Rationals(num, den)
+        assert data.num is num and data.den is den
+        assert not num.flags.writeable and not den.flags.writeable
+
     def test_space_frozen(self):
         s = fp.uniform_space(2)
         with pytest.raises(AttributeError):
